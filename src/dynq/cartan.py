@@ -80,9 +80,6 @@ class Weight:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
-    def as_floats(self) -> np.ndarray:
-        return np.array([float(c) for c in self.coords], dtype=float)
-
     def __repr__(self):
         body = ",".join(str(c) for c in self.coords)
         tag = "" if self.exact else "~"

@@ -10,7 +10,7 @@ diagonal and in particular invertible.
 Shift semantics: for a pair space V (x) W, an expression A(lam - h^(2)) (x) B
 means "apply A at lam - nu on the part whose second-slot weight is nu".  Both
 ways of factoring such a product (shifted factor first or last) must agree;
-`pair_first_shifted` / `pair_second_shifted` assert that.
+`pair_first_shifted` / `pair_second_shifted` check that.
 """
 
 from __future__ import annotations
@@ -377,7 +377,8 @@ def q_operator(V: WeightModule, lam: Weight, depth: int = 2,
     q2r = V.qh(2 * datum.rho)
     mat = r.T / q2r[:, None]
     gm = GradedMap(V, V, datum.zero_weight(), mat)
-    assert gm.graded_residual() < 1e-8, "Q operator lost the weight grading"
+    if not gm.graded_residual() < 1e-8:
+        raise ArithmeticError("Q operator lost the weight grading")
     return EvaluatedOperator(gm, lam, "Q")
 
 

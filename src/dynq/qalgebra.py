@@ -88,9 +88,6 @@ class WeightModule:
         d = self.datum
         return np.array([self.q ** float(d.pairing(xi, w)) for w in self.weights])
 
-    def qh_matrix(self, xi: Weight) -> np.ndarray:
-        return np.diag(self.qh(xi).astype(complex))
-
     def weight_set(self):
         return tuple(self.blocks.keys())
 
@@ -117,10 +114,6 @@ class TruncatedVerma(WeightModule):
         v[0] = 1.0
         return v
 
-    @property
-    def hw_functional(self) -> np.ndarray:
-        return self.hw_vector
-
     def exact_mask(self, margin: int) -> np.ndarray:
         """Rows whose depth keeps `margin` away from the truncation boundary."""
         return self.depths <= self.depth - margin
@@ -141,7 +134,8 @@ class GradedMap:
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=complex)
-        assert self.matrix.shape == (self.target.dim, self.source.dim)
+        if self.matrix.shape != (self.target.dim, self.source.dim):
+            raise ValueError(f"matrix shape {self.matrix.shape} does not fit the modules")
 
     def __matmul__(self, other: "GradedMap") -> "GradedMap":
         if not same_space(self.source, other.target):
@@ -150,7 +144,8 @@ class GradedMap:
                          self.matrix @ other.matrix)
 
     def __add__(self, other: "GradedMap") -> "GradedMap":
-        assert self.degree == other.degree
+        if self.degree != other.degree:
+            raise ValueError("cannot add graded maps of different degrees")
         return GradedMap(self.source, self.target, self.degree,
                          self.matrix + other.matrix)
 
@@ -164,11 +159,6 @@ class GradedMap:
             raise ValueError("only degree-0 maps invert within the grading")
         return GradedMap(self.target, self.source, self.degree,
                          np.linalg.inv(self.matrix))
-
-    def restrict(self, w: Weight) -> np.ndarray:
-        rows = self.target.block(w + self.degree)
-        cols = self.source.block(w)
-        return self.matrix[np.ix_(rows, cols)]
 
     def graded_residual(self) -> float:
         """Largest entry living outside the declared weight grading."""
@@ -206,7 +196,8 @@ def flip_matrix(V: WeightModule, W: WeightModule) -> np.ndarray:
 
 def tensor_module(V: WeightModule, W: WeightModule, name: str = "") -> WeightModule:
     """V (x) W with the coproduct action; slot lists flatten."""
-    assert V.datum is W.datum and V.q == W.q
+    if V.datum is not W.datum or V.q != W.q:
+        raise ValueError("tensor factors over different Cartan data or q")
     dv, dw = V.dim, W.dim
     weights = tuple(V.weights[a] + W.weights[b]
                     for a in range(dv) for b in range(dw))

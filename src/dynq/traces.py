@@ -97,7 +97,7 @@ def weighted_trace(phi: Intertwiner, mu: Weight, xi: Weight, depth: int,
     datum, q = src.datum, src.q
     check_cone(datum, xi, margin)
     dt = phi.target_verma.dim
-    df = phi.target.dim // dt
+    df = phi.spin_dim
     cube = phi.matrix.reshape(dt, df, src.dim)
     weights = src.qh(xi)  # q^{<mu-beta_n, xi>} per basis vector
     value = np.zeros(df, dtype=complex)
@@ -125,10 +125,7 @@ def spin_component(phi: Intertwiner, psi: Intertwiner, lam: Weight,
         raise ValueError("second operator must target F(S*) (x) M")
     if psi.source.hw != lam:
         raise ValueError("dual operator does not start at the stated weight")
-    total = psi.nus[0]
-    for nu in psi.nus[1:]:
-        total = total + nu
-    if not total.is_zero():
+    if not psi.mu.is_zero():
         raise ValueError("dual legs carry nonzero total weight")
     if _dims(psi.spin) != _dims(phi.spin)[::-1]:
         raise ValueError("leg words are not dual to each other")

@@ -7,7 +7,9 @@ extension down the Verma by lowering operators.  Dual operators target
 F(S*) (x) M and are obtained by inverting the braiding on each leg.
 """
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -68,7 +70,14 @@ def singular_vector(lam: Weight, V: WeightModule, v: np.ndarray, depth: int,
         target = build_verma(datum, q, lam - mu, depth)
     elif target.hw != lam - mu:
         raise ValueError("target Verma has the wrong highest weight")
-    T = tensor_module(target, V)
+    return _singular_in(tensor_module(target, V), target, V, v, mu, tol), target
+
+
+def _singular_in(T: WeightModule, target: TruncatedVerma, V: WeightModule,
+                 v: np.ndarray, mu: Weight, tol: float) -> np.ndarray:
+    """The singular vector of `singular_vector`, inside a prebuilt
+    T = target (x) V; v is nonzero of weight mu."""
+    datum = V.datum
     dv = V.dim
     hwp = target.hw
 
@@ -116,7 +125,7 @@ def singular_vector(lam: Weight, V: WeightModule, v: np.ndarray, depth: int,
             if resid > tol * (1.0 + np.linalg.norm(b)):
                 raise ValueError(f"singular-vector solve inconsistent: {resid:.2e}")
             u[cols] = sol
-    return u, target
+    return u
 
 
 @dataclass(eq=False)
@@ -126,24 +135,31 @@ class Intertwiner:
     orientation 'primal': source -> target_verma (x) F(spin);
     orientation 'dual':   source -> F(spin) (x) target_verma.
     matrix rows follow the row-major flattening of the target tensor.
+    The target tensor module itself is built on first access of `target`
+    and cached; the matrix and `spin_dim` never need it.
     """
     orientation: str
     source: TruncatedVerma
     target_verma: TruncatedVerma
     spin: tuple
-    target: WeightModule
     mu: Weight
     nus: tuple
     matrix: np.ndarray
     exact_depth: int = field(default=0)
 
+    @property
+    def spin_dim(self) -> int:
+        return math.prod(V.dim for V in self.spin)
+
+    @cached_property
+    def target(self) -> WeightModule:
+        if self.orientation == "primal":
+            return tensor_many((self.target_verma,) + self.spin)
+        return tensor_many(self.spin + (self.target_verma,))
+
     def as_graded_map(self) -> GradedMap:
         return GradedMap(self.source, self.target,
                          self.source.datum.zero_weight(), self.matrix)
-
-    def columns_at(self, depth: int) -> np.ndarray:
-        cols = np.where(self.source.depths == depth)[0]
-        return self.matrix[:, cols]
 
 
 def _extend_by_lowering(src: TruncatedVerma, T: WeightModule, u: np.ndarray,
@@ -174,10 +190,13 @@ def _extend_by_lowering(src: TruncatedVerma, T: WeightModule, u: np.ndarray,
     return phi
 
 
-def _one_point(lam: Weight, V: WeightModule, v: np.ndarray,
+def _one_point(lam: Weight, V: WeightModule, v: np.ndarray, mu: Weight,
                src: TruncatedVerma, tgt_depth: int, tol: float):
-    u, tgt = singular_vector(lam, V, v, tgt_depth)
+    """One leg out of src, v of weight mu; one tensor M_{lam-mu} (x) V
+    serves both the singular-vector solve and the column extension."""
+    tgt = build_verma(V.datum, V.q, lam - mu, tgt_depth)
     T = tensor_module(tgt, V)
+    u = _singular_in(T, tgt, V, v, mu, tol)
     return _extend_by_lowering(src, T, u, tol), tgt
 
 
@@ -186,7 +205,9 @@ def vertex_operator(lam: Weight, S: tuple, vlist, depth: int,
     """k-point operator: legs applied right to left, each shifting the weight.
 
     The j-th leg (1-based, rightmost = k) starts from lam_j = lam - sum of
-    the weights of the later legs; every lam_j must be regular.
+    the weights of the later legs; every lam_j must be regular.  Each leg
+    builds one tensor module; the operator's full target M (x) F(S) is
+    built only when `target` is first read.
     """
     S = tuple(S)
     k = len(S)
@@ -204,14 +225,13 @@ def vertex_operator(lam: Weight, S: tuple, vlist, depth: int,
         if not datum.is_regular(cur_lam):
             raise ValueError(f"non-regular intermediate weight lam_{j + 1} = {cur_lam}")
         up = _raise_budget(S[j], nus[j])
-        phi, tgt = _one_point(cur_lam, S[j], vlist[j], cur,
+        phi, tgt = _one_point(cur_lam, S[j], vlist[j], nus[j], cur,
                               cur.depth + max(up, 1), tol)
         op = phi if op is None else np.kron(phi, np.eye(rest_dim)) @ op
         rest_dim *= S[j].dim
         cur = tgt
         cur_lam = cur_lam - nus[j]
-    target = tensor_many((cur,) + S)
-    return Intertwiner("primal", src, cur, S, target, lam - cur.hw, nus, op,
+    return Intertwiner("primal", src, cur, S, lam - cur.hw, nus, op,
                        exact_depth=depth)
 
 
@@ -220,7 +240,8 @@ def dual_vertex_operator(lam: Weight, sstar: tuple, glist, depth: int,
     """Composite of braided one-point legs, target F(sstar) (x) M.
 
     Legs are applied left to right: leg j targets sstar[j] (x) M and is the
-    braiding inverse applied to a primal one-point operator.
+    braiding inverse applied to a primal one-point operator.  The full
+    target F(sstar) (x) M is built only when `target` is first read.
     """
     sstar = tuple(sstar)
     m = len(sstar)
@@ -239,7 +260,7 @@ def dual_vertex_operator(lam: Weight, sstar: tuple, glist, depth: int,
             raise ValueError(f"non-regular intermediate weight lam_{j + 1} = {cur_lam}")
         W = sstar[j]
         span = W.height_span()
-        phi, tgt = _one_point(cur_lam, W, glist[j], cur,
+        phi, tgt = _one_point(cur_lam, W, glist[j], nus[j], cur,
                               cur.depth + 2 * max(span, 1), tol)
         Tl = tensor_module(W, tgt)
         R = r_matrix(W, tgt, Tl)
@@ -248,19 +269,16 @@ def dual_vertex_operator(lam: Weight, sstar: tuple, glist, depth: int,
         left_dim *= W.dim
         cur = tgt
         cur_lam = cur_lam - nus[j]
-    target = tensor_many(sstar + (cur,))
-    return Intertwiner("dual", src, cur, sstar, target, lam - cur.hw, nus,
-                       op, exact_depth=depth)
+    return Intertwiner("dual", src, cur, sstar, lam - cur.hw, nus, op,
+                       exact_depth=depth)
 
 
 def expectation(phi: Intertwiner) -> np.ndarray:
     """Leading coefficient vector: pair the target Verma leg with m*."""
     col = phi.matrix[:, 0]
-    dm = phi.target_verma.dim
-    df = phi.target.dim // dm
     if phi.orientation == "primal":
-        return col[:df].copy()
-    return col[::dm].copy()
+        return col[:phi.spin_dim].copy()
+    return col[::phi.target_verma.dim].copy()
 
 
 def intertwiner_residual(phi: Intertwiner) -> float:
@@ -272,8 +290,7 @@ def intertwiner_residual(phi: Intertwiner) -> float:
     boundary can miss contributions.  Both are skipped.
     """
     T, M = phi.target, phi.source
-    dm = phi.target_verma.dim
-    df = T.dim // dm
+    df = phi.spin_dim
     if phi.orientation == "primal":
         vdepth = np.repeat(phi.target_verma.depths, df)
     else:

@@ -1,5 +1,6 @@
 import itertools
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -378,6 +379,15 @@ class TestQOperator:
     def test_family_tag(self):
         fam = q_family(V)
         assert fam(LAM).family == "Q"
+
+    def test_lost_grading_raises(self, monkeypatch):
+        # a fusion matrix with entries across weight blocks spoils Q's grading
+        import dynq.dynamical as dyn
+        dense = np.ones((W.dim ** 2, W.dim ** 2), dtype=complex)
+        monkeypatch.setattr(dyn, "fusion",
+                            lambda *a, **k: SimpleNamespace(matrix=dense))
+        with pytest.raises(ArithmeticError, match="grading"):
+            q_operator(W, LAM)
 
 
 class TestDynStructures:

@@ -187,6 +187,13 @@ class TestTensorUtils:
         assert np.allclose(partial_trace(X, T, 1), A * np.trace(B))
         assert np.allclose(partial_trace(X, T, 0), B * np.trace(A))
 
+    def test_tensor_factors_must_share_datum_and_q(self):
+        V = build_irrep(A1, Q, A1.fundamental_weights[0])
+        with pytest.raises(ValueError, match="different"):
+            tensor_module(V, build_irrep(A2, Q, A2.fundamental_weights[0]))
+        with pytest.raises(ValueError, match="different"):
+            tensor_module(V, build_irrep(A1, 0.25, A1.fundamental_weights[0]))
+
 
 class TestRMatrix:
     def brute_force_r(self, V, W):
@@ -345,6 +352,17 @@ class TestGradedMap:
         assert gm2.graded_residual() == 0.0
         comp = gm2 @ gm2
         assert comp.degree == 2 * A1.simple_roots[0]
+
+    def test_shape_guard(self):
+        V = build_irrep(A1, Q, 2 * A1.fundamental_weights[0])
+        with pytest.raises(ValueError, match="shape"):
+            GradedMap(V, V, A1.zero_weight(), np.eye(V.dim + 1))
+
+    def test_add_degree_guard(self):
+        V = build_irrep(A1, Q, 2 * A1.fundamental_weights[0])
+        gm = GradedMap(V, V, A1.simple_roots[0], V.E[0])
+        with pytest.raises(ValueError, match="different degrees"):
+            gm + GradedMap.identity(V)
 
     def test_q_guard(self):
         with pytest.raises(ValueError):

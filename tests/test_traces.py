@@ -113,6 +113,9 @@ class TestWeightedTrace:
         psi = dual_vertex_operator(LAM, (WS,), [basis(WS, 1)], 8)
         with pytest.raises(ValueError, match="primal|Verma"):
             weighted_trace(psi, LAM, XI, 8)
+        tilted = dual_vertex_operator(LAM, (WS,), [basis(WS, 0)], 8)
+        with pytest.raises(ValueError, match="dual legs carry nonzero total weight"):
+            spin_component(phi, tilted, LAM, MU, XI, 8)
 
     def test_cone_check_margin(self):
         check_cone(A1, -2 * OM)

@@ -282,3 +282,65 @@ class TestPushThrough:
         b = rhs.matrix[np.repeat(rhs.target_verma.depths <= d, T.dim)]
         assert a.shape == b.shape
         assert np.max(np.abs(a - b)) < 1e-9 * max(1.0, np.abs(a).max())
+
+
+class TestLazyTarget:
+    def test_fusion_leaves_targets_unbuilt(self, monkeypatch):
+        import dynq.dynamical as dyn
+        from dynq import vertexops
+        built = []
+
+        def recording(*args, **kwargs):
+            built.append(vertexops.vertex_operator(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(dyn, "vertex_operator", recording)
+        V = build_irrep(A1, Q, OM)
+        W = build_irrep(A1, Q, 2 * OM)
+        dyn.fusion((V, W), -6.77 * OM)  # a weight no other test fuses at
+        assert len(built) == V.dim * W.dim
+        assert all("target" not in phi.__dict__ for phi in built)
+
+    def test_expectation_leaves_target_unbuilt(self):
+        V = build_irrep(A1, Q, OM)
+        from dynq.qalgebra import dual_module
+        Vd = dual_module(V)
+        phi = vertex_operator(-5.37 * OM, (V, V), [hw_vec(V), lw_vec(V)], 4)
+        psi = dual_vertex_operator(-5.37 * OM, (Vd,), [hw_vec(Vd)], 4)
+        for op in (phi, psi):
+            expectation(op)
+            assert "target" not in op.__dict__
+
+    def test_target_matches_eager_build(self):
+        from dynq.qalgebra import dual_module, same_space
+        V = build_irrep(A1, Q, OM)
+        W = build_irrep(A1, Q, 2 * OM)
+        Vd = dual_module(V)
+        lam = -5.37 * OM
+        phi = vertex_operator(lam, (V, W), [lw_vec(V), hw_vec(W)], 4)
+        psi = dual_vertex_operator(lam, (Vd, Vd),
+                                   [wt_vec(Vd, -OM), wt_vec(Vd, OM)], 4)
+        for op, want in ((phi, tensor_many((phi.target_verma, V, W))),
+                         (psi, tensor_many((Vd, Vd, psi.target_verma)))):
+            got = op.target
+            assert same_space(got, want)
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(got.E + got.F, want.E + want.F))
+            assert got.dim == op.matrix.shape[0]
+            assert op.target is got  # cached on the instance
+
+    def test_one_tensor_module_per_leg(self, monkeypatch):
+        from dynq import vertexops
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return tensor_module(*args, **kwargs)
+
+        monkeypatch.setattr(vertexops, "tensor_module", counted)
+        V = build_irrep(A1, Q, OM)
+        for k in (1, 2, 3):
+            calls.clear()
+            vlist = [hw_vec(V) if j % 2 else lw_vec(V) for j in range(k)]
+            vertex_operator(-7.31 * OM, (V,) * k, vlist, 3)
+            assert len(calls) == k
