@@ -103,12 +103,13 @@ def _frac_solve(A: list[list[Fraction]], rhs: list[list[Fraction]]):
     return [row[n:w] for row in m]
 
 
-@dataclass
+@dataclass(eq=False)
 class CartanDatum:
     """Finite-type Cartan data plus the derived h* geometry.
 
     bilinear[i][j] = d_i * a_ij is the symmetrized form on simple roots;
-    pairings of arbitrary weights stay exact rationals.
+    pairings of arbitrary weights stay exact rationals.  Equality and hashing
+    go by identity, so a datum can key a memo.
     """
 
     cartan_matrix: np.ndarray

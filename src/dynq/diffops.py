@@ -17,14 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cache import Memo
 from .cartan import Weight
 from .dynamical import (
-    _dual_of, _dual_tuple_of, _fused, embedded_shifted, exchange, exchange21,
-    exchange_inverse, fusion,
+    _fused, embedded_shifted, exchange, exchange21, exchange_inverse, fusion,
 )
 from .qalgebra import (
-    WeightModule, character, embed_slots, flip_matrix, partial_trace,
-    r_matrix, slot_index_arrays, tensor_many,
+    WeightModule, character, dual_module, dual_tuple, embed_slots,
+    partial_trace, r21_matrix, r_matrix, slot_index_arrays, tensor_many,
 )
 from .traces import pairing_matrix
 
@@ -97,21 +97,20 @@ def _slot_projector(T: WeightModule, slot: int, w: Weight) -> np.ndarray:
 
 
 def _pair_cache(depth: int, tol: float):
-    """Shared evaluation cache for the two-slot dynamical matrices."""
-    memo = {}
+    """Evaluation cache of one operator for its two-slot dynamical matrices."""
+    memo = Memo()
+
+    def make(kind: str, A: WeightModule, B: WeightModule, z: Weight):
+        if kind == "R":
+            return exchange(A, B, z, depth, tol).matrix
+        if kind == "Rinv":
+            return exchange_inverse(A, B, z, depth, tol).matrix
+        if kind == "R21":
+            return exchange21(A, B, z, depth, tol).matrix
+        return np.linalg.inv(exchange21(A, B, z, depth, tol).matrix)
 
     def get(kind: str, A: WeightModule, B: WeightModule, z: Weight):
-        key = (kind, id(A), id(B), z)
-        if key not in memo:
-            if kind == "R":
-                memo[key] = exchange(A, B, z, depth, tol).matrix
-            elif kind == "Rinv":
-                memo[key] = exchange_inverse(A, B, z, depth, tol).matrix
-            elif kind == "R21":
-                memo[key] = exchange21(A, B, z, depth, tol).matrix
-            else:
-                memo[key] = np.linalg.inv(exchange21(A, B, z, depth, tol).matrix)
-        return memo[key]
+        return memo.get((kind, A, B, z), lambda: make(kind, A, B, z))
 
     return get
 
@@ -151,47 +150,6 @@ def qkzb_operator(S, i: int, depth: int = 2, tol: float = 1e-10
                               _distinct_weights(S[i - 1]), coefficient)
 
 
-def dual_qkzb_kernel(S, i: int, mu: Weight, sigma: Weight, depth: int = 2,
-                     tol: float = 1e-10) -> np.ndarray:
-    """Second-argument shift kernel on F(S), the transpose source.
-
-    Flipped exchange factors against the later slots (argument mu + sigma
-    minus the tail of still-later slots) frame the slot-i projector, with
-    inverse flipped factors against the earlier slots at argument mu minus
-    the spectator weights.
-    """
-    S = tuple(S)
-    k = len(S)
-    _check_index(i, 1, k)
-    T = tensor_many(S)
-    pair = _pair_cache(depth, tol)
-    out = np.eye(T.dim, dtype=complex)
-    for j in range(i - 1, 0, -1):
-        spect = tuple(range(j, i - 1)) + tuple(range(i, k))
-        fn = lambda z, A=S[j - 1], B=S[i - 1]: pair("R21inv", A, B, z)
-        out = embedded_shifted(T, fn, (j - 1, i - 1), spect, mu) @ out
-    out = _slot_projector(T, i - 1, sigma) @ out
-    for j in range(k, i, -1):
-        spect = tuple(range(j, k))
-        fn = lambda z, A=S[i - 1], B=S[j - 1]: pair("R21", A, B, z)
-        out = embedded_shifted(T, fn, (i - 1, j - 1), spect,
-                               mu + sigma) @ out
-    return out
-
-
-def dual_qkzb_transposed(S, i: int, depth: int = 2, tol: float = 1e-10
-                         ) -> DifferenceOperator:
-    """The kernel family carried to F(S*) by the dual-basis transpose."""
-    S = tuple(S)
-    _check_index(i, 1, len(S))
-
-    def coefficient(mu: Weight, sigma: Weight) -> np.ndarray:
-        return transpose(dual_qkzb_kernel(S, i, mu, sigma, depth, tol), S)
-
-    return DifferenceOperator("dual-qkzb", S, i, _dual_tuple_of(S), "mu", +1,
-                              _distinct_weights(S[i - 1]), coefficient)
-
-
 def dual_qkzb_operator(S, i: int, depth: int = 2, tol: float = 1e-10
                        ) -> DifferenceOperator:
     """Second-argument shift family with coefficients directly on F(S*).
@@ -200,12 +158,14 @@ def dual_qkzb_operator(S, i: int, depth: int = 2, tol: float = 1e-10
     (argument mu minus the leading spectator weights) follow the projector
     on weight -sigma, preceded by plain exchange factors of the later
     duals against slot i at argument mu + sigma.  On the zero-weight block
-    this equals the renormalization conjugate of the transposed kernel.
+    this equals the renormalization conjugate of the dual-basis transpose
+    of the flipped-exchange kernel on F(S); the tests keep that kernel as
+    an oracle.
     """
     S = tuple(S)
     k = len(S)
     _check_index(i, 1, k)
-    sstar = _dual_tuple_of(S)
+    sstar = dual_tuple(S)
     T = tensor_many(sstar)
     pair = _pair_cache(depth, tol)
 
@@ -246,32 +206,29 @@ def coord_mr_operator(S, W: WeightModule, i: int, depth: int = 2,
     S = tuple(S)
     k = len(S)
     _check_index(i, 0, k)
-    ws = _dual_of(W)
+    ws = dual_module(W)
     T = tensor_many((ws,) + S)
     pair = _pair_cache(depth, tol)
     datum = S[0].datum
-    memo = {}
+    memo = Memo()
 
     def product(lam: Weight) -> np.ndarray:
-        if lam not in memo:
-            base = -1 * lam - 2 * datum.rho
-            out = np.eye(T.dim, dtype=complex)
-            for j in range(1, i + 1):
-                hull = tuple(range(j + 1))
-                fn = lambda z, B=S[j - 1]: pair("R21inv", ws, B, z)
-                out = embedded_shifted(T, fn, (0, j), hull, base,
-                                       sign=+1) @ out
-            for j in range(i + 1, k + 1):
-                hull = tuple(range(j + 1))
-                fn = lambda z, B=S[j - 1]: pair("R", ws, B, z)
-                out = embedded_shifted(T, fn, (0, j), hull, base,
-                                       sign=+1) @ out
-            memo[lam] = out
-        return memo[lam]
+        base = -1 * lam - 2 * datum.rho
+        out = np.eye(T.dim, dtype=complex)
+        for j in range(1, i + 1):
+            hull = tuple(range(j + 1))
+            fn = lambda z, B=S[j - 1]: pair("R21inv", ws, B, z)
+            out = embedded_shifted(T, fn, (0, j), hull, base, sign=+1) @ out
+        for j in range(i + 1, k + 1):
+            hull = tuple(range(j + 1))
+            fn = lambda z, B=S[j - 1]: pair("R", ws, B, z)
+            out = embedded_shifted(T, fn, (0, j), hull, base, sign=+1) @ out
+        return out
 
     def coefficient(lam: Weight, sigma: Weight) -> np.ndarray:
         keep = [int(n) for n in ws.block(-1 * sigma)]
-        return partial_trace(product(lam), T, 0, keep=keep)
+        return partial_trace(memo.get(lam, lambda: product(lam)), T, 0,
+                             keep=keep)
 
     return DifferenceOperator("coord-mr", S, i, S, "lam", +1,
                               _distinct_weights(W), coefficient, aux=W)
@@ -289,34 +246,33 @@ def dual_coord_mr_operator(S, W: WeightModule, i: int, depth: int = 2,
     S = tuple(S)
     k = len(S)
     _check_index(i, 0, k)
-    ws = _dual_of(W)
-    sstar = _dual_tuple_of(S)
+    ws = dual_module(W)
+    sstar = dual_tuple(S)
     T = tensor_many((ws,) + sstar)
     pair = _pair_cache(depth, tol)
-    memo = {}
+    memo = Memo()
 
     def pos(j):
         return 1 + k - j
 
     def product(mu: Weight) -> np.ndarray:
-        if mu not in memo:
-            out = np.eye(T.dim, dtype=complex)
-            for j in range(k, i, -1):
-                hull = tuple(range(pos(j) + 1))
-                fn = lambda z, B=sstar[pos(j) - 1]: pair("R21inv", ws, B, z)
-                out = embedded_shifted(T, fn, (0, pos(j)), hull, mu,
-                                       sign=+1) @ out
-            for j in range(i, 0, -1):
-                hull = tuple(range(pos(j) + 1))
-                fn = lambda z, B=sstar[pos(j) - 1]: pair("R", ws, B, z)
-                out = embedded_shifted(T, fn, (0, pos(j)), hull, mu,
-                                       sign=+1) @ out
-            memo[mu] = out
-        return memo[mu]
+        out = np.eye(T.dim, dtype=complex)
+        for j in range(k, i, -1):
+            hull = tuple(range(pos(j) + 1))
+            fn = lambda z, B=sstar[pos(j) - 1]: pair("R21inv", ws, B, z)
+            out = embedded_shifted(T, fn, (0, pos(j)), hull, mu,
+                                   sign=+1) @ out
+        for j in range(i, 0, -1):
+            hull = tuple(range(pos(j) + 1))
+            fn = lambda z, B=sstar[pos(j) - 1]: pair("R", ws, B, z)
+            out = embedded_shifted(T, fn, (0, pos(j)), hull, mu,
+                                   sign=+1) @ out
+        return out
 
     def coefficient(mu: Weight, sigma: Weight) -> np.ndarray:
         keep = [int(n) for n in ws.block(-1 * sigma)]
-        return partial_trace(product(mu), T, 0, keep=keep)
+        return partial_trace(memo.get(mu, lambda: product(mu)), T, 0,
+                             keep=keep)
 
     return DifferenceOperator("dual-coord-mr", S, i, sstar, "mu", -1,
                               _distinct_weights(W), coefficient, aux=W)
@@ -365,7 +321,7 @@ def multiplier(family: str, S, i: int, at: Weight,
     k = len(S)
     datum, q = S[0].datum, S[0].q
     if family in ("qkzb", "coord-mr"):
-        space = _dual_tuple_of(S)
+        space = dual_tuple(S)
         # slot of the j-th dual is k - j
         T, table = _slot_weights(space)
         vals = np.zeros(T.dim, dtype=complex)
@@ -416,11 +372,6 @@ def multiplier(family: str, S, i: int, at: Weight,
 # fused-operator identities of the non-dynamical layer
 
 
-def _r21_matrix(X: WeightModule, Y: WeightModule) -> np.ndarray:
-    """Flipped braiding numerator on X (x) Y."""
-    return flip_matrix(Y, X) @ r_matrix(Y, X).matrix @ flip_matrix(X, Y)
-
-
 def fusion_mr_residual(S, W: WeightModule, i: int, lam: Weight,
                        depth: int = 2, tol: float = 1e-10) -> float:
     """Push the diagonal trace multiplier through the fusion operator.
@@ -462,7 +413,7 @@ def fusion_mr_residual(S, W: WeightModule, i: int, lam: Weight,
                           tuple(range(i + 1))) @ mat
     if i < k:
         Y = _fused(S[i:])
-        mat = embed_slots(TW, np.linalg.inv(_r21_matrix(W, Y)),
+        mat = embed_slots(TW, np.linalg.inv(r21_matrix(W, Y).matrix),
                           (0,) + tuple(range(i + 1, k + 1))) @ mat
     rhs = partial_trace(mat, TW, 0) @ jmat
     scale = max(float(np.max(np.abs(lhs))), 1e-300)
@@ -504,12 +455,12 @@ def fusion_qkz_residual(S, i: int, lam: Weight, depth: int = 2,
     rhs = jhat
     if i < k:
         Y = _fused(S[i:])
-        rhs = rhs @ embed_slots(T, _r21_matrix(S[i - 1], Y),
+        rhs = rhs @ embed_slots(T, r21_matrix(S[i - 1], Y).matrix,
                                 tuple(range(i - 1, k)))
     rhs = np.diag(dt) @ rhs @ np.diag(ups)
     if i > 1:
         X = _fused(S[:i - 1])
         rhs = rhs @ np.linalg.inv(
-            embed_slots(T, _r21_matrix(X, S[i - 1]), tuple(range(i))))
+            embed_slots(T, r21_matrix(X, S[i - 1]).matrix, tuple(range(i))))
     scale = max(float(np.max(np.abs(jhat))), 1e-300)
     return float(np.max(np.abs(jhat - rhs))) / scale

@@ -11,21 +11,26 @@ Shift semantics: for a pair space V (x) W, an expression A(lam - h^(2)) (x) B
 means "apply A at lam - nu on the part whose second-slot weight is nu".  Both
 ways of factoring such a product (shifted factor first or last) must agree;
 `pair_first_shifted` / `pair_second_shifted` check that.
+
+Fusion operators and braiding numerators are memoized in bounded
+`cache.Memo` tables keyed on the module objects themselves, the weight, and
+every argument that changes the result; duals are stored on their module.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from .cache import Memo
 from .cartan import CartanDatum, Weight
 from .qalgebra import (
     GradedMap,
     WeightModule,
     casimir_ratio,
     dual_module,
+    dual_tuple,
     eval_twisted,
     flip_matrix,
     left_dual_module,
@@ -72,71 +77,26 @@ class EvaluatedOperator:
 
 
 class DynamicalFamily:
-    """lam -> EvaluatedOperator with a lock-guarded cache.
+    """lam -> EvaluatedOperator, memoized per family in a `cache.Memo`.
 
     Repeated evaluation at equal lam returns the very same object, so results
     are bit-identical by construction.  The closure must be pure.
     """
 
-    def __init__(self, fn, name: str = "generic", domain: str = "regular"):
+    def __init__(self, fn):
         self._fn = fn
-        self.name = name
-        self.domain = domain
-        self._cache = {}
-        self._lock = threading.Lock()
+        self._memo = Memo()
 
     def __call__(self, lam: Weight) -> EvaluatedOperator:
-        with self._lock:
-            hit = self._cache.get(lam)
-        if hit is None:
-            val = self._fn(lam)
-            with self._lock:
-                hit = self._cache.setdefault(lam, val)
-        return hit
+        return self._memo.get(lam, lambda: self._fn(lam))
 
     def matrix(self, lam: Weight) -> np.ndarray:
         return self(lam).matrix
 
 
-class _Memo:
-    """Shared keyed cache; `keep` pins objects whose id() is part of the key."""
-
-    def __init__(self):
-        self._d = {}
-        self._lock = threading.Lock()
-
-    def get(self, key, make, keep=()):
-        with self._lock:
-            hit = self._d.get(key)
-        if hit is not None:
-            return hit[0]
-        val = make()
-        with self._lock:
-            hit = self._d.setdefault(key, (val, keep))
-        return hit[0]
-
-
-_FUSION_MEMO = _Memo()
-_RMAT_MEMO = _Memo()
-_DUAL_MEMO = _Memo()
-
-
-def _mods_key(S) -> tuple:
-    return tuple(id(V) for V in S)
-
-
-def _dual_of(V: WeightModule) -> WeightModule:
-    return _DUAL_MEMO.get(("V*", id(V)), lambda: dual_module(V), keep=(V,))
-
-
-def _left_dual_of(V: WeightModule) -> WeightModule:
-    return _DUAL_MEMO.get(("*V", id(V)), lambda: left_dual_module(V), keep=(V,))
-
-
-def _dual_tuple_of(S) -> tuple:
-    key = ("S*", _mods_key(S))
-    return _DUAL_MEMO.get(key, lambda: tuple(_dual_of(V) for V in reversed(S)),
-                          keep=S)
+_FUSION_MEMO = Memo()
+_RMAT_MEMO = Memo()
+_dual_of = dual_module  # older private name, still used by callers
 
 
 def _basis_vector(V: WeightModule, n: int) -> np.ndarray:
@@ -252,12 +212,11 @@ def fusion(S, lam: Weight, depth: int = 2, tol: float = 1e-10,
             cols[:, n] = expectation(phi)
         return EvaluatedOperator(GradedMap(T, T, dz, cols), lam, "fusion")
 
-    key = ("j", _mods_key(S), lam, int(depth))
-    return _FUSION_MEMO.get(key, make, keep=S)
+    return _FUSION_MEMO.get((S, lam, int(depth), float(tol)), make)
 
 
 def fusion_family(S, depth: int = 2, tol: float = 1e-10) -> DynamicalFamily:
-    return DynamicalFamily(lambda lam: fusion(S, lam, depth, tol), "fusion")
+    return DynamicalFamily(lambda lam: fusion(S, lam, depth, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +254,8 @@ def _fused(S) -> WeightModule:
 
 def _plain_r(V: WeightModule, W: WeightModule) -> np.ndarray:
     """Braiding numerator on V (x) W, cached (it does not depend on lam)."""
-    key = ("r", id(V), id(W))
     return _RMAT_MEMO.get(
-        key, lambda: r_matrix(V, W, tensor_module(V, W)).matrix, keep=(V, W))
+        (V, W), lambda: r_matrix(V, W, tensor_module(V, W)).matrix)
 
 
 def _exchange_pair(V: WeightModule, W: WeightModule, lam: Weight,
@@ -358,7 +316,7 @@ def exchange_inverse(S, T, lam: Weight, depth: int = 2,
 
 
 def exchange_family(S, T, depth: int = 2, tol: float = 1e-10) -> DynamicalFamily:
-    return DynamicalFamily(lambda lam: exchange(S, T, lam, depth, tol), "exchange")
+    return DynamicalFamily(lambda lam: exchange(S, T, lam, depth, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +328,7 @@ def q_operator(V: WeightModule, lam: Weight, depth: int = 2,
     """Q_V(lam), fixed entrywise by contracting j_{(V,V*)}(lam) with the
     twisted evaluation: row (v (x) f) -> f(q^{2rho} Q_V(lam) v)."""
     datum = V.datum
-    Vd = _dual_of(V)
+    Vd = dual_module(V)
     j = fusion((V, Vd), lam, depth, tol).matrix
     row = eval_twisted(V, Vd).matrix.ravel()
     r = (row @ j).reshape(V.dim, V.dim)
@@ -392,7 +350,7 @@ def q_operator_inverse(V: WeightModule, lam: Weight, depth: int = 2,
     q_operator signals a convention fault somewhere upstream, so it raises.
     """
     direct = np.linalg.inv(q_operator(V, lam, depth).matrix)
-    lV = _left_dual_of(V)
+    lV = left_dual_module(V)
     d = V.dim
     out = np.zeros((d, d), dtype=complex)
     for nu, cols in V.blocks.items():
@@ -408,7 +366,7 @@ def q_operator_inverse(V: WeightModule, lam: Weight, depth: int = 2,
 
 
 def q_family(V: WeightModule, depth: int = 2, tol: float = 1e-10) -> DynamicalFamily:
-    return DynamicalFamily(lambda lam: q_operator(V, lam, depth, tol), "Q")
+    return DynamicalFamily(lambda lam: q_operator(V, lam, depth, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +418,7 @@ def dyn_structure(tag: str, S, lam: Weight, depth: int = 2,
          'twist'    j_S(lam)^{-1} o theta_{F(S)} o j_S(lam) on F(S)
     """
     S = (S,) if isinstance(S, WeightModule) else tuple(S)
-    Sstar = _dual_tuple_of(S)
+    Sstar = dual_tuple(S)
     datum, qv = S[0].datum, S[0].q
     triv = trivial_module(datum, qv)
     FS = _fused(S)

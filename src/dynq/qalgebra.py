@@ -17,12 +17,14 @@ with N strictly raising the first slot.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
+from .cache import Memo
 from .cartan import CartanDatum, Weight
 
 PIVOT_TOL = 1e-9
@@ -97,6 +99,34 @@ class WeightModule:
     def height_span(self) -> int:
         hts = [w.height() for w in self.blocks]
         return int(max(hts) - min(hts))
+
+    @cached_property
+    def dual(self) -> "WeightModule":
+        """Right dual: (x . f)(v) = f(S(x) v), basis dual to V's, weight -wt."""
+        d = self.datum
+        weights = tuple(-w for w in self.weights)
+        E, F = [], []
+        for i, alpha in enumerate(d.simple_roots):
+            Kinv = 1.0 / self.qh(alpha)
+            Kdiag = self.qh(alpha)
+            E.append(-(self.E[i] * Kinv[None, :]).T)   # S(E_i) = -E_i K_i^{-1}
+            F.append(-(Kdiag[:, None] * self.F[i]).T)  # S(F_i) = -K_i F_i
+        return WeightModule(d, self.q, "dual", weights, tuple(E), tuple(F),
+                            name=f"({self.name})*", parent=self)
+
+    @cached_property
+    def left_dual(self) -> "WeightModule":
+        """Left dual through S^{-1}; used to contract m^op((S^{-1} (x) id) . )."""
+        d = self.datum
+        weights = tuple(-w for w in self.weights)
+        E, F = [], []
+        for i, alpha in enumerate(d.simple_roots):
+            Kinv = 1.0 / self.qh(alpha)
+            Kdiag = self.qh(alpha)
+            E.append(-(Kinv[:, None] * self.E[i]).T)   # S^{-1}(E_i) = -K_i^{-1} E_i
+            F.append(-(self.F[i] * Kdiag[None, :]).T)  # S^{-1}(F_i) = -F_i K_i
+        return WeightModule(d, self.q, "ldual", weights, tuple(E), tuple(F),
+                            name=f"*({self.name})", parent=self)
 
     def __repr__(self):
         return f"<{self.kind} {self.name or ''} dim={self.dim}>"
@@ -271,35 +301,17 @@ def partial_trace(X: np.ndarray, T: WeightModule, slot: int,
 # duals
 
 def dual_module(V: WeightModule) -> WeightModule:
-    """Right dual: (x . f)(v) = f(S(x) v), basis dual to V's, weight -wt."""
-    d = V.datum
-    weights = tuple(-w for w in V.weights)
-    E, F = [], []
-    for i, alpha in enumerate(d.simple_roots):
-        Kinv = 1.0 / V.qh(alpha)
-        Kdiag = V.qh(alpha)
-        E.append(-(V.E[i] * Kinv[None, :]).T)   # S(E_i) = -E_i K_i^{-1}
-        F.append(-(Kdiag[:, None] * V.F[i]).T)  # S(F_i) = -K_i F_i
-    return WeightModule(d, V.q, "dual", weights, tuple(E), tuple(F),
-                        name=f"({V.name})*", parent=V)
+    """Right dual of V, built once and stored on V (`WeightModule.dual`)."""
+    return V.dual
 
 
 def left_dual_module(V: WeightModule) -> WeightModule:
-    """Left dual through S^{-1}; used to contract m^op((S^{-1} (x) id) . )."""
-    d = V.datum
-    weights = tuple(-w for w in V.weights)
-    E, F = [], []
-    for i, alpha in enumerate(d.simple_roots):
-        Kinv = 1.0 / V.qh(alpha)
-        Kdiag = V.qh(alpha)
-        E.append(-(Kinv[:, None] * V.E[i]).T)   # S^{-1}(E_i) = -K_i^{-1} E_i
-        F.append(-(V.F[i] * Kdiag[None, :]).T)  # S^{-1}(F_i) = -F_i K_i
-    return WeightModule(d, V.q, "ldual", weights, tuple(E), tuple(F),
-                        name=f"*({V.name})", parent=V)
+    """Left dual of V, built once and stored on V (`WeightModule.left_dual`)."""
+    return V.left_dual
 
 
 def dual_tuple(S):
-    """S* = (V_k*, ..., V_1*)."""
+    """S* = (V_k*, ..., V_1*), the same objects on every call."""
     return tuple(dual_module(V) for V in reversed(S))
 
 
@@ -421,20 +433,18 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-_VERMA_CACHE: dict = {}
+_VERMA_MEMO = Memo()
 
 
 def build_verma(datum: CartanDatum, q, hw: Weight, depth: int) -> TruncatedVerma:
-    """Cached front end for `_build_verma`; treat the result as immutable.
+    """Memoized front end for `_build_verma`; treat the result as immutable.
 
     Dynamical operators rebuild the same truncated Vermas at many shifted
-    highest weights, so construction memoizes on exact weight coordinates.
+    highest weights, so construction is looked up in a bounded `cache.Memo`
+    keyed on the datum itself, float q, the exact highest weight and depth.
     """
-    key = (id(datum), float(q), hw, int(depth))
-    got = _VERMA_CACHE.get(key)
-    if got is None:
-        got = _VERMA_CACHE.setdefault(key, _build_verma(datum, q, hw, depth))
-    return got
+    return _VERMA_MEMO.get((datum, float(q), hw, int(depth)),
+                           lambda: _build_verma(datum, q, hw, depth))
 
 
 def _build_verma(datum: CartanDatum, q, hw: Weight, depth: int) -> TruncatedVerma:

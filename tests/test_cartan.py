@@ -27,6 +27,14 @@ def b2():
     return preset("B2")
 
 
+class TestIdentity:
+    def test_equality_and_hash_by_identity(self):
+        a, b = preset("A2"), preset("A2")
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert {a: 1, b: 2}[a] == 1
+
+
 class TestBuild:
     def test_rejects_asymmetric_zero_pattern(self):
         with pytest.raises(ValueError):

@@ -3,20 +3,20 @@ import pytest
 
 from dynq.cartan import preset
 from dynq.qalgebra import (
-    build_irrep, character, flip_matrix, partial_trace, r_matrix,
+    build_irrep, character, dual_tuple, flip_matrix, partial_trace, r_matrix,
     slot_index_arrays, tensor_many, trivial_module,
 )
 from dynq.dynamical import (
-    _dual_of, _dual_tuple_of, embedded_shifted, exchange, exchange21,
+    _dual_of, embedded_shifted, exchange, exchange21,
 )
 from dynq.traces import (
     pairing_matrix, t_functional, universal_f, universal_t, x_operator,
 )
 from dynq.diffops import (
-    DifferenceOperator, apply, coord_mr_operator, dual_coord_mr_operator,
-    dual_qkzb_kernel, dual_qkzb_operator, dual_qkzb_transposed,
-    fusion_mr_residual, fusion_qkz_residual, multiplier, operator,
-    qkzb_operator, transpose,
+    DifferenceOperator, _check_index, _distinct_weights, _pair_cache,
+    _slot_projector, apply, coord_mr_operator, dual_coord_mr_operator,
+    dual_qkzb_operator, fusion_mr_residual, fusion_qkz_residual, multiplier,
+    operator, qkzb_operator, transpose,
 )
 
 A1 = preset("A1")
@@ -64,6 +64,49 @@ def rel_gap(lhs, rhs):
     return float(np.max(np.abs(lhs - rhs))) / scale
 
 
+# Oracle for dual_qkzb_operator: the second-argument kernel on F(S) and its
+# family carried to F(S*) by the dual-basis transpose.
+
+
+def dual_qkzb_kernel(S, i, mu, sigma, depth=2, tol=1e-10):
+    """Second-argument shift kernel on F(S), the transpose source.
+
+    Flipped exchange factors against the later slots (argument mu + sigma
+    minus the tail of still-later slots) frame the slot-i projector, with
+    inverse flipped factors against the earlier slots at argument mu minus
+    the spectator weights.
+    """
+    S = tuple(S)
+    k = len(S)
+    _check_index(i, 1, k)
+    T = tensor_many(S)
+    pair = _pair_cache(depth, tol)
+    out = np.eye(T.dim, dtype=complex)
+    for j in range(i - 1, 0, -1):
+        spect = tuple(range(j, i - 1)) + tuple(range(i, k))
+        fn = lambda z, A=S[j - 1], B=S[i - 1]: pair("R21inv", A, B, z)
+        out = embedded_shifted(T, fn, (j - 1, i - 1), spect, mu) @ out
+    out = _slot_projector(T, i - 1, sigma) @ out
+    for j in range(k, i, -1):
+        spect = tuple(range(j, k))
+        fn = lambda z, A=S[i - 1], B=S[j - 1]: pair("R21", A, B, z)
+        out = embedded_shifted(T, fn, (i - 1, j - 1), spect,
+                               mu + sigma) @ out
+    return out
+
+
+def dual_qkzb_transposed(S, i, depth=2, tol=1e-10):
+    """The kernel family carried to F(S*) by the dual-basis transpose."""
+    S = tuple(S)
+    _check_index(i, 1, len(S))
+
+    def coefficient(mu, sigma):
+        return transpose(dual_qkzb_kernel(S, i, mu, sigma, depth, tol), S)
+
+    return DifferenceOperator("dual-qkzb", S, i, dual_tuple(S), "mu", +1,
+                              _distinct_weights(S[i - 1]), coefficient)
+
+
 class TestStructure:
     def test_index_and_family_guards(self):
         with pytest.raises(ValueError, match="slot index"):
@@ -81,7 +124,7 @@ class TestStructure:
 
     def test_uniform_constructor_dispatch(self):
         assert operator("qkzb", S2, 1).family == "qkzb"
-        assert operator("dual-qkzb", S2, 2).space == _dual_tuple_of(S2)
+        assert operator("dual-qkzb", S2, 2).space == dual_tuple(S2)
         assert operator("coord-mr", S2, 1, W=W2).aux is W2
         op = operator("dual-coord-mr", S2, 0, W=V)
         assert op.step == -1 and op.variable == "mu"
@@ -171,7 +214,7 @@ class TestMultiplier:
                 assert Dl[n, n] == want
             Dm = multiplier("coord-mr", S2, 2, MU, W=W)
             want = character(W, 2 * MU + 2 * RHO)
-            for n in zero_block(_dual_tuple_of(S2)):
+            for n in zero_block(dual_tuple(S2)):
                 assert Dm[n, n] == want
 
     def test_qkzb_multiplier_inverts_the_eigenvalue(self):
@@ -250,7 +293,7 @@ class TestDualQkzbEigen:
                 assert rel_gap(lhs, rhs) < 1e-9
 
     def test_gauge_conjugation_matches_on_zero_block(self):
-        sstar = _dual_tuple_of(S2)
+        sstar = dual_tuple(S2)
         z = zero_block(sstar)
         for i in (1, 2):
             op = dual_qkzb_operator(S2, i)
@@ -322,7 +365,7 @@ class TestAlternativeForms:
         # auxiliary module of one fused flipped exchange at the unshifted
         # point, and that in turn factors into pairwise flipped exchanges
         # with spectator shifts only
-        sstar = _dual_tuple_of(S2)
+        sstar = dual_tuple(S2)
         k = len(S2)
         TW = tensor_many((W2,) + sstar)
         fused = exchange21((W2,), sstar, MU).matrix
@@ -343,7 +386,7 @@ class TestAlternativeForms:
     def test_boundary_indices_collapse_to_fused_exchange(self):
         # at the ends of the index range the whole product is one fused
         # exchange (plain at the top, inverse flipped at the bottom)
-        sstar = _dual_tuple_of(S2)
+        sstar = dual_tuple(S2)
         ws = _dual_of(W2)
         TW = tensor_many((ws,) + sstar)
         z = zero_block(sstar)
