@@ -45,7 +45,13 @@ class Weight:
         return isinstance(other, Weight) and self.coords == other.coords
 
     def __hash__(self):
-        return hash(self.coords)
+        # weights key every block and memo table; hashing Fraction
+        # coordinates with large denominators is slow, so do it once
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash(self.coords))
+            return self._hash
 
     def __add__(self, other: "Weight") -> "Weight":
         return Weight(

@@ -32,7 +32,7 @@ from .qalgebra import (
     dual_module,
     dual_tuple,
     eval_twisted,
-    flip_matrix,
+    flip_index,
     left_dual_module,
     r_matrix,
     tensor_many,
@@ -263,9 +263,8 @@ def _exchange_pair(V: WeightModule, W: WeightModule, lam: Weight,
     """R_{V,W}(lam) for single modules: conjugate the braiding by fusions."""
     jVW = fusion((V, W), lam, depth, tol).matrix
     jWV = fusion((W, V), lam, depth, tol).matrix
-    F1 = flip_matrix(V, W)
-    F2 = flip_matrix(W, V)
-    return F2 @ np.linalg.solve(jWV, F1 @ _plain_r(V, W) @ jVW)
+    out = np.linalg.solve(jWV, _plain_r(V, W)[flip_index(V, W)] @ jVW)
+    return out[flip_index(W, V)]
 
 
 def exchange(S, T, lam: Weight, depth: int = 2,
@@ -301,7 +300,8 @@ def exchange21(S, T, lam: Weight, depth: int = 2,
     T = (T,) if isinstance(T, WeightModule) else tuple(T)
     FS, FT = _fused(S), _fused(T)
     R = exchange(T, S, lam, depth, tol)
-    mat = flip_matrix(FT, FS) @ R.matrix @ flip_matrix(FS, FT)
+    p = flip_index(FT, FS)
+    mat = R.matrix[np.ix_(p, p)]
     pair = tensor_module(FS, FT)
     gm = GradedMap(pair, pair, FS.datum.zero_weight(), mat)
     return EvaluatedOperator(gm, lam, "exchange")
@@ -402,8 +402,8 @@ def _ribbon_matrix(V: WeightModule) -> np.ndarray:
     B = slots[-1]
     thA = _ribbon_matrix(A)
     thB = _ribbon_matrix(B)
-    dbl = (flip_matrix(B, A) @ _plain_r(B, A) @ flip_matrix(A, B)
-           @ _plain_r(A, B))
+    p = flip_index(B, A)
+    dbl = _plain_r(B, A)[np.ix_(p, p)] @ _plain_r(A, B)
     return np.kron(thA, thB) @ dbl
 
 

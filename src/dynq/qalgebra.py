@@ -1,9 +1,14 @@
 """Weight modules over the quantized enveloping algebra.
 
 Finite-dimensional irreps, truncated Verma modules, duals, tensor products,
-the non-dynamical R-matrix, characters, and the central-element action. All
-matrices are dense complex128; weight bookkeeping rides on the exact rational
-Weight coordinates from cartan.
+the non-dynamical R-matrix, characters, and the central-element action.
+Module matrices (E, F) and R-matrices are dense complex128; `r_matrix`
+applies the coproduct generators as sparse CSR matrices.  Weight bookkeeping
+rides on the exact rational Weight coordinates from cartan; inside a module
+the weights are also integer offsets from its first weight
+(`WeightModule.offsets`), so q^h, kappa and the R-matrix weight matching
+need no Fraction arithmetic per basis vector.  A truncated Verma's basis and
+F depend only on (datum, q, depth) and come from a memoized skeleton.
 
 Conventions (fixed once, gated by the consistency suite):
     K_i = q^{d_i h_i},  Delta(E_i) = E_i (x) K_i + 1 (x) E_i,
@@ -17,12 +22,14 @@ with N strictly raising the first slot.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from .cache import Memo
 from .cartan import CartanDatum, Weight
@@ -85,10 +92,29 @@ class WeightModule:
         if self.slots is None:
             self.slots = (self,)
 
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """wt_b - wt_0 in integer simple-root coordinates, one row per b.
+
+        Raises ValueError when the weights do not lie in one coset of the
+        root lattice, which no module built here does.
+        """
+        w0 = self.weights[0]
+        rows = {}
+        for w in self.blocks:
+            diff = (w - w0).coords
+            if any(c.denominator != 1 for c in diff):
+                raise ValueError(f"weights {w0} and {w} differ by a non-integral vector")
+            rows[w] = [int(c) for c in diff]
+        out = np.array([rows[w] for w in self.weights], dtype=int)
+        out.flags.writeable = False
+        return out
+
     def qh(self, xi: Weight) -> np.ndarray:
         """Diagonal of the q^{xi} action: q^{<xi, wt_b>} per basis vector."""
-        d = self.datum
-        return np.array([self.q ** float(d.pairing(xi, w)) for w in self.weights])
+        zero = np.zeros((1, self.datum.rank), dtype=int)
+        return _q_pairings(self.q, self.datum, xi, zero,
+                           self.weights[0], self.offsets)[0]
 
     def weight_set(self):
         return tuple(self.blocks.keys())
@@ -210,18 +236,40 @@ class GradedMap:
                          np.eye(module.dim, dtype=complex))
 
 
+def _q_pairings(q: float, datum: CartanDatum, v0: Weight, x: np.ndarray,
+                w0: Weight, y: np.ndarray) -> np.ndarray:
+    """q^{<v0 + x_a, w0 + y_b>} for integer offset rows x_a and y_b.
+
+    Over a common denominator D of the coordinates of v0 and w0 every
+    weight here is an integer vector over D, so each exponent is one exact
+    quotient of Python ints by D^2 and rounds as float(Fraction) does.
+    """
+    r = datum.rank
+    D = math.lcm(*(c.denominator for c in v0.coords + w0.coords))
+    B = [[int(b) for b in row] for row in datum.bilinear]
+    v = [c.numerator * (D // c.denominator) for c in v0.coords]
+    w = [c.numerator * (D // c.denominator) for c in w0.coords]
+    # (v0 + x_a) B, and w0 + y_b, both scaled by D
+    left = [[sum((v[i] + D * row[i]) * B[i][j] for i in range(r)) for j in range(r)]
+            for row in x.tolist()]
+    right = [[w[j] + D * row[j] for j in range(r)] for row in y.tolist()]
+    D2 = D * D
+    return np.array([[q ** (sum(a * b for a, b in zip(la, wb)) / D2) for wb in right]
+                     for la in left])
+
+
 # ---------------------------------------------------------------------------
 # tensor utilities
 
 
+def flip_index(V: WeightModule, W: WeightModule) -> np.ndarray:
+    """p with flip_matrix(V, W) @ X == X[p] and X @ flip_matrix(W, V) == X[:, p]."""
+    return np.arange(V.dim * W.dim).reshape(V.dim, W.dim).T.ravel()
+
+
 def flip_matrix(V: WeightModule, W: WeightModule) -> np.ndarray:
     """Permutation matrix of v (x) w -> w (x) v, domain index a*dimW + b."""
-    dv, dw = V.dim, W.dim
-    src = np.arange(dv * dw)
-    a, b = np.divmod(src, dw)
-    P = np.zeros((dv * dw, dv * dw))
-    P[b * dv + a, src] = 1.0
-    return P
+    return np.eye(V.dim * W.dim)[flip_index(V, W)]
 
 
 def tensor_module(V: WeightModule, W: WeightModule, name: str = "") -> WeightModule:
@@ -434,6 +482,7 @@ def _compositions(total: int, parts: int):
 
 
 _VERMA_MEMO = Memo()
+_SKELETON_MEMO = Memo()
 
 
 def build_verma(datum: CartanDatum, q, hw: Weight, depth: int) -> TruncatedVerma:
@@ -447,37 +496,57 @@ def build_verma(datum: CartanDatum, q, hw: Weight, depth: int) -> TruncatedVerma
                            lambda: _build_verma(datum, q, hw, depth))
 
 
-def _build_verma(datum: CartanDatum, q, hw: Weight, depth: int) -> TruncatedVerma:
-    """Verma module with highest weight hw, truncated below depth `depth`.
+@dataclass(eq=False)
+class _VermaSkeleton:
+    """The highest-weight-free part of a truncated Verma: basis and F."""
+
+    contents: list     # contents by height, in basis order
+    words: dict        # content -> ordered word list
+    widx: dict         # content -> word -> position
+    basis_loc: dict    # content -> positions of basis words
+    expand: dict       # content -> (n_words x n_basis) expansion of classes
+    ideal: dict        # content -> reduced spanning rows of the ideal slice
+    start: dict        # content -> global index of its first basis vector
+    betas: dict        # content -> its weight below the highest weight
+    depths: np.ndarray
+    F: tuple
+
+    def span(self, content) -> slice:
+        """Global indices of the basis vectors of one content."""
+        return slice(self.start[content],
+                     self.start[content] + len(self.basis_loc[content]))
+
+
+def _content_minus(content, i):
+    c = list(content)
+    c[i] -= 1
+    return tuple(c) if c[i] >= 0 else None
+
+
+def _verma_skeleton(datum: CartanDatum, q: float, depth: int) -> _VermaSkeleton:
+    """Basis classes and F matrices of a Verma truncated below `depth`.
 
     Basis classes of words in the F_i are fixed degree by degree: the degree
     slice of the two-sided Serre ideal is row reduced (lexicographic word
-    order) and the non-pivot words survive. E is exact everywhere; F out of
-    the last degree is dropped, which is what the depth-margin contract of
-    every downstream computation accounts for.
+    order) and the non-pivot words survive.  None of this depends on the
+    highest weight; the Serre rows depend on q.  F out of the last degree is
+    dropped.  The arrays are shared by every Verma built on the skeleton and
+    are read-only.
     """
-    q = check_q(q)
     r = datum.rank
     serre = _serre_generators(datum, q)
 
-    words = {}        # content -> ordered word list
-    widx = {}         # content -> word -> position
-    basis_loc = {}    # content -> positions of basis words
-    expand = {}       # content -> (n_words x n_basis) expansion of classes
-    ideal = {}        # content -> reduced spanning rows of the ideal slice
-
     zero_content = (0,) * r
-    words[zero_content] = [()]
-    widx[zero_content] = {(): 0}
-    basis_loc[zero_content] = [0]
-    expand[zero_content] = np.eye(1, dtype=complex)
-    ideal[zero_content] = np.zeros((0, 1), dtype=complex)
+    contents = [zero_content]
+    words = {zero_content: [()]}
+    widx = {zero_content: {(): 0}}
+    basis_loc = {zero_content: [0]}
+    expand = {zero_content: np.eye(1, dtype=complex)}
+    ideal = {zero_content: np.zeros((0, 1), dtype=complex)}
 
-    contents_by_ht = {0: [zero_content]}
     for h in range(1, depth + 1):
-        contents_by_ht[h] = []
         for content in _compositions(h, r):
-            contents_by_ht[h].append(content)
+            contents.append(content)
             wl = _words_of_content(content)
             wl.sort()
             wi = {w: t for t, w in enumerate(wl)}
@@ -517,90 +586,87 @@ def _build_verma(datum: CartanDatum, q, hw: Weight, depth: int) -> TruncatedVerm
             expand[content] = exp
 
     # global basis, ordered by (height, content, local word order)
-    order = []
-    for h in range(depth + 1):
-        for content in contents_by_ht[h]:
-            for s in range(len(basis_loc[content])):
-                order.append((content, s))
-    gidx = {key: n for n, key in enumerate(order)}
-    N = len(order)
-    wts = []
+    start = {}
+    betas = {}
     depths = []
-    for content, s in order:
-        beta = Weight(tuple(Fraction(c) for c in content))
-        wts.append(hw - beta)
-        depths.append(sum(content))
+    for content in contents:
+        start[content] = len(depths)
+        betas[content] = Weight(tuple(Fraction(c) for c in content))
+        depths.extend([sum(content)] * len(basis_loc[content]))
     depths = np.array(depths, dtype=int)
+    sk = _VermaSkeleton(contents, words, widx, basis_loc, expand, ideal,
+                        start, betas, depths, ())
 
+    # F_i into each content, read off the class expansion of F_i w
+    Fmats = [np.zeros((len(depths),) * 2, dtype=complex) for _ in range(r)]
+    for content in contents[1:]:
+        for i in range(r):
+            sub = _content_minus(content, i)
+            if sub is None:
+                continue
+            for s, t in enumerate(basis_loc[sub]):
+                w = words[sub][t]
+                Fmats[i][sk.span(content), start[sub] + s] = \
+                    expand[content][widx[content][(i,) + w]]
+    for arr in Fmats + [depths]:
+        arr.flags.writeable = False
+    sk.F = tuple(Fmats)
+    return sk
+
+
+def _build_verma(datum: CartanDatum, q, hw: Weight, depth: int) -> TruncatedVerma:
+    """Verma module with highest weight hw, truncated below depth `depth`.
+
+    The basis, F and the depths come from `_verma_skeleton`, memoized on
+    (datum, q, depth) since they do not depend on hw.  Only E and the
+    weights hw - beta are built here.  E is exact everywhere; F out of the
+    last degree is dropped, which is what the depth-margin contract of
+    every downstream computation accounts for.  All matrices are dense.
+    """
+    q = check_q(q)
+    depth = int(depth)
+    sk = _SKELETON_MEMO.get((datum, q, depth),
+                            lambda: _verma_skeleton(datum, q, depth))
+    r = datum.rank
+    span = sk.span
+    N = len(sk.depths)
+
+    # E_i out of each content, built by the commutation
+    # [E_i, F_j] = delta_ij (K_i - K_i^{-1})/(q_i - q_i^{-1}); the block of
+    # E_i from `content` into content - e_i is a view into Emats[i]
+    hw_pair = [datum.pairing(hw, alpha) for alpha in datum.simple_roots]
     Emats = [np.zeros((N, N), dtype=complex) for _ in range(r)]
-    Fmats = [np.zeros((N, N), dtype=complex) for _ in range(r)]
+    for content in sk.contents[1:]:
+        for i in range(r):
+            tgt = _content_minus(content, i)
+            if tgt is None:
+                continue
+            qi = q ** datum.d[i]
+            alpha = datum.simple_roots[i]
+            blk = Emats[i][span(tgt), span(content)]
+            for s, t in enumerate(sk.basis_loc[content]):
+                w = sk.words[content][t]
+                j = w[0]
+                sub = _content_minus(content, j)
+                u = sk.expand[sub][sk.widx[sub][w[1:]]]
+                # F_j E_i u
+                subsub = _content_minus(sub, i)
+                if subsub is not None:
+                    eu = Emats[i][span(subsub), span(sub)] @ u
+                    blk[:, s] += sk.F[j][span(tgt), span(subsub)] @ eu
+                if i == j:
+                    # <hw - beta, alpha_i>, exactly as a Fraction
+                    x = float(hw_pair[i] - datum.pairing(sk.betas[sub], alpha))
+                    cst = (q**x - q**(-x)) / (qi - 1.0 / qi)
+                    blk[:, s] += cst * u
 
-    # per-content blocks of E_i (into content - e_i) built by the commutation
-    # [E_i, F_j] = delta_ij (K_i - K_i^{-1})/(q_i - q_i^{-1})
-    Eblocks = {}
-    Fblocks = {}
-
-    def content_minus(content, i):
-        c = list(content)
-        c[i] -= 1
-        return tuple(c) if c[i] >= 0 else None
-
-    for h in range(1, depth + 1):
-        for content in contents_by_ht[h]:
-            nb = len(basis_loc[content])
-            # F blocks into this content
-            for i in range(r):
-                sub = content_minus(content, i)
-                if sub is None:
-                    continue
-                nbs = len(basis_loc[sub])
-                blk = np.zeros((nb, nbs), dtype=complex)
-                for s, t in enumerate(basis_loc[sub]):
-                    w = words[sub][t]
-                    blk[:, s] = expand[content][widx[content][(i,) + w]]
-                Fblocks[(i, sub)] = blk
-            # E blocks out of this content
-            for i in range(r):
-                tgt = content_minus(content, i)
-                qi = q ** datum.d[i]
-                alpha = datum.simple_roots[i]
-                nt = len(basis_loc[tgt]) if tgt is not None else 0
-                blk = np.zeros((nt, nb), dtype=complex)
-                if tgt is not None:
-                    for s, t in enumerate(basis_loc[content]):
-                        w = words[content][t]
-                        j = w[0]
-                        wsub = w[1:]
-                        sub = content_minus(content, j)
-                        u = expand[sub][widx[sub][wsub]]
-                        # F_j E_i u
-                        subsub = content_minus(sub, i)
-                        if subsub is not None and (i, sub) in Eblocks:
-                            eu = Eblocks[(i, sub)] @ u
-                            if (j, subsub) in Fblocks:
-                                blk[:, s] += Fblocks[(j, subsub)] @ eu
-                        if i == j:
-                            mu = hw - Weight(tuple(Fraction(c) for c in sub))
-                            x = float(datum.pairing(mu, alpha))
-                            cst = (q**x - q**(-x)) / (qi - 1.0 / qi)
-                            blk[:, s] += cst * u
-                Eblocks[(i, content)] = blk
-
-    for h in range(1, depth + 1):
-        for content in contents_by_ht[h]:
-            cols = [gidx[(content, s)] for s in range(len(basis_loc[content]))]
-            for i in range(r):
-                sub = content_minus(content, i)
-                if sub is not None:
-                    rows_sub = [gidx[(sub, s)] for s in range(len(basis_loc[sub]))]
-                    if rows_sub and cols:
-                        Emats[i][np.ix_(rows_sub, cols)] = Eblocks[(i, content)]
-                        Fmats[i][np.ix_(cols, rows_sub)] = Fblocks[(i, sub)]
-
+    wts = []
+    for content in sk.contents:
+        wts.extend([hw - sk.betas[content]] * len(sk.basis_loc[content]))
     name = f"M[{','.join(str(float(c)) for c in hw.coords)}]"
     return TruncatedVerma(datum, q, "verma", tuple(wts),
-                          tuple(Emats), tuple(Fmats), name=name,
-                          hw=hw, depth=depth, depths=depths)
+                          tuple(Emats), sk.F, name=name,
+                          hw=hw, depth=depth, depths=sk.depths)
 
 
 # ---------------------------------------------------------------------------
@@ -706,12 +772,33 @@ def build_irrep(datum: CartanDatum, q, hw: Weight) -> WeightModule:
 # R-matrix
 
 def _kappa_diag(V: WeightModule, W: WeightModule) -> np.ndarray:
-    d = V.datum
-    q = V.q
-    out = np.empty(V.dim * W.dim)
-    for a in range(V.dim):
-        for b in range(W.dim):
-            out[a * W.dim + b] = q ** float(d.pairing(V.weights[a], W.weights[b]))
+    """q^{<wt_a, wt_b>} on the basis of V (x) W, row-major."""
+    return _q_pairings(V.q, V.datum, V.weights[0], V.offsets,
+                       W.weights[0], W.offsets).ravel()
+
+
+def _kron_csr(*pairs) -> sp.csr_matrix:
+    """Sum of A (x) B over pairs of dense factors, as a canonical CSR matrix.
+
+    Built by index arithmetic: on small modules scipy's own kron costs more
+    than every product the matrix then takes part in.  Column indices
+    ascend within each row, so a product sums its terms in the order a
+    dense product does.
+    """
+    n = pairs[0][0].shape[0] * pairs[0][1].shape[0]
+    m = pairs[0][0].shape[1] * pairs[0][1].shape[1]
+    rows, cols, vals = [], [], []
+    for A, B in pairs:
+        ai, aj = np.nonzero(A)
+        bk, bl = np.nonzero(B)
+        rows.append((ai[:, None] * B.shape[0] + bk[None, :]).ravel())
+        cols.append((aj[:, None] * B.shape[1] + bl[None, :]).ravel())
+        vals.append((A[ai, aj][:, None] * B[bk, bl][None, :]).ravel())
+    rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    out = sp.csr_matrix((vals[order], cols[order], indptr), shape=(n, m))
+    out.sum_duplicates()
     return out
 
 
@@ -722,35 +809,58 @@ def r_matrix(V: WeightModule, W: WeightModule, T: WeightModule = None,
     N strictly raises the first slot; it is solved degree by degree from the
     E-generator intertwining of P R with the coproduct. A rank drop in any
     degree slice means a resonance; that raises with the nullity reported.
+
+    The coproduct generators (1 (x) E, E (x) K, kappa-scaled E (x) 1) act as
+    sparse matrices, and the final guard is formed only on the rows and
+    columns it reads.  N, R and each slice's residual stay dense n x n.
+    Weights enter as integer lattice offsets from each module's first
+    weight, so V and W must each lie in one root-lattice coset.
     """
     datum, q = V.datum, V.q
     if T is None:
         T = tensor_module(V, W)
     dv, dw = V.dim, W.dim
     n = dv * dw
+    r = datum.rank
     kap = _kappa_diag(V, W)
-
-    vwt = [V.weights[a] for a in range(dv)]
-    wwt = [W.weights[b] for b in range(dw)]
+    xv, xw = V.offsets, W.offsets
 
     # candidate raising shifts: differences of V-weights realizable in W too
     betas = {}
-    vset = set(vwt)
-    wset = set(wwt)
+    vset = {tuple(o) for o in xv.tolist()}
+    wset = {tuple(o) for o in xw.tolist()}
     for mu in vset:
         for mu2 in vset:
-            b = mu2 - mu
-            h = b.height()
-            if h <= 0 or any(c < 0 for c in b.coords):
+            b = tuple(c2 - c1 for c1, c2 in zip(mu, mu2))
+            h = sum(b)
+            if h <= 0 or any(c < 0 for c in b):
                 continue
-            if any((nu - b) in wset for nu in wset):
-                betas[b] = int(h)
-    beta_order = sorted(betas, key=lambda b: (betas[b], b.coords))
+            if any(tuple(c - cb for c, cb in zip(nu, b)) in wset for nu in wset):
+                betas[b] = h
+    beta_order = sorted(betas, key=lambda b: (betas[b], b))
+    units = [tuple(int(i == j) for j in range(r)) for i in range(r)]
 
     # second-slot truncation data (for Verma in the second slot)
     w_depth = None
     if isinstance(W, TruncatedVerma):
         w_depth = W.depths
+    w_height = xw.sum(axis=1)
+
+    def positions(shift_v, shift_w, hb):
+        """(rows, cols) where the V weight moves by shift_v and the W weight
+        by shift_w, sorted by column, then row; Verma columns too deep for
+        height hb are dropped."""
+        mv = (xv[None, :, :] == xv[:, None, :] + shift_v).all(axis=2)
+        mw = (xw[None, :, :] == xw[:, None, :] + shift_w).all(axis=2)
+        cols, rows = np.nonzero(np.kron(mv, mw))
+        if w_depth is not None:
+            ok = w_depth[cols % dw] + hb <= W.depth
+            rows, cols = rows[ok], cols[ok]
+        return rows, cols
+
+    def by_col(rows, cols):
+        heads, first = np.unique(cols, return_index=True)
+        return dict(zip(heads.tolist(), np.split(rows, first[1:])))
 
     N = np.zeros((n, n), dtype=complex)
     Nparts = {}
@@ -758,53 +868,31 @@ def r_matrix(V: WeightModule, W: WeightModule, T: WeightModule = None,
 
     ops = []
     for i, alpha in enumerate(datum.simple_roots):
-        A0 = np.kron(Iv, W.E[i])
-        A1 = np.kron(V.E[i], np.diag(W.qh(alpha)))
-        B1 = (1.0 / kap)[:, None] * np.kron(V.E[i], Iw) * kap[None, :]
-        ops.append((alpha, A0, A1, B1))
+        A0 = _kron_csr((Iv, W.E[i]))
+        A1 = _kron_csr((V.E[i], np.diag(W.qh(alpha))))
+        B1 = _kron_csr((V.E[i], Iw))
+        rows = np.repeat(np.arange(n), np.diff(B1.indptr))
+        B1.data = (1.0 / kap)[rows] * B1.data * kap[B1.indices]
+        ops.append((A0, A1, B1, W.E[i]))
 
-    def positions(shift_v: Weight, total: Weight):
-        """(row, col) pairs with wtV jump shift_v and total jump `total`."""
-        out = []
-        for col in range(n):
-            a, b = divmod(col, dw)
-            wv = vwt[a] + shift_v
-            ww = wwt[b] + (total - shift_v)
-            if wv not in V.blocks or ww not in W.blocks:
-                continue
-            for ra in V.blocks[wv]:
-                for rb in W.blocks[ww]:
-                    out.append((ra * dw + rb, col))
-        return out
+    def a0_at(WE, rows, cols):
+        """Entries of A0 = 1 (x) WE at broadcast index arrays."""
+        return np.where(rows // dw == cols // dw, WE[rows % dw, cols % dw], 0)
 
-    zero = datum.zero_weight()
     for beta in beta_order:
-        unk = positions(beta, zero)
-        if w_depth is not None:
-            hb = betas[beta]
-            unk = [(t, s) for (t, s) in unk
-                   if w_depth[s % dw] + hb <= W.depth]
-        if not unk:
+        hb = betas[beta]
+        bvec = np.array(beta)
+        ut, us = positions(bvec, -bvec, hb)
+        if ut.size == 0:
             continue
-        by_col: dict = {}
-        for t, s in unk:
-            by_col.setdefault(s, []).append(t)
         inhom = []
-        eq_by_col = []
-        for alpha, A0, A1, B1 in ops:
-            eqpos = positions(beta, alpha)
-            if w_depth is not None:
-                hb = betas[beta]
-                eqpos = [(t, s) for (t, s) in eqpos
-                         if w_depth[s % dw] + hb <= W.depth]
-            grouped: dict = {}
-            for t, s in eqpos:
-                grouped.setdefault(s, []).append(t)
-            eq_by_col.append(grouped)
-            Nprev = Nparts.get(beta - alpha)
+        eqs = []
+        for i, (A0, A1, B1, WE) in enumerate(ops):
+            eqs.append(positions(bvec, np.array(units[i]) - bvec, hb))
+            Nprev = Nparts.get(tuple(c - u for c, u in zip(beta, units[i])))
             C = np.zeros((n, n), dtype=complex)
-            if beta == Weight(alpha.coords):
-                C += B1 - A1
+            if beta == units[i]:
+                C += (B1 - A1).toarray()
             if Nprev is not None:
                 C += B1 @ Nprev - Nprev @ A1
             inhom.append(C)
@@ -814,24 +902,19 @@ def r_matrix(V: WeightModule, W: WeightModule, T: WeightModule = None,
             # chains (raising dies at the top), so solve the slice globally;
             # all entries are O(1)-scaled here and one equilibrated least
             # squares is accurate
-            upos = {ts: k for k, ts in enumerate(unk)}
             rows_all = []
             rhs_all = []
-            for i, (alpha, A0, A1, B1) in enumerate(ops):
-                eqpos = [(t, s) for s, ts in eq_by_col[i].items() for t in ts]
-                if not eqpos:
+            for i, (A0, A1, B1, WE) in enumerate(ops):
+                et, es = eqs[i]
+                if not et.size:
                     continue
-                eq = np.zeros((len(eqpos), len(unk)), dtype=complex)
-                rhs = np.zeros(len(eqpos), dtype=complex)
-                for e, (t, s) in enumerate(eqpos):
-                    for (ut, us), k in upos.items():
-                        if us == s and abs(A0[t, ut]) > 0:
-                            eq[e, k] += A0[t, ut]
-                        if ut == t and abs(A0[us, s]) > 0:
-                            eq[e, k] -= A0[us, s]
-                    rhs[e] = -inhom[i][t, s]
+                # (A0 N - N A0)[t, s] over the unknowns (ut, us) of N
+                eq = (np.where(us[None, :] == es[:, None],
+                               a0_at(WE, et[:, None], ut[None, :]), 0)
+                      - np.where(ut[None, :] == et[:, None],
+                                 a0_at(WE, us[None, :], es[:, None]), 0))
                 rows_all.append(eq)
-                rhs_all.append(rhs)
+                rhs_all.append(-inhom[i][et, es])
             if not rows_all:
                 continue
             eq = np.vstack(rows_all)
@@ -844,93 +927,104 @@ def r_matrix(V: WeightModule, W: WeightModule, T: WeightModule = None,
             cs[cs == 0] = 1.0
             eq = eq / cs[None, :]
             sol, _, rank, _ = scipy.linalg.lstsq(eq, rhs, lapack_driver="gelsy")
-            if rank < len(unk):
+            if rank < ut.size:
                 raise ValueError(
-                    f"resonant weight data solving R at shift {beta}: nullity "
-                    f"{len(unk) - rank}")
-            sol = sol / cs
-            for (t, s), k in upos.items():
-                Nb[t, s] = sol[k]
+                    f"resonant weight data solving R at shift {Weight(beta)}: "
+                    f"nullity {ut.size - rank}")
+            Nb[ut, us] = sol / cs
         else:
             # Verma second slot: the equation at source column s couples its
             # unknowns only to columns one simple raise up, so descending
             # second-slot height is exact back substitution; a global least
             # squares would mix depth scales q^{-k} and lose the deep rows
-            order = sorted(by_col, key=lambda s: -wwt[s % dw].height())
-            for s in order:
-                uts = by_col[s]
-                kidx = {t: k for k, t in enumerate(uts)}
+            unk = by_col(ut, us)
+            eq_by_col = [by_col(*e) for e in eqs]
+            for s in sorted(unk, key=lambda s: -w_height[s % dw]):
+                uts = unk[s]
+                a, b = divmod(s, dw)
                 rows = []
                 rhs = []
-                for i, (alpha, A0, A1, B1) in enumerate(ops):
-                    for t in eq_by_col[i].get(s, ()):
-                        row = np.zeros(len(uts), dtype=complex)
-                        for ut in uts:
-                            if A0[t, ut] != 0:
-                                row[kidx[ut]] += A0[t, ut]
-                        cross = 0.0
-                        for us in np.nonzero(A0[:, s])[0]:
-                            cross += A0[us, s] * Nb[t, us]
-                        rows.append(row)
-                        rhs.append(cross - inhom[i][t, s])
+                for i, (A0, A1, B1, WE) in enumerate(ops):
+                    ts = eq_by_col[i].get(s)
+                    if ts is None:
+                        continue
+                    rows.append(a0_at(WE, ts[:, None], uts[None, :]))
+                    # (N A0)[t, s] over the columns already solved
+                    cross = 0.0
+                    for b2 in np.nonzero(WE[:, b])[0]:
+                        cross = cross + WE[b2, b] * Nb[ts, a * dw + b2]
+                    rhs.append(cross - inhom[i][ts, s])
                 if not rows:
                     continue
-                eq = np.asarray(rows)
-                rhs = np.asarray(rhs)
+                eq = np.vstack(rows)
+                rhs = np.concatenate(rhs)
                 rs = np.max(np.abs(eq), axis=1)
                 rs[rs == 0] = 1.0
                 eq = eq / rs[:, None]
                 rhs = rhs / rs
                 sol, _, rank, _ = scipy.linalg.lstsq(eq, rhs,
                                                      lapack_driver="gelsy")
-                if rank < len(uts):
+                if rank < uts.size:
                     raise ValueError(
-                        f"resonant weight data solving R at shift {beta}: "
-                        f"nullity {len(uts) - rank}")
-                for t, k in kidx.items():
-                    Nb[t, s] = sol[k]
+                        f"resonant weight data solving R at shift {Weight(beta)}: "
+                        f"nullity {uts.size - rank}")
+                Nb[uts, s] = sol
         # slice consistency, including columns that carry no unknowns
-        for i, (alpha, A0, A1, B1) in enumerate(ops):
-            full = A0 @ Nb - Nb @ A0 + inhom[i]
-            scale = 1.0 + float(np.max(np.abs(np.abs(A0 @ Nb) + np.abs(Nb @ A0)
+        for i, (A0, A1, B1, WE) in enumerate(ops):
+            left, right = A0 @ Nb, Nb @ A0
+            full = left - right + inhom[i]
+            scale = 1.0 + float(np.max(np.abs(np.abs(left) + np.abs(right)
                                               + np.abs(inhom[i]))))
-            for s, ts in eq_by_col[i].items():
-                for t in ts:
-                    if abs(full[t, s]) > tol * scale:
-                        raise ValueError(
-                            f"R solve inconsistent at shift {beta}: "
-                            f"{abs(full[t, s]):.2e}")
+            et, es = eqs[i]
+            bad = np.abs(full[et, es]) > tol * scale
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise ValueError(
+                    f"R solve inconsistent at shift {Weight(beta)}: "
+                    f"{abs(full[et[k], es[k]]):.2e}")
         Nparts[beta] = Nb
         N += Nb
 
     R = kap[:, None] * (np.eye(n) + N)
 
     # final guard: commutation with the full coproduct on safe rows/cols
-    margin = max([betas[b] for b in betas], default=0)
+    margin = max(betas.values(), default=0)
     mask = np.ones(n, dtype=bool)
     if w_depth is not None:
         mask &= np.tile(w_depth, dv) + 2 * margin + 1 <= W.depth
     if isinstance(V, TruncatedVerma):
         mask &= np.repeat(V.depths, dw) + 2 * margin + 1 <= V.depth
-    for i, alpha in enumerate(datum.simple_roots):
+    keep = np.flatnonzero(mask)
+    if keep.size:
+        _check_intertwines(V, W, R, keep, tol)
+    return GradedMap(T, T, datum.zero_weight(), R)
+
+
+def _check_intertwines(V: WeightModule, W: WeightModule, R: np.ndarray,
+                       keep: np.ndarray, tol: float) -> None:
+    """Raise unless R Delta(x) = Delta^op(x) R for every generator x, read on
+    the `keep` rows and columns and formed only there."""
+    Iv, Iw = np.eye(V.dim), np.eye(W.dim)
+    R_rows, R_cols = R[keep, :], R[:, keep]
+    absR_rows, absR_cols = np.abs(R_rows), np.abs(R_cols)
+    for i, alpha in enumerate(V.datum.simple_roots):
+        KV, KW = np.diag(V.qh(alpha)), np.diag(W.qh(alpha))
+        KVinv, KWinv = np.diag(1.0 / V.qh(alpha)), np.diag(1.0 / W.qh(alpha))
         for DX, DOX in (
-            (np.kron(V.E[i], np.diag(W.qh(alpha))) + np.kron(Iv, W.E[i]),
-             np.kron(np.diag(V.qh(alpha)), W.E[i]) + np.kron(V.E[i], Iw)),
-            (np.kron(V.F[i], Iw) + np.kron(np.diag(1.0 / V.qh(alpha)), W.F[i]),
-             np.kron(Iv, W.F[i]) + np.kron(V.F[i], np.diag(1.0 / W.qh(alpha)))),
+            (_kron_csr((V.E[i], KW), (Iv, W.E[i])),
+             _kron_csr((KV, W.E[i]), (V.E[i], Iw))),
+            (_kron_csr((V.F[i], Iw), (KVinv, W.F[i])),
+             _kron_csr((Iv, W.F[i]), (V.F[i], KWinv))),
         ):
-            rsd = np.abs(R @ DX - DOX @ R)
+            sub = np.abs((R_rows @ DX)[:, keep] - (DOX @ R_cols)[keep])
             # entrywise backward-error bound: entries span q^{+-depth}, so a
             # single global scale would either mask shallow errors or reject
             # harmless roundoff in the deep rows
-            bnd = np.abs(R) @ np.abs(DX) + np.abs(DOX) @ np.abs(R)
-            sub = rsd[np.ix_(mask, mask)]
-            bsub = bnd[np.ix_(mask, mask)]
-            if sub.size and np.max(sub - 100 * tol * (bsub + 1.0)) > 0:
+            bsub = (absR_rows @ abs(DX))[:, keep] + (abs(DOX) @ absR_cols)[keep]
+            if np.max(sub - 100 * tol * (bsub + 1.0)) > 0:
                 worst = float(np.max(sub / (bsub + 1.0)))
                 raise ValueError(
                     f"R fails to intertwine the coproduct: {worst:.2e}")
-    return GradedMap(T, T, zero, R)
 
 
 def r21_matrix(V: WeightModule, W: WeightModule, T: WeightModule = None,
@@ -940,9 +1034,8 @@ def r21_matrix(V: WeightModule, W: WeightModule, T: WeightModule = None,
         T = tensor_module(V, W)
     if RWV is None:
         RWV = r_matrix(W, V)
-    P = flip_matrix(W, V)
-    return GradedMap(T, T, V.datum.zero_weight(),
-                     P @ RWV.matrix @ flip_matrix(V, W))
+    p = flip_index(W, V)
+    return GradedMap(T, T, V.datum.zero_weight(), RWV.matrix[np.ix_(p, p)])
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import scipy.linalg
 
 from .cartan import CartanDatum, Weight
 from .qalgebra import (
-    GradedMap, TruncatedVerma, WeightModule, build_verma, flip_matrix,
+    GradedMap, TruncatedVerma, WeightModule, build_verma, flip_index,
     r_matrix, tensor_many, tensor_module, unitriangular_solve,
 )
 
@@ -264,7 +264,7 @@ def dual_vertex_operator(lam: Weight, sstar: tuple, glist, depth: int,
                               cur.depth + 2 * max(span, 1), tol)
         Tl = tensor_module(W, tgt)
         R = r_matrix(W, tgt, Tl)
-        psi = unitriangular_solve(R.matrix, flip_matrix(tgt, W) @ phi, span)
+        psi = unitriangular_solve(R.matrix, phi[flip_index(tgt, W)], span)
         op = psi if op is None else np.kron(np.eye(left_dim), psi) @ op
         left_dim *= W.dim
         cur = tgt

@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from dynq import cache, dynamical
+from dynq import cache, dynamical, qalgebra
 from dynq.cache import Memo
 from dynq.cartan import preset
 from dynq.qalgebra import (
@@ -15,6 +15,7 @@ from dynq.traces import universal_f
 
 A1 = preset("A1")
 A2 = preset("A2")
+B2 = preset("B2")
 Q = 0.5
 OM = A1.fundamental_weights[0]
 O1, O2 = A2.fundamental_weights
@@ -26,6 +27,14 @@ class TestMemo:
         first = memo.get("k", lambda: [1])
         assert memo.get("k", lambda: [2]) is first
         assert len(memo) == 1
+
+    def test_counts_hits_and_misses(self):
+        memo = Memo()
+        assert (memo.hits, memo.misses, len(memo)) == (0, 0, 0)
+        for k in "abab":
+            memo.get(k, lambda k=k: k.upper())
+        memo.get("c", lambda: "C")
+        assert (memo.hits, memo.misses, len(memo)) == (2, 3, 3)
 
     def test_none_is_a_value(self):
         memo = Memo()
@@ -146,3 +155,52 @@ class TestKeys:
         other = preset("A1")
         assert build_verma(other, Q, hw, 3) is not M
         assert build_verma(other, Q, hw, 3).datum is other
+
+
+class TestVermaSkeleton:
+    @pytest.fixture
+    def fresh(self, monkeypatch):
+        memo = Memo()
+        monkeypatch.setattr(qalgebra, "_SKELETON_MEMO", memo)
+        return memo
+
+    def test_one_skeleton_serves_every_highest_weight(self, fresh):
+        M1 = qalgebra._build_verma(A2, Q, -3.217 * O1 - 4.381 * O2, 5)
+        M2 = qalgebra._build_verma(A2, Q, -2.5 * O1 + 1.25 * O2, 5)
+        assert (fresh.hits, fresh.misses, len(fresh)) == (1, 1, 1)
+        assert all(a is b for a, b in zip(M1.F, M2.F))
+        assert M1.depths is M2.depths
+        assert not any(np.array_equal(a, b) for a, b in zip(M1.E, M2.E))
+
+    def test_key_separates_q_and_depth(self, fresh):
+        hw = -3.217 * O1 - 4.381 * O2
+        M = qalgebra._build_verma(A2, Q, hw, 3)
+        other_q = qalgebra._build_verma(A2, 0.3, hw, 3)
+        deeper = qalgebra._build_verma(A2, Q, hw, 4)
+        assert (fresh.hits, fresh.misses) == (0, 3)
+        # the Serre rows carry [2]_q, so the class expansions, and F, move with q
+        assert M.F[0].shape == other_q.F[0].shape
+        assert not all(np.array_equal(a, b) for a, b in zip(M.F, other_q.F))
+        assert deeper.dim > M.dim
+
+    @pytest.mark.parametrize("datum,coeffs", [
+        (A1, [(-7.31,), (2.5,)]),
+        (A2, [(-3.217, -4.381), (-2.5, 1.25)]),
+        (B2, [(-2.713, -3.119), (0.41, -1.7)]),
+    ])
+    def test_warm_skeleton_matches_cold_build(self, monkeypatch, datum, coeffs):
+        depth = 6
+        for c in coeffs:
+            hw = datum.from_fundamental(c)
+            monkeypatch.setattr(qalgebra, "_SKELETON_MEMO", Memo())
+            cold = qalgebra._build_verma(datum, Q, hw, depth)
+            warm_memo = Memo()
+            monkeypatch.setattr(qalgebra, "_SKELETON_MEMO", warm_memo)
+            qalgebra._build_verma(datum, Q, datum.from_fundamental((0.37,) * datum.rank),
+                                  depth)
+            warm = qalgebra._build_verma(datum, Q, hw, depth)
+            assert warm_memo.hits == 1
+            for X, Y in ((cold.E, warm.E), (cold.F, warm.F)):
+                assert all(np.array_equal(x, y) for x, y in zip(X, Y, strict=True))
+            assert cold.weights == warm.weights
+            assert np.array_equal(cold.depths, warm.depths)

@@ -137,6 +137,14 @@ class TestWeightArithmetic:
             Weight((Fraction(1, 2),))
         )
 
+    def test_cached_hash_agrees_across_arithmetic(self, a2):
+        o1, o2 = a2.fundamental_weights
+        x = (-3.217 * o1 + o2) - o2 + a2.simple_roots[0]
+        y = a2.simple_roots[0] + (-3.217) * o1
+        assert x is not y and x == y
+        assert hash(x) == hash(y) == hash(x) == hash(x.coords)
+        assert {x: 1}[y] == 1
+
     def test_height(self, a2):
         beta = a2.weight([2, 3])
         assert beta.height() == 5

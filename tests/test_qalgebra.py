@@ -6,15 +6,16 @@ import scipy.linalg
 
 from dynq.cartan import preset
 from dynq.qalgebra import (
-    GradedMap, build_irrep, build_verma, casimir_ratio, character, check_q,
-    coeval_map, coeval_twisted, dual_module, eval_map, eval_twisted,
-    flip_matrix, left_dual_module, omega_tilde, partial_trace, qnum,
-    r21_matrix, r_matrix, relation_residuals, tensor_many, tensor_module,
-    trivial_module,
+    GradedMap, WeightModule, _kappa_diag, build_irrep, build_verma,
+    casimir_ratio, character, check_q, coeval_map, coeval_twisted,
+    dual_module, eval_map, eval_twisted, flip_index, flip_matrix,
+    left_dual_module, omega_tilde, partial_trace, qnum, r21_matrix, r_matrix,
+    relation_residuals, tensor_many, tensor_module, trivial_module,
 )
 
 A1 = preset("A1")
 A2 = preset("A2")
+B2 = preset("B2")
 Q = 0.5
 
 
@@ -176,6 +177,14 @@ class TestTensorUtils:
         xt = x.reshape(V.dim, W.dim)
         assert np.allclose((P @ x).reshape(W.dim, V.dim), xt.T)
 
+    def test_flip_index_permutes_like_flip_matrix(self):
+        V = build_irrep(A1, Q, A1.fundamental_weights[0])
+        W = build_irrep(A1, Q, 2 * A1.fundamental_weights[0])
+        X = np.random.default_rng(2).normal(size=(V.dim * W.dim, V.dim * W.dim))
+        p = flip_index(V, W)
+        assert np.array_equal(flip_matrix(V, W) @ X, X[p])
+        assert np.array_equal(X @ flip_matrix(W, V), X[:, p])
+
     def test_partial_trace(self):
         V = build_irrep(A1, Q, A1.fundamental_weights[0])
         W = build_irrep(A1, Q, 2 * A1.fundamental_weights[0])
@@ -291,6 +300,61 @@ class TestRMatrix:
         n = R1.shape[0]
         scale = np.max(np.abs(R1))
         assert np.max(np.abs(R1 - R2[:n, :n])) / scale < 1e-10
+
+    @pytest.mark.parametrize("datum,coeffs,depth", [
+        (A2, (-3.217, -4.381), 8),
+        (B2, (-2.713, -3.119), 7),
+    ])
+    def test_verma_slot_stable_in_depth_on_guarded_block(self, datum, coeffs,
+                                                          depth):
+        lam = datum.from_fundamental(coeffs)
+        small = build_verma(datum, Q, lam, depth)
+        big = build_verma(datum, Q, lam, depth + 2)
+        for om in datum.fundamental_weights:
+            Wd = dual_module(build_irrep(datum, Q, om))
+            if 2 * Wd.height_span() + 1 > depth:
+                continue
+            Rs = r_matrix(Wd, small).matrix
+            Rb = r_matrix(Wd, big).matrix
+            # the rows and columns the final guard keeps; the basis of the
+            # shallower Verma is a prefix of the deeper one's
+            keep = np.flatnonzero(np.tile(small.depths, Wd.dim)
+                                  + 2 * Wd.height_span() + 1 <= depth)
+            a, b = np.divmod(keep, small.dim)
+            same = a * big.dim + b
+            assert keep.size
+            assert np.array_equal(Rs[np.ix_(keep, keep)], Rb[np.ix_(same, same)])
+
+
+class TestLatticeOffsets:
+    def test_qh_and_kappa_match_exact_pairings(self):
+        # reference: one exact Fraction pairing per basis vector
+        lam = A2.from_fundamental([-3.217, -4.381])
+        M = build_verma(A2, Q, lam, 6)
+        D = dual_module(build_irrep(A2, Q, A2.fundamental_weights[0]))
+        for X in (M, D):
+            for xi in A2.simple_roots + (2 * A2.rho, lam):
+                want = np.array([Q ** float(A2.pairing(xi, w)) for w in X.weights])
+                assert np.array_equal(X.qh(xi), want)
+        for X, Y in ((D, M), (M, D)):
+            want = np.array([Q ** float(A2.pairing(a, b))
+                             for a in X.weights for b in Y.weights])
+            assert np.array_equal(_kappa_diag(X, Y), want)
+
+    def test_offsets_are_integral_lattice_steps(self):
+        M = build_verma(A2, Q, A2.from_fundamental([-3.217, -4.381]), 3)
+        assert M.offsets.dtype.kind == "i"
+        for w, off in zip(M.weights, M.offsets):
+            assert M.weights[0] + A2.weight(off.tolist()) == w
+
+    def test_non_integral_offsets_raise(self):
+        z = np.zeros((2, 2), dtype=complex)
+        weights = (A1.zero_weight(), A1.weight([Fraction(1, 2)]))
+        X = WeightModule(A1, Q, "test", weights, (z,), (z,))
+        with pytest.raises(ValueError, match="non-integral"):
+            X.offsets
+        with pytest.raises(ValueError, match="non-integral"):
+            r_matrix(X, X)
 
 
 class TestScalars:
