@@ -30,13 +30,10 @@ def _as_fraction(x) -> Fraction:
 class Weight:
     """Element of h* in simple-root coordinates, exact.
 
-    `exact` records whether the weight was built from rational data or arrived
-    through a float; it is metadata only and is ignored by equality, so weight
-    blocks keyed by coordinates never split on provenance.
+    A float coordinate enters as the binary rational it stands for.
     """
 
     coords: tuple[Fraction, ...]
-    exact: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(_as_fraction(c) for c in self.coords))
@@ -54,24 +51,17 @@ class Weight:
             return self._hash
 
     def __add__(self, other: "Weight") -> "Weight":
-        return Weight(
-            tuple(a + b for a, b in zip(self.coords, other.coords, strict=True)),
-            self.exact and other.exact,
-        )
+        return Weight(tuple(a + b for a, b in zip(self.coords, other.coords, strict=True)))
 
     def __sub__(self, other: "Weight") -> "Weight":
-        return Weight(
-            tuple(a - b for a, b in zip(self.coords, other.coords, strict=True)),
-            self.exact and other.exact,
-        )
+        return Weight(tuple(a - b for a, b in zip(self.coords, other.coords, strict=True)))
 
     def __neg__(self) -> "Weight":
-        return Weight(tuple(-a for a in self.coords), self.exact)
+        return Weight(tuple(-a for a in self.coords))
 
     def __rmul__(self, scalar) -> "Weight":
         s = _as_fraction(scalar)
-        ex = self.exact and not isinstance(scalar, (float, np.floating))
-        return Weight(tuple(s * a for a in self.coords), ex)
+        return Weight(tuple(s * a for a in self.coords))
 
     __mul__ = __rmul__
 
@@ -87,9 +77,7 @@ class Weight:
         return all(c == 0 for c in self.coords)
 
     def __repr__(self):
-        body = ",".join(str(c) for c in self.coords)
-        tag = "" if self.exact else "~"
-        return f"wt({body}){tag}"
+        return f"wt({','.join(str(c) for c in self.coords)})"
 
 
 def _frac_solve(A: list[list[Fraction]], rhs: list[list[Fraction]]):
@@ -178,11 +166,8 @@ class CartanDatum:
 
     # -- h* geometry -------------------------------------------------------
 
-    def weight(self, coords, exact=None) -> Weight:
-        w = Weight(tuple(_as_fraction(c) for c in coords))
-        if exact is None:
-            exact = all(not isinstance(c, (float, np.floating)) for c in coords)
-        return Weight(w.coords, exact)
+    def weight(self, coords) -> Weight:
+        return Weight(tuple(coords))
 
     def zero_weight(self) -> Weight:
         return Weight(tuple(Fraction(0) for _ in range(self.rank)))
@@ -190,12 +175,9 @@ class CartanDatum:
     def from_fundamental(self, coeffs) -> Weight:
         """Weight with the given fundamental-weight coordinates."""
         out = self.zero_weight()
-        exact = True
         for c, w in zip(coeffs, self.fundamental_weights, strict=True):
-            if isinstance(c, (float, np.floating)):
-                exact = False
             out = out + _as_fraction(c) * w
-        return Weight(out.coords, exact)
+        return out
 
     def pairing(self, x: Weight, y: Weight) -> Fraction:
         tot = Fraction(0)

@@ -39,7 +39,7 @@ from .qalgebra import (
     tensor_module,
     trivial_module,
 )
-from .vertexops import expectation, vertex_operator
+from .vertexops import _leg_chain, expectation
 
 __all__ = [
     "EvaluatedOperator", "DynamicalFamily",
@@ -186,7 +186,9 @@ def fusion(S, lam: Weight, depth: int = 2, tol: float = 1e-10,
     """Fusion operator j_S(lam) on the tensor product of the modules in S.
 
     Column n is the expectation value of the composite vertex operator whose
-    legs carry the n-th basis vectors.  The truncation depth only pads the
+    legs carry the n-th basis vectors.  Columns walk one leg chain with a
+    table keyed on basis-index suffixes, so columns that agree on their
+    rightmost legs share those legs.  The truncation depth only pads the
     source Verma; the expectation value is exact for any depth >= 1 because
     per-stage budgets grow with each leg.
     """
@@ -205,10 +207,11 @@ def fusion(S, lam: Weight, depth: int = 2, tol: float = 1e-10,
                 GradedMap(T, T, dz, np.eye(T.dim, dtype=complex)), lam, "fusion")
         dims = tuple(V.dim for V in S)
         cols = np.empty((T.dim, T.dim), dtype=complex)
+        legs = {}
         for n in range(T.dim):
-            digits = np.unravel_index(n, dims)
+            digits = tuple(int(d) for d in np.unravel_index(n, dims))
             vlist = [_basis_vector(V, d) for V, d in zip(S, digits)]
-            phi = vertex_operator(lam, S, vlist, depth, tol)
+            phi = _leg_chain(lam, S, vlist, depth, tol, legs, digits)
             cols[:, n] = expectation(phi)
         return EvaluatedOperator(GradedMap(T, T, dz, cols), lam, "fusion")
 

@@ -6,9 +6,11 @@ Module matrices (E, F) and R-matrices are dense complex128; `r_matrix`
 applies the coproduct generators as sparse CSR matrices.  Weight bookkeeping
 rides on the exact rational Weight coordinates from cartan; inside a module
 the weights are also integer offsets from its first weight
-(`WeightModule.offsets`), so q^h, kappa and the R-matrix weight matching
-need no Fraction arithmetic per basis vector.  A truncated Verma's basis and
-F depend only on (datum, q, depth) and come from a memoized skeleton.
+(`WeightModule.offsets`), so q^h, kappa, the R-matrix weight matching and the
+weights of a tensor product need no Fraction arithmetic per basis vector: a
+tensor module adds its factors' offsets and makes one Weight per distinct
+weight.  A truncated Verma's basis and F depend only on (datum, q, depth) and
+come from a memoized skeleton.
 
 Conventions (fixed once, gated by the consistency suite):
     K_i = q^{d_i h_i},  Delta(E_i) = E_i (x) K_i + 1 (x) E_i,
@@ -273,12 +275,19 @@ def flip_matrix(V: WeightModule, W: WeightModule) -> np.ndarray:
 
 
 def tensor_module(V: WeightModule, W: WeightModule, name: str = "") -> WeightModule:
-    """V (x) W with the coproduct action; slot lists flatten."""
+    """V (x) W with the coproduct action; slot lists flatten.
+
+    Weights and offsets come from the factors' integer lattice offsets:
+    one Weight per distinct weight, shared by its whole block.
+    """
     if V.datum is not W.datum or V.q != W.q:
         raise ValueError("tensor factors over different Cartan data or q")
     dv, dw = V.dim, W.dim
-    weights = tuple(V.weights[a] + W.weights[b]
-                    for a in range(dv) for b in range(dw))
+    off = (V.offsets[:, None, :] + W.offsets[None, :, :]).reshape(dv * dw, -1)
+    rows = [tuple(o) for o in off.tolist()]
+    base = V.weights[0] + W.weights[0]
+    shared = {o: base + Weight(o) for o in dict.fromkeys(rows)}
+    weights = tuple(shared[o] for o in rows)
     Iv, Iw = np.eye(dv), np.eye(dw)
     E, F = [], []
     for i, alpha in enumerate(V.datum.simple_roots):
@@ -286,9 +295,12 @@ def tensor_module(V: WeightModule, W: WeightModule, name: str = "") -> WeightMod
         Kinv_v = np.diag(1.0 / V.qh(alpha))
         E.append(np.kron(V.E[i], Kw) + np.kron(Iv, W.E[i]))
         F.append(np.kron(V.F[i], Iw) + np.kron(Kinv_v, W.F[i]))
-    return WeightModule(V.datum, V.q, "tensor", weights, tuple(E), tuple(F),
-                        name=name or f"({V.name})x({W.name})",
-                        slots=V.slots + W.slots)
+    T = WeightModule(V.datum, V.q, "tensor", weights, tuple(E), tuple(F),
+                     name=name or f"({V.name})x({W.name})",
+                     slots=V.slots + W.slots)
+    off.flags.writeable = False
+    T.offsets = off  # already known; fills the cached property
+    return T
 
 
 def tensor_many(mods) -> WeightModule:

@@ -3,8 +3,13 @@
 A primal operator of weight mu maps M_lam into M_{lam-mu} (x) F(S) and is
 pinned by its expectation value, the leading coefficient vector in F(S).
 Construction is a singular-vector solve at the top weight followed by
-extension down the Verma by lowering operators.  Dual operators target
-F(S*) (x) M and are obtained by inverting the braiding on each leg.
+extension down the Verma by lowering operators.  A leg applies the coproduct
+of E_i and F_i to (Verma, spin) arrays and never builds its tensor module;
+the lowering solves depend only on the Verma skeleton and are memoized.
+Legs are applied right to left along one chain, which `fusion` walks for all
+columns at once so that columns sharing their rightmost legs share them.
+Dual operators target F(S*) (x) M and are obtained by inverting the braiding
+on each leg.
 """
 
 import math
@@ -14,6 +19,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
+from .cache import Memo
 from .cartan import CartanDatum, Weight
 from .qalgebra import (
     GradedMap, TruncatedVerma, WeightModule, build_verma, flip_index,
@@ -70,16 +76,21 @@ def singular_vector(lam: Weight, V: WeightModule, v: np.ndarray, depth: int,
         target = build_verma(datum, q, lam - mu, depth)
     elif target.hw != lam - mu:
         raise ValueError("target Verma has the wrong highest weight")
-    return _singular_in(tensor_module(target, V), target, V, v, mu, tol), target
+    return _singular_in(target, V, v, mu, tol).ravel(), target
 
 
-def _singular_in(T: WeightModule, target: TruncatedVerma, V: WeightModule,
-                 v: np.ndarray, mu: Weight, tol: float) -> np.ndarray:
-    """The singular vector of `singular_vector`, inside a prebuilt
-    T = target (x) V; v is nonzero of weight mu."""
+def _singular_in(target: TruncatedVerma, V: WeightModule, v: np.ndarray,
+                 mu: Weight, tol: float) -> np.ndarray:
+    """The singular vector of `singular_vector` as a (target.dim, V.dim)
+    array; v is nonzero of weight mu.
+
+    Delta(E_i) = E_i (x) K_i + 1 (x) E_i acts on the array directly.  The
+    unknowns of a raise beta sit on the Verma block hw - beta and their
+    equations on hw - beta + alpha_i, so only E_i (x) K_i couples them.
+    """
     datum = V.datum
-    dv = V.dim
     hwp = target.hw
+    K = [V.qh(alpha) for alpha in datum.simple_roots]
 
     # admissible raises: beta with V[mu+beta] nonzero, by height
     betas = {}
@@ -90,32 +101,29 @@ def _singular_in(T: WeightModule, target: TruncatedVerma, V: WeightModule,
     if betas and max(betas) > target.depth:
         raise ValueError("target truncation too shallow for this spin vector")
 
-    u = np.zeros(T.dim, dtype=complex)
-    for m_idx in target.block(hwp):
-        u[m_idx * dv: m_idx * dv + dv] = v
-
-    def tindex(mb, vb):
-        return [m * dv + w for m in mb for w in vb]
+    U = np.zeros((target.dim, V.dim), dtype=complex)
+    U[target.block(hwp)] = v
 
     for h in sorted(betas):
         for beta in betas[h]:
             vb = V.block(mu + beta)
             mb = target.block(hwp - beta)
-            cols = tindex(mb, vb)
-            if len(cols) == 0:
+            if mb.size * vb.size == 0:
                 continue
             rows_all, rhs_all = [], []
             for i, alpha in enumerate(datum.simple_roots):
                 mrows = target.block(hwp - beta + alpha)
-                rows = tindex(mrows, vb)
-                if not rows:
+                if not mrows.size:
                     continue
-                rows_all.append(T.E[i][np.ix_(rows, cols)])
-                rhs_all.append(-(T.E[i][rows, :] @ u))
+                Ei = target.E[i][mrows]
+                rows_all.append(np.kron(Ei[:, mb], np.diag(K[i][vb])))
+                # Delta(E_i) U on the rows (mrows, vb)
+                rhs_all.append(-((Ei @ U[:, vb]) * K[i][vb]
+                                 + U[mrows] @ V.E[i][vb].T).ravel())
             A = np.vstack(rows_all)
             b = np.concatenate(rhs_all)
             sol, _, rank, _ = scipy.linalg.lstsq(A, b, lapack_driver="gelsy")
-            if rank < len(cols):
+            if rank < mb.size * vb.size:
                 sv = np.linalg.svd(A, compute_uv=False)
                 raise ValueError(
                     f"singular-vector system rank deficient at raise {beta}; "
@@ -124,8 +132,8 @@ def _singular_in(T: WeightModule, target: TruncatedVerma, V: WeightModule,
             resid = np.linalg.norm(A @ sol - b)
             if resid > tol * (1.0 + np.linalg.norm(b)):
                 raise ValueError(f"singular-vector solve inconsistent: {resid:.2e}")
-            u[cols] = sol
-    return u
+            U[np.ix_(mb, vb)] = sol.reshape(mb.size, vb.size)
+    return U
 
 
 @dataclass(eq=False)
@@ -162,42 +170,69 @@ class Intertwiner:
                          self.source.datum.zero_weight(), self.matrix)
 
 
-def _extend_by_lowering(src: TruncatedVerma, T: WeightModule, u: np.ndarray,
-                        tol: float) -> np.ndarray:
-    """Fill in all columns of an operator from its top-column value u.
+_LOWERING_MEMO = Memo()
 
-    Each deeper source basis vector is expressed through lowering operators
-    applied one level up (stacked solve), and the operator follows along.
+
+def _lowering_solves(src: TruncatedVerma, tol: float) -> list:
+    """(depth-h columns, depth-(h-1) columns, solve) for h = 1, 2, ...
+
+    The solve expresses each depth-h basis vector through the F_i applied
+    one level up (stacked, columns i-major).  It reads only src's skeleton,
+    so it is memoized on (datum, q, depth, tol).
     """
-    r = src.datum.rank
-    phi = np.zeros((T.dim, src.dim), dtype=complex)
-    phi[:, 0] = u
-    for h in range(1, src.depth + 1):
-        ch = np.where(src.depths == h)[0]
-        cp = np.where(src.depths == h - 1)[0]
-        if ch.size == 0:
-            break
-        G = np.hstack([src.F[i][np.ix_(ch, cp)] for i in range(r)])
-        sol, _, rank, _ = scipy.linalg.lstsq(
-            G, np.eye(ch.size, dtype=complex), lapack_driver="gelsy")
-        if rank < ch.size:
-            raise ValueError(f"lowering operators do not span depth {h}")
-        if np.max(np.abs(G @ sol - np.eye(ch.size))) > tol * max(
-                1.0, float(np.max(np.abs(G)))):
-            raise ValueError(f"column extension inconsistent at depth {h}")
-        B = np.hstack([T.F[i] @ phi[:, cp] for i in range(r)])
-        phi[:, ch] = B @ sol
+    def make():
+        out = []
+        for h in range(1, src.depth + 1):
+            ch = np.where(src.depths == h)[0]
+            cp = np.where(src.depths == h - 1)[0]
+            if ch.size == 0:
+                break
+            G = np.hstack([F[np.ix_(ch, cp)] for F in src.F])
+            sol, _, rank, _ = scipy.linalg.lstsq(
+                G, np.eye(ch.size, dtype=complex), lapack_driver="gelsy")
+            if rank < ch.size:
+                raise ValueError(f"lowering operators do not span depth {h}")
+            if np.max(np.abs(G @ sol - np.eye(ch.size))) > tol * max(
+                    1.0, float(np.max(np.abs(G)))):
+                raise ValueError(f"column extension inconsistent at depth {h}")
+            out.append((ch, cp, sol))
+        return out
+
+    return _LOWERING_MEMO.get((src.datum, src.q, src.depth, float(tol)), make)
+
+
+def _extend_by_lowering(src: TruncatedVerma, tgt: TruncatedVerma,
+                        V: WeightModule, U: np.ndarray,
+                        tol: float) -> np.ndarray:
+    """All columns of the leg src -> tgt (x) V from its top column U.
+
+    U is a (tgt.dim, V.dim) array.  Each deeper source basis vector is
+    expressed through lowering operators applied one level up, and the
+    operator follows along under Delta(F_i) = F_i (x) 1 + K_i^{-1} (x) F_i,
+    applied to (tgt.dim, V.dim, columns) arrays.  Returns the
+    (tgt.dim * V.dim, src.dim) matrix.
+    """
+    n, dv = tgt.dim, V.dim
+    Kinv = [1.0 / tgt.qh(alpha) for alpha in src.datum.simple_roots]
+    phi = np.zeros((n * dv, src.dim), dtype=complex)
+    phi[:, 0] = U.ravel()
+    for ch, cp, sol in _lowering_solves(src, tol):
+        P = phi[:, cp].reshape(n, dv, cp.size)
+        B = np.concatenate(
+            [(Ft @ P.reshape(n, -1)).reshape(P.shape)
+             + k[:, None, None] * np.matmul(Fv, P)
+             for Ft, Fv, k in zip(tgt.F, V.F, Kinv)], axis=2)
+        phi[:, ch] = B.reshape(n * dv, -1) @ sol
     return phi
 
 
 def _one_point(lam: Weight, V: WeightModule, v: np.ndarray, mu: Weight,
                src: TruncatedVerma, tgt_depth: int, tol: float):
-    """One leg out of src, v of weight mu; one tensor M_{lam-mu} (x) V
-    serves both the singular-vector solve and the column extension."""
+    """One leg out of src, v of weight mu: the singular vector in
+    M_{lam-mu} (x) V extended down src; no tensor module is built."""
     tgt = build_verma(V.datum, V.q, lam - mu, tgt_depth)
-    T = tensor_module(tgt, V)
-    u = _singular_in(T, tgt, V, v, mu, tol)
-    return _extend_by_lowering(src, T, u, tol), tgt
+    U = _singular_in(tgt, V, v, mu, tol)
+    return _extend_by_lowering(src, tgt, V, U, tol), tgt
 
 
 def vertex_operator(lam: Weight, S: tuple, vlist, depth: int,
@@ -205,9 +240,22 @@ def vertex_operator(lam: Weight, S: tuple, vlist, depth: int,
     """k-point operator: legs applied right to left, each shifting the weight.
 
     The j-th leg (1-based, rightmost = k) starts from lam_j = lam - sum of
-    the weights of the later legs; every lam_j must be regular.  Each leg
-    builds one tensor module; the operator's full target M (x) F(S) is
-    built only when `target` is first read.
+    the weights of the later legs; every lam_j must be regular.  No leg
+    builds a tensor module; the operator's full target M (x) F(S) is built
+    only when `target` is first read.
+    """
+    return _leg_chain(lam, S, vlist, depth, tol, {}, tuple(range(len(vlist))))
+
+
+def _leg_chain(lam: Weight, S: tuple, vlist, depth: int, tol: float,
+               legs: dict, keys: tuple) -> Intertwiner:
+    """The legs of `vertex_operator`, right to left.
+
+    `legs` maps a suffix keys[j:] to the composite (matrix, target Verma)
+    of legs j..k, so operators that share one table and agree on the keys
+    of their rightmost legs share those legs.  Calls sharing a table must
+    agree on lam, S, depth and tol, and the keys must name the vectors:
+    `fusion` keys each leg by its basis index.
     """
     S = tuple(S)
     k = len(S)
@@ -217,20 +265,21 @@ def vertex_operator(lam: Weight, S: tuple, vlist, depth: int,
     nus = tuple(weight_of(S[j], vlist[j]) for j in range(k))
 
     src = build_verma(datum, q, lam, depth)
-    cur = src
-    cur_lam = lam
-    op = None
-    rest_dim = 1
+    op, cur = None, src
     for j in reversed(range(k)):
-        if not datum.is_regular(cur_lam):
-            raise ValueError(f"non-regular intermediate weight lam_{j + 1} = {cur_lam}")
-        up = _raise_budget(S[j], nus[j])
-        phi, tgt = _one_point(cur_lam, S[j], vlist[j], nus[j], cur,
-                              cur.depth + max(up, 1), tol)
-        op = phi if op is None else np.kron(phi, np.eye(rest_dim)) @ op
-        rest_dim *= S[j].dim
-        cur = tgt
-        cur_lam = cur_lam - nus[j]
+        leg = legs.get(keys[j:])
+        if leg is None:
+            if not datum.is_regular(cur.hw):
+                raise ValueError(
+                    f"non-regular intermediate weight lam_{j + 1} = {cur.hw}")
+            up = _raise_budget(S[j], nus[j])
+            phi, tgt = _one_point(cur.hw, S[j], vlist[j], nus[j], cur,
+                                  cur.depth + max(up, 1), tol)
+            if op is not None:
+                # (phi (x) 1) op, with op's rows split as (cur, later legs)
+                phi = (phi @ op.reshape(cur.dim, -1)).reshape(-1, src.dim)
+            leg = legs[keys[j:]] = (phi, tgt)
+        op, cur = leg
     return Intertwiner("primal", src, cur, S, lam - cur.hw, nus, op,
                        exact_depth=depth)
 

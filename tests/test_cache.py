@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from dynq import cache, dynamical, qalgebra
+from dynq import cache, dynamical, qalgebra, vertexops
 from dynq.cache import Memo
 from dynq.cartan import preset
 from dynq.qalgebra import (
@@ -133,7 +133,7 @@ class TestPerModuleDuals:
         def fail(*args, **kwargs):
             raise AssertionError("fusion column recomputed")
 
-        monkeypatch.setattr(dynamical, "vertex_operator", fail)
+        monkeypatch.setattr(dynamical, "_leg_chain", fail)
         again = universal_f((V, V), lam, mu, 10).value
         assert len(dynamical._FUSION_MEMO) == size
         assert np.array_equal(first, again)
@@ -147,6 +147,21 @@ class TestKeys:
         fusion((V1, V2), lam)
         with pytest.raises(ValueError, match="column extension inconsistent"):
             fusion((V1, V2), lam, tol=1e-16)
+
+    def test_lowering_key_carries_tol(self):
+        # the lowering solves are shared across weights, never across
+        # tolerances, so a cached entry cannot skip a stricter guard
+        V1 = build_irrep(A2, Q, O1)
+        V2 = build_irrep(A2, Q, O2)
+        memo = vertexops._LOWERING_MEMO
+        fusion((V1, V2), -3.617 * O1 - 4.181 * O2)
+        misses = memo.misses
+        lam = -2.383 * O1 - 3.719 * O2
+        fusion((V1, V2), lam)
+        assert memo.misses == misses  # another weight: every solve is a hit
+        with pytest.raises(ValueError, match="column extension inconsistent"):
+            fusion((V1, V2), lam, tol=1e-16)
+        assert memo.misses > misses
 
     def test_verma_key_holds_the_datum(self):
         hw = -2.5 * OM

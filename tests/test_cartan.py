@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynq.cartan import Weight, build_cartan, preset
+from dynq.cartan import build_cartan, preset
 
 
 def frac9():
@@ -126,16 +126,8 @@ class TestWeightArithmetic:
     def test_float_coords_are_exact_and_flagged(self, a1):
         w = a1.weight([0.1])
         assert w.coords[0] == Fraction(0.1)  # binary value, not 1/10
-        assert not w.exact
         v = a1.weight([Fraction(1, 10)])
-        assert v.exact
         assert v != w
-
-    def test_equality_ignores_exactness_flag(self, a1):
-        assert Weight((Fraction(1, 2),), exact=False) == Weight((Fraction(1, 2),))
-        assert hash(Weight((Fraction(1, 2),), exact=False)) == hash(
-            Weight((Fraction(1, 2),))
-        )
 
     def test_cached_hash_agrees_across_arithmetic(self, a2):
         o1, o2 = a2.fundamental_weights

@@ -347,6 +347,25 @@ class TestLatticeOffsets:
         for w, off in zip(M.weights, M.offsets):
             assert M.weights[0] + A2.weight(off.tolist()) == w
 
+    def test_tensor_weights_match_pairwise_sums(self):
+        # reference: one Fraction sum per basis pair, blocks and offsets
+        # read off those weights as a plain WeightModule does
+        lam = A2.from_fundamental([-3.217, -4.381])
+        M = build_verma(A2, Q, lam, 4)
+        V1 = build_irrep(A2, Q, A2.fundamental_weights[0])
+        W1, W2 = (build_irrep(B2, Q, w) for w in B2.fundamental_weights)
+        for V, W in ((M, V1), (dual_module(V1), M), (W1, W2)):
+            T = tensor_module(V, W)
+            want = tuple(a + b for a in V.weights for b in W.weights)
+            ref = WeightModule(V.datum, Q, "ref", want, T.E, T.F)
+            assert T.weights == want
+            assert list(T.blocks) == list(ref.blocks)
+            assert all(np.array_equal(T.blocks[w], ref.blocks[w]) for w in ref.blocks)
+            assert np.array_equal(T.offsets, ref.offsets)
+            # one Weight object per block, shared by its basis vectors
+            assert len({id(w) for w in T.weights}) == len(T.blocks)
+            assert all(T.weights[i] is w for w, ix in T.blocks.items() for i in ix)
+
     def test_non_integral_offsets_raise(self):
         z = np.zeros((2, 2), dtype=complex)
         weights = (A1.zero_weight(), A1.weight([Fraction(1, 2)]))

@@ -6,12 +6,14 @@ from dynq.qalgebra import (
     build_irrep, build_verma, qnum, tensor_many, tensor_module,
 )
 from dynq.vertexops import (
-    Intertwiner, dual_vertex_operator, expectation, intertwiner_residual,
+    Intertwiner, _extend_by_lowering, _raise_budget, _singular_in,
+    dual_vertex_operator, expectation, intertwiner_residual,
     singular_vector, vertex_operator, weight_of,
 )
 
 A1 = preset("A1")
 A2 = preset("A2")
+B2 = preset("B2")
 Q = 0.5
 OM = A1.fundamental_weights[0]
 
@@ -139,13 +141,10 @@ class TestVertexOperator:
         phi = vertex_operator(lam, (V, V), [hw_vec(V), lw_vec(V)], D)
         # rightmost leg first: weight of lw is -om, so lam_1 = lam + om
         psi2, M1 = singular_vector(lam, V, lw_vec(V), D + 1)
-        T2 = tensor_module(M1, V)
-        from dynq.vertexops import _extend_by_lowering
         M0src = build_verma(A1, Q, lam, D)
-        mat2 = _extend_by_lowering(M0src, T2, psi2, 1e-10)
+        mat2 = _extend_by_lowering(M0src, M1, V, psi2.reshape(M1.dim, V.dim), 1e-10)
         psi1, M0 = singular_vector(lam + OM, V, hw_vec(V), D + 2)
-        T1 = tensor_module(M0, V)
-        mat1 = _extend_by_lowering(M1, T1, psi1, 1e-10)
+        mat1 = _extend_by_lowering(M1, M0, V, psi1.reshape(M0.dim, V.dim), 1e-10)
         want = np.kron(mat1, np.eye(V.dim)) @ mat2
         assert phi.matrix.shape == want.shape
         assert np.max(np.abs(phi.matrix - want)) < 1e-10 * max(
@@ -291,10 +290,10 @@ class TestLazyTarget:
         built = []
 
         def recording(*args, **kwargs):
-            built.append(vertexops.vertex_operator(*args, **kwargs))
+            built.append(vertexops._leg_chain(*args, **kwargs))
             return built[-1]
 
-        monkeypatch.setattr(dyn, "vertex_operator", recording)
+        monkeypatch.setattr(dyn, "_leg_chain", recording)
         V = build_irrep(A1, Q, OM)
         W = build_irrep(A1, Q, 2 * OM)
         dyn.fusion((V, W), -6.77 * OM)  # a weight no other test fuses at
@@ -329,8 +328,8 @@ class TestLazyTarget:
             assert got.dim == op.matrix.shape[0]
             assert op.target is got  # cached on the instance
 
-    def test_one_tensor_module_per_leg(self, monkeypatch):
-        from dynq import vertexops
+    def test_legs_build_no_tensor_module(self, monkeypatch):
+        from dynq import qalgebra, vertexops
         calls = []
 
         def counted(*args, **kwargs):
@@ -338,9 +337,117 @@ class TestLazyTarget:
             return tensor_module(*args, **kwargs)
 
         monkeypatch.setattr(vertexops, "tensor_module", counted)
+        monkeypatch.setattr(qalgebra, "tensor_module", counted)
         V = build_irrep(A1, Q, OM)
         for k in (1, 2, 3):
-            calls.clear()
             vlist = [hw_vec(V) if j % 2 else lw_vec(V) for j in range(k)]
             vertex_operator(-7.31 * OM, (V,) * k, vlist, 3)
-            assert len(calls) == k
+        assert not calls
+
+    def test_fusion_shares_legs_per_suffix(self, monkeypatch):
+        import dynq.dynamical as dyn
+        from dynq import vertexops
+        legs = []
+
+        def counted(src, tgt, V, U, tol):
+            legs.append(src.hw)
+            return _extend_by_lowering(src, tgt, V, U, tol)
+
+        monkeypatch.setattr(vertexops, "_extend_by_lowering", counted)
+        V = build_irrep(A1, Q, OM)
+        W = build_irrep(A1, Q, 2 * OM)
+        lam = -6.83 * OM  # a weight no other test fuses at
+        S = (V, W, V)
+        j = dyn.fusion(S, lam)
+        # one leg per suffix of basis indices: 2 + 3*2 + 2*3*2, not 3 * 12
+        assert len(legs) == 2 + 6 + 12
+        # each column is still its own composite vertex operator
+        monkeypatch.setattr(vertexops, "_extend_by_lowering", _extend_by_lowering)
+        for n in range(j.matrix.shape[1]):
+            digits = np.unravel_index(n, (2, 3, 2))
+            vlist = [np.eye(M.dim)[d] for M, d in zip(S, digits)]
+            col = expectation(vertex_operator(lam, S, vlist, 2))
+            assert np.array_equal(j.matrix[:, n], col)
+
+
+def _dense_singular(T, target, V, v, mu):
+    """Singular vector solved on the dense T = target (x) V (former route)."""
+    dv = V.dim
+    u = np.zeros(T.dim, dtype=complex)
+    u[:dv] = v
+    betas = {}
+    for sig in V.weight_set():
+        d = sig - mu
+        if all(c == int(c) and c >= 0 for c in d.coords) and d.height() > 0:
+            betas.setdefault(d.height(), []).append(d)
+    for h in sorted(betas):
+        for beta in betas[h]:
+            vb = V.block(mu + beta)
+            cols = [m * dv + w for m in target.block(target.hw - beta) for w in vb]
+            if not cols:
+                continue
+            A, b = [], []
+            for i, alpha in enumerate(V.datum.simple_roots):
+                mrows = target.block(target.hw - beta + alpha)
+                rows = [m * dv + w for m in mrows for w in vb]
+                if rows:
+                    A.append(T.E[i][np.ix_(rows, cols)])
+                    b.append(-(T.E[i][rows, :] @ u))
+            u[cols] = np.linalg.lstsq(np.vstack(A), np.concatenate(b), rcond=None)[0]
+    return u
+
+
+def _dense_extension(src, T, u):
+    """Column extension through the dense T.F (former route)."""
+    phi = np.zeros((T.dim, src.dim), dtype=complex)
+    phi[:, 0] = u
+    for h in range(1, src.depth + 1):
+        ch = np.where(src.depths == h)[0]
+        cp = np.where(src.depths == h - 1)[0]
+        G = np.hstack([F[np.ix_(ch, cp)] for F in src.F])
+        B = np.hstack([F @ phi[:, cp] for F in T.F])
+        phi[:, ch] = B @ np.linalg.pinv(G)
+    return phi
+
+
+class TestMatrixFreeLeg:
+    """The leg's solves against the dense tensor module they replace."""
+
+    A2_LAM = A2.from_fundamental([-3.17, -2.41])
+    B2_LAM = B2.from_fundamental([-2.713, -3.119])
+    CASES = [
+        (A1, 2 * OM, -7.31 * OM, "primal"),
+        (A1, 2 * OM, -7.31 * OM, "dual"),
+        (A2, A2.from_fundamental([1, 1]), A2_LAM, "primal"),
+        (A2, A2.fundamental_weights[0], A2_LAM, "primal"),
+        (A2, A2.fundamental_weights[0], A2_LAM, "dual"),
+        (B2, B2.fundamental_weights[0], B2_LAM, "primal"),
+        (B2, B2.fundamental_weights[1], B2_LAM, "dual"),
+    ]
+
+    @pytest.mark.parametrize("datum,hw,lam,orientation", CASES)
+    def test_matches_dense_route(self, datum, hw, lam, orientation):
+        from dynq.qalgebra import dual_module
+        V = build_irrep(datum, Q, hw)
+        if orientation == "dual":
+            V = dual_module(V)
+        src = build_verma(datum, Q, lam, 2)
+        vecs = [np.eye(V.dim)[n] for n in range(V.dim)]
+        for blk in V.blocks.values():
+            if blk.size > 1:  # a mixed vector inside a multiple weight space
+                vecs.append(np.where(np.isin(np.arange(V.dim), blk),
+                                     np.linspace(1.0, -0.3, V.dim), 0.0))
+        for v in vecs:
+            mu = weight_of(V, v)
+            if orientation == "primal":
+                extra = max(_raise_budget(V, mu), 1)
+            else:
+                extra = 2 * max(V.height_span(), 1)
+            tgt = build_verma(datum, Q, lam - mu, src.depth + extra)
+            T = tensor_module(tgt, V)
+            U = _singular_in(tgt, V, v, mu, 1e-10)
+            u = _dense_singular(T, tgt, V, v, mu)
+            assert np.max(np.abs(U.ravel() - u)) <= 1e-13 * np.max(np.abs(u))
+            phi = _extend_by_lowering(src, tgt, V, U, 1e-10)
+            want = _dense_extension(src, T, u)
+            assert np.max(np.abs(phi - want)) <= 1e-13 * np.max(np.abs(want))
