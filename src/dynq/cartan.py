@@ -1,8 +1,14 @@
 """Root-system data for the low-rank algebras handled numerically.
 
-Everything downstream keys weight spaces by exact rational coordinates in the
-simple-root basis, so this module does its arithmetic over Fraction and only
-hands out floats at the q-exponentiation boundary.
+A `Weight` holds exact rational coordinates in the simple-root basis and
+`CartanDatum.pairing` pairs two of them exactly; floats appear only at the
+q-exponentiation boundary.  This is the one module that does arithmetic over
+Fraction.  Exact weights live at module and op granularity: highest weights,
+evaluation points, and one per distinct weight of a module.  Data indexed by
+basis vector is not computed here one vector at a time: a module carries
+integer lattice offsets from its first weight, and `qalgebra` reads q-powers
+and weight classes off them (`WeightModule.offsets`, `K`, `qh`,
+`slot_classes`).
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ named slots (spectator slots for the q-KZB families, the closed span from
 the auxiliary slot through the acting slot for the trace families).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,8 @@ from .dynamical import (
 )
 from .qalgebra import (
     WeightModule, character, dual_module, dual_tuple, embed_slots,
-    partial_trace, r21_matrix, r_matrix, slot_index_arrays, tensor_many,
+    partial_trace, r21_matrix, r_matrix, slot_classes, slot_index_arrays,
+    tensor_many,
 )
 from .traces import pairing_matrix
 
@@ -75,14 +77,6 @@ def transpose(A: np.ndarray, S, direction: str = "T") -> np.ndarray:
     raise ValueError(f"unknown transpose direction {direction!r}")
 
 
-def _distinct_weights(V: WeightModule) -> tuple:
-    out = []
-    for w in V.weights:
-        if all(w != u for u in out):
-            out.append(w)
-    return tuple(out)
-
-
 def _check_index(i: int, lo: int, hi: int) -> None:
     if not lo <= i <= hi:
         raise ValueError(f"slot index {i} outside {lo}..{hi}")
@@ -91,9 +85,9 @@ def _check_index(i: int, lo: int, hi: int) -> None:
 def _slot_projector(T: WeightModule, slot: int, w: Weight) -> np.ndarray:
     """Diagonal projector on the basis vectors whose slot digit has weight w."""
     dims, digits = slot_index_arrays(T)
-    mod = T.slots[slot]
-    hits = np.array([mod.weights[d] == w for d in range(dims[slot])])
-    return np.diag(hits[digits[slot]].astype(float))
+    hits = np.zeros(dims[slot])
+    hits[T.slots[slot].block(w)] = 1.0
+    return np.diag(hits[digits[slot]])
 
 
 def _pair_cache(depth: int, tol: float):
@@ -147,7 +141,7 @@ def qkzb_operator(S, i: int, depth: int = 2, tol: float = 1e-10
         return out
 
     return DifferenceOperator("qkzb", S, i, S, "lam", +1,
-                              _distinct_weights(S[i - 1]), coefficient)
+                              S[i - 1].weight_set(), coefficient)
 
 
 def dual_qkzb_operator(S, i: int, depth: int = 2, tol: float = 1e-10
@@ -190,7 +184,7 @@ def dual_qkzb_operator(S, i: int, depth: int = 2, tol: float = 1e-10
         return out
 
     return DifferenceOperator("dual-qkzb", S, i, sstar, "mu", +1,
-                              _distinct_weights(S[i - 1]), coefficient)
+                              S[i - 1].weight_set(), coefficient)
 
 
 def coord_mr_operator(S, W: WeightModule, i: int, depth: int = 2,
@@ -231,7 +225,7 @@ def coord_mr_operator(S, W: WeightModule, i: int, depth: int = 2,
                              keep=keep)
 
     return DifferenceOperator("coord-mr", S, i, S, "lam", +1,
-                              _distinct_weights(W), coefficient, aux=W)
+                              W.weight_set(), coefficient, aux=W)
 
 
 def dual_coord_mr_operator(S, W: WeightModule, i: int, depth: int = 2,
@@ -275,7 +269,7 @@ def dual_coord_mr_operator(S, W: WeightModule, i: int, depth: int = 2,
                              keep=keep)
 
     return DifferenceOperator("dual-coord-mr", S, i, sstar, "mu", -1,
-                              _distinct_weights(W), coefficient, aux=W)
+                              W.weight_set(), coefficient, aux=W)
 
 
 def operator(family: str, S, i: int, W: WeightModule = None, depth: int = 2,
@@ -300,13 +294,14 @@ def operator(family: str, S, i: int, W: WeightModule = None, depth: int = 2,
 # diagonal multipliers
 
 
-def _slot_weights(space):
-    T = tensor_many(space)
-    dims, digits = slot_index_arrays(T)
-    table = []
-    for j, V in enumerate(space):
-        table.append([V.weights[d] for d in digits[j]])
-    return T, table
+# family -> (acts on F(S*), lowest i, spectator modules of slot i as
+# 1-based positions in S, base point a*at + b*rho as (a, b))
+_MULTIPLIERS = {
+    "qkzb": (True, 1, lambda i, k: range(1, i), (1, 0)),
+    "coord-mr": (True, 0, lambda i, k: range(1, i + 1), (2, 2)),
+    "dual-qkzb": (False, 1, lambda i, k: range(i + 1, k + 1), (-1, -2)),
+    "dual-coord-mr": (False, 0, lambda i, k: range(i + 1, k + 1), (-2, -2)),
+}
 
 
 def multiplier(family: str, S, i: int, at: Weight,
@@ -314,58 +309,32 @@ def multiplier(family: str, S, i: int, at: Weight,
     """Diagonal eigenvalue companion of the family's difference operator.
 
     The q-KZB multipliers act on the side opposite to their operator
-    (plain on F(S*) at the second argument, dual on F(S) at the first);
-    likewise for the trace families, whose entries are characters of W.
+    (plain on F(S*) at the second argument, dual on F(S) at the first):
+    q^{2 theta(base)} on slot i against the spectator weight.  Likewise for
+    the trace families, whose entries are characters of W at the base point
+    lowered by twice the spectator weight.  Each value is computed once per
+    weight class of (slot i, spectators).
     """
+    if family not in _MULTIPLIERS:
+        raise ValueError(f"unknown family {family!r}; known: {FAMILIES}")
     S = tuple(S)
     k = len(S)
     datum, q = S[0].datum, S[0].q
-    if family in ("qkzb", "coord-mr"):
-        space = dual_tuple(S)
-        # slot of the j-th dual is k - j
-        T, table = _slot_weights(space)
-        vals = np.zeros(T.dim, dtype=complex)
-        if family == "qkzb":
-            _check_index(i, 1, k)
-            for n in range(T.dim):
-                eta_i = table[k - i][n]
-                head = datum.zero_weight()
-                for j in range(1, i):
-                    head = head + table[k - j][n]
-                e = float(datum.two_theta(at, eta_i)) \
-                    - 2 * float(datum.pairing(eta_i, head))
-                vals[n] = q ** e
-        else:
-            _check_index(i, 0, k)
-            for n in range(T.dim):
-                xi = 2 * at + 2 * datum.rho
-                for j in range(1, i + 1):
-                    xi = xi - 2 * table[k - j][n]
-                vals[n] = character(W, xi)
-        return np.diag(vals)
-    if family in ("dual-qkzb", "dual-coord-mr"):
-        T, table = _slot_weights(S)
-        vals = np.zeros(T.dim, dtype=complex)
-        if family == "dual-qkzb":
-            _check_index(i, 1, k)
-            base = -1 * at - 2 * datum.rho
-            for n in range(T.dim):
-                xi_i = table[i - 1][n]
-                tail = datum.zero_weight()
-                for j in range(i + 1, k + 1):
-                    tail = tail + table[j - 1][n]
-                e = float(datum.two_theta(base, xi_i)) \
-                    - 2 * float(datum.pairing(xi_i, tail))
-                vals[n] = q ** e
-        else:
-            _check_index(i, 0, k)
-            for n in range(T.dim):
-                xi = -2 * at - 2 * datum.rho
-                for j in range(i + 1, k + 1):
-                    xi = xi - 2 * table[j - 1][n]
-                vals[n] = character(W, xi)
-        return np.diag(vals)
-    raise ValueError(f"unknown family {family!r}; known: {FAMILIES}")
+    dual, lo, spectators, (a, b) = _MULTIPLIERS[family]
+    _check_index(i, lo, k)
+    space = dual_tuple(S) if dual else S
+    pos = (lambda j: k - j) if dual else (lambda j: j - 1)  # slot of S[j - 1]
+    rest = tuple(pos(j) for j in spectators(i, k))
+    base = a * at + b * datum.rho
+    vals = np.zeros(math.prod(V.dim for V in S), dtype=complex)
+    if family.endswith("qkzb"):
+        for (eta, tot), idx in slot_classes(space, ((pos(i),), rest)).items():
+            vals[idx] = q ** (float(datum.two_theta(base, eta))
+                              - 2 * float(datum.pairing(eta, tot)))
+    else:
+        for (tot,), idx in slot_classes(space, (rest,)).items():
+            vals[idx] = character(W, base - 2 * tot)
+    return np.diag(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -386,26 +355,19 @@ def fusion_mr_residual(S, W: WeightModule, i: int, lam: Weight,
     k = len(S)
     _check_index(i, 0, k)
     datum, q = S[0].datum, S[0].q
-    T, table = _slot_weights(S)
     TW = tensor_many((W,) + S)
     jmat = fusion(S, lam, depth, tol).matrix
+    xi = 2 * (lam + datum.rho)
 
-    dvals = np.zeros(T.dim)
-    for n in range(T.dim):
-        xi = 2 * (lam + datum.rho)
-        for j in range(i + 1, k + 1):
-            xi = xi - 2 * table[j - 1][n]
-        dvals[n] = character(W, xi)
+    dvals = np.zeros(jmat.shape[0])
+    for (tail,), idx in slot_classes(S, (range(i, k),)).items():
+        dvals[idx] = character(W, xi - 2 * tail)
     lhs = jmat @ np.diag(dvals)
 
-    dims, digits = slot_index_arrays(TW)
     wvals = np.zeros(TW.dim)
-    for n in range(TW.dim):
-        beta = W.weights[digits[0][n]]
-        tot = datum.zero_weight()
-        for j in range(1, k + 1):
-            tot = tot + S[j - 1].weights[digits[j][n]]
-        wvals[n] = q ** float(datum.pairing(beta, 2 * (lam + datum.rho) - tot))
+    groups = ((0,), range(1, k + 1))
+    for (beta, tot), idx in slot_classes((W,) + S, groups).items():
+        wvals[idx] = q ** float(datum.pairing(beta, xi - tot))
     mat = np.diag(wvals).astype(complex)
     if i > 0:
         X = _fused(S[:i])
@@ -434,23 +396,16 @@ def fusion_qkz_residual(S, i: int, lam: Weight, depth: int = 2,
     _check_index(i, 1, k)
     datum, q = S[0].datum, S[0].q
     base = -1 * lam - 2 * datum.rho
-    T, table = _slot_weights(S)
+    T = tensor_many(S)
     jhat = np.linalg.inv(fusion(S, base, depth, tol).matrix)
 
     dt = np.zeros(T.dim, dtype=complex)
     ups = np.zeros(T.dim, dtype=complex)
-    for n in range(T.dim):
-        xi_i = table[i - 1][n]
-        tail = datum.zero_weight()
-        rest = datum.zero_weight()
-        for j in range(1, k + 1):
-            if j > i:
-                tail = tail + table[j - 1][n]
-            if j != i:
-                rest = rest + table[j - 1][n]
+    groups = ((i - 1,), range(i, k), [j for j in range(k) if j != i - 1])
+    for (xi_i, tail, rest), idx in slot_classes(S, groups).items():
         tt = float(datum.two_theta(base, xi_i))
-        dt[n] = q ** (tt - 2 * float(datum.pairing(xi_i, tail)))
-        ups[n] = q ** (float(datum.pairing(xi_i, rest)) - tt)
+        dt[idx] = q ** (tt - 2 * float(datum.pairing(xi_i, tail)))
+        ups[idx] = q ** (float(datum.pairing(xi_i, rest)) - tt)
 
     rhs = jhat
     if i < k:

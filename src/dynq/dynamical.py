@@ -31,10 +31,12 @@ from .qalgebra import (
     casimir_ratio,
     dual_module,
     dual_tuple,
+    embed_slots,
     eval_twisted,
     flip_index,
     left_dual_module,
     r_matrix,
+    slot_classes,
     tensor_many,
     tensor_module,
     trivial_module,
@@ -109,6 +111,16 @@ def _basis_vector(V: WeightModule, n: int) -> np.ndarray:
 # weight-shifted pair application
 
 
+def _both_orders(lead: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """lead @ other, after checking that other @ lead agrees with it."""
+    one = lead @ other
+    two = other @ lead
+    scale = max(1.0, float(np.max(np.abs(one))))
+    if np.max(np.abs(one - two)) > _DECOMP_TOL * scale:
+        raise ArithmeticError("shifted-pair factorization orders disagree")
+    return one
+
+
 def pair_first_shifted(fnA, B_mat: np.ndarray, V: WeightModule, W: WeightModule,
                        lam: Weight, sign: int = -1) -> np.ndarray:
     """Matrix of (A(lam + sign*h^(2)) (x) B) on V (x) W.
@@ -116,37 +128,21 @@ def pair_first_shifted(fnA, B_mat: np.ndarray, V: WeightModule, W: WeightModule,
     fnA(mu) must return a dim(V) square matrix.  Both factorization orders are
     formed and must agree; B_mat has to preserve W-weights for that.
     """
-    dv, dw = V.dim, W.dim
-    lead = np.zeros((dv * dw, dv * dw), dtype=complex)
-    for nu, cols in W.blocks.items():
-        proj = np.zeros((dw, dw))
-        proj[cols, cols] = 1.0
-        lead += np.kron(fnA(lam + sign * nu), proj)
-    right = np.kron(np.eye(dv), B_mat)
-    one = lead @ right
-    two = right @ lead
-    scale = max(1.0, float(np.max(np.abs(one))))
-    if np.max(np.abs(one - two)) > _DECOMP_TOL * scale:
-        raise ArithmeticError("shifted-pair factorization orders disagree")
-    return one
+    T = tensor_module(V, W)
+    nv = len(V.slots)
+    lead = embedded_shifted(T, fnA, tuple(range(nv)),
+                            tuple(range(nv, len(T.slots))), lam, sign)
+    return _both_orders(lead, np.kron(np.eye(V.dim), B_mat))
 
 
 def pair_second_shifted(A_mat: np.ndarray, fnB, V: WeightModule, W: WeightModule,
                         lam: Weight, sign: int = -1) -> np.ndarray:
     """Matrix of (A (x) B(lam + sign*h^(1))) on V (x) W."""
-    dv, dw = V.dim, W.dim
-    lead = np.zeros((dv * dw, dv * dw), dtype=complex)
-    for mu, rows in V.blocks.items():
-        proj = np.zeros((dv, dv))
-        proj[rows, rows] = 1.0
-        lead += np.kron(proj, fnB(lam + sign * mu))
-    left = np.kron(A_mat, np.eye(dw))
-    one = lead @ left
-    two = left @ lead
-    scale = max(1.0, float(np.max(np.abs(one))))
-    if np.max(np.abs(one - two)) > _DECOMP_TOL * scale:
-        raise ArithmeticError("shifted-pair factorization orders disagree")
-    return one
+    T = tensor_module(V, W)
+    nv = len(V.slots)
+    lead = embedded_shifted(T, fnB, tuple(range(nv, len(T.slots))),
+                            tuple(range(nv)), lam, sign)
+    return _both_orders(lead, np.kron(A_mat, np.eye(W.dim)))
 
 
 def embedded_shifted(T: WeightModule, fn, act, shift, lam: Weight,
@@ -158,20 +154,8 @@ def embedded_shifted(T: WeightModule, fn, act, shift, lam: Weight,
     Columns are assembled per shift-weight class, which is consistent because
     the embedded operator does not touch the shift slots.
     """
-    from .qalgebra import embed_slots, slot_index_arrays
-
-    dims, digits = slot_index_arrays(T)
-    zero = T.datum.zero_weight()
-    if not shift:
-        return embed_slots(T, fn(lam), act)
-    classes = {}
-    for n in range(T.dim):
-        w = zero
-        for s in shift:
-            w = w + T.slots[s].weights[digits[s][n]]
-        classes.setdefault(w, []).append(n)
     out = np.zeros((T.dim, T.dim), dtype=complex)
-    for w, idxs in classes.items():
+    for (w,), idxs in slot_classes(T.slots, (shift,)).items():
         emb = embed_slots(T, fn(lam + sign * w), act)
         out[:, idxs] = emb[:, idxs]
     return out

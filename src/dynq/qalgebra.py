@@ -3,13 +3,16 @@
 Finite-dimensional irreps, truncated Verma modules, duals, tensor products,
 the non-dynamical R-matrix, characters, and the central-element action.
 Module matrices (E, F) and R-matrices are dense complex128; `r_matrix`
-applies the coproduct generators as sparse CSR matrices.  Weight bookkeeping
-rides on the exact rational Weight coordinates from cartan; inside a module
-the weights are also integer offsets from its first weight
-(`WeightModule.offsets`), so q^h, kappa, the R-matrix weight matching and the
-weights of a tensor product need no Fraction arithmetic per basis vector: a
-tensor module adds its factors' offsets and makes one Weight per distinct
-weight.  A truncated Verma's basis and F depend only on (datum, q, depth) and
+applies the coproduct generators as sparse CSR matrices.
+
+Exact `Weight`s live at module and op granularity: one per distinct weight
+of a module (its `weights` share them block by block), one per highest
+weight or evaluation point.  Data indexed by basis vector goes through the
+integer lattice offsets of a module from its first weight
+(`WeightModule.offsets`): q^xi (`qh`), the K_i diagonals (`K`), kappa and
+the R-matrix weight matching, the weights of a tensor product, and the
+weight classes of slot groups of a tensor word (`slot_classes`).  A
+truncated Verma's basis, F and offsets depend only on (datum, q, depth) and
 come from a memoized skeleton.
 
 Conventions (fixed once, gated by the consistency suite):
@@ -26,7 +29,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -71,8 +73,11 @@ def qbinom(q: float, n: int, k: int) -> float:
 class WeightModule:
     """Finite basis, homogeneous basis vectors, generator matrices per node.
 
-    E[i], F[i] are dim x dim complex matrices; the Cartan part acts through
-    qh(xi) = diag(q^{<xi, wt_b>}), which is all of q^h that ever gets used.
+    E[i], F[i] are dim x dim complex matrices.  `weights` holds one exact
+    Weight per basis vector, the same object across a weight block; every
+    per-vector computation reads the integer `offsets` instead, through
+    qh(xi) = diag(q^{<xi, wt_b>}) and its simple-root rows K, which is all
+    of q^h that ever gets used.
     """
 
     datum: CartanDatum
@@ -118,6 +123,15 @@ class WeightModule:
         return _q_pairings(self.q, self.datum, xi, zero,
                            self.weights[0], self.offsets)[0]
 
+    @cached_property
+    def K(self) -> np.ndarray:
+        """Read-only diagonals of the K_i: row i is qh(alpha_i)."""
+        d = self.datum
+        out = _q_pairings(self.q, d, d.zero_weight(), np.eye(d.rank, dtype=int),
+                          self.weights[0], self.offsets)
+        out.flags.writeable = False
+        return out
+
     def weight_set(self):
         return tuple(self.blocks.keys())
 
@@ -125,8 +139,8 @@ class WeightModule:
         return self.blocks.get(w, np.array([], dtype=int))
 
     def height_span(self) -> int:
-        hts = [w.height() for w in self.blocks]
-        return int(max(hts) - min(hts))
+        hts = self.offsets.sum(axis=1)
+        return int(hts.max() - hts.min())
 
     @cached_property
     def dual(self) -> "WeightModule":
@@ -134,9 +148,8 @@ class WeightModule:
         d = self.datum
         weights = tuple(-w for w in self.weights)
         E, F = [], []
-        for i, alpha in enumerate(d.simple_roots):
-            Kinv = 1.0 / self.qh(alpha)
-            Kdiag = self.qh(alpha)
+        for i, Kdiag in enumerate(self.K):
+            Kinv = 1.0 / Kdiag
             E.append(-(self.E[i] * Kinv[None, :]).T)   # S(E_i) = -E_i K_i^{-1}
             F.append(-(Kdiag[:, None] * self.F[i]).T)  # S(F_i) = -K_i F_i
         return WeightModule(d, self.q, "dual", weights, tuple(E), tuple(F),
@@ -148,9 +161,8 @@ class WeightModule:
         d = self.datum
         weights = tuple(-w for w in self.weights)
         E, F = [], []
-        for i, alpha in enumerate(d.simple_roots):
-            Kinv = 1.0 / self.qh(alpha)
-            Kdiag = self.qh(alpha)
+        for i, Kdiag in enumerate(self.K):
+            Kinv = 1.0 / Kdiag
             E.append(-(Kinv[:, None] * self.E[i]).T)   # S^{-1}(E_i) = -K_i^{-1} E_i
             F.append(-(self.F[i] * Kdiag[None, :]).T)  # S^{-1}(F_i) = -F_i K_i
         return WeightModule(d, self.q, "ldual", weights, tuple(E), tuple(F),
@@ -290,9 +302,9 @@ def tensor_module(V: WeightModule, W: WeightModule, name: str = "") -> WeightMod
     weights = tuple(shared[o] for o in rows)
     Iv, Iw = np.eye(dv), np.eye(dw)
     E, F = [], []
-    for i, alpha in enumerate(V.datum.simple_roots):
-        Kw = np.diag(W.qh(alpha))
-        Kinv_v = np.diag(1.0 / V.qh(alpha))
+    for i in range(V.datum.rank):
+        Kw = np.diag(W.K[i])
+        Kinv_v = np.diag(1.0 / V.K[i])
         E.append(np.kron(V.E[i], Kw) + np.kron(Iv, W.E[i]))
         F.append(np.kron(V.F[i], Iw) + np.kron(Kinv_v, W.F[i]))
     T = WeightModule(V.datum, V.q, "tensor", weights, tuple(E), tuple(F),
@@ -328,6 +340,36 @@ def slot_index_arrays(T: WeightModule):
         digits.append(rem % d)
         rem //= d
     return dims, digits[::-1]
+
+
+def slot_classes(mods, groups) -> dict:
+    """Row-major basis of the tensor word `mods`, classed by slot-group weights.
+
+    Maps (total weight of groups[0], total weight of groups[1], ...) to the
+    ascending basis indices carrying it, classes in order of first index; an
+    empty group weighs zero.  The classes come from summed integer offsets,
+    and each group builds one Weight per class.
+    """
+    mods = tuple(mods)
+    datum = mods[0].datum
+    r = datum.rank
+    dims = [V.dim for V in mods]
+    offs, bases = [], []
+    for g in groups:
+        off = np.zeros(dims + [r], dtype=int)
+        base = datum.zero_weight()
+        for s in g:
+            shape = [1] * len(dims) + [r]
+            shape[s] = dims[s]
+            off = off + mods[s].offsets.reshape(shape)
+            base = base + mods[s].weights[0]
+        offs.append(off.reshape(-1, r))
+        bases.append(base)
+    index = {}
+    for n, row in enumerate(map(tuple, np.hstack(offs).tolist())):
+        index.setdefault(row, []).append(n)
+    return {tuple(b + Weight(row[g * r:(g + 1) * r]) for g, b in enumerate(bases)):
+            np.array(ix) for row, ix in index.items()}
 
 
 def embed_slots(T: WeightModule, X: np.ndarray, slots) -> np.ndarray:
@@ -520,6 +562,8 @@ class _VermaSkeleton:
     ideal: dict        # content -> reduced spanning rows of the ideal slice
     start: dict        # content -> global index of its first basis vector
     betas: dict        # content -> its weight below the highest weight
+    pairs: dict        # content -> <beta, alpha_i> for each i, as ints
+    offsets: np.ndarray  # -content per basis vector: the Verma's offsets
     depths: np.ndarray
     F: tuple
 
@@ -598,16 +642,21 @@ def _verma_skeleton(datum: CartanDatum, q: float, depth: int) -> _VermaSkeleton:
             expand[content] = exp
 
     # global basis, ordered by (height, content, local word order)
+    B = [[int(b) for b in row] for row in datum.bilinear]
     start = {}
     betas = {}
-    depths = []
+    pairs = {}
+    offsets = []
     for content in contents:
-        start[content] = len(depths)
-        betas[content] = Weight(tuple(Fraction(c) for c in content))
-        depths.extend([sum(content)] * len(basis_loc[content]))
-    depths = np.array(depths, dtype=int)
+        start[content] = len(offsets)
+        betas[content] = Weight(content)
+        pairs[content] = tuple(sum(c * B[j][i] for j, c in enumerate(content))
+                               for i in range(r))
+        offsets.extend([[-c for c in content]] * len(basis_loc[content]))
+    offsets = np.array(offsets, dtype=int)
+    depths = -offsets.sum(axis=1)
     sk = _VermaSkeleton(contents, words, widx, basis_loc, expand, ideal,
-                        start, betas, depths, ())
+                        start, betas, pairs, offsets, depths, ())
 
     # F_i into each content, read off the class expansion of F_i w
     Fmats = [np.zeros((len(depths),) * 2, dtype=complex) for _ in range(r)]
@@ -620,7 +669,7 @@ def _verma_skeleton(datum: CartanDatum, q: float, depth: int) -> _VermaSkeleton:
                 w = words[sub][t]
                 Fmats[i][sk.span(content), start[sub] + s] = \
                     expand[content][widx[content][(i,) + w]]
-    for arr in Fmats + [depths]:
+    for arr in Fmats + [offsets, depths]:
         arr.flags.writeable = False
     sk.F = tuple(Fmats)
     return sk
@@ -629,11 +678,13 @@ def _verma_skeleton(datum: CartanDatum, q: float, depth: int) -> _VermaSkeleton:
 def _build_verma(datum: CartanDatum, q, hw: Weight, depth: int) -> TruncatedVerma:
     """Verma module with highest weight hw, truncated below depth `depth`.
 
-    The basis, F and the depths come from `_verma_skeleton`, memoized on
-    (datum, q, depth) since they do not depend on hw.  Only E and the
-    weights hw - beta are built here.  E is exact everywhere; F out of the
-    last degree is dropped, which is what the depth-margin contract of
-    every downstream computation accounts for.  All matrices are dense.
+    The basis, F, the depths and the offsets come from `_verma_skeleton`,
+    memoized on (datum, q, depth) since they do not depend on hw.  Only E
+    and the weights hw - beta are built here; hw is paired with each simple
+    root once, and the skeleton's integer pairings do the rest.  E is exact
+    everywhere; F out of the last degree is dropped, which is what the
+    depth-margin contract of every downstream computation accounts for.
+    All matrices are dense.
     """
     q = check_q(q)
     depth = int(depth)
@@ -654,7 +705,9 @@ def _build_verma(datum: CartanDatum, q, hw: Weight, depth: int) -> TruncatedVerm
             if tgt is None:
                 continue
             qi = q ** datum.d[i]
-            alpha = datum.simple_roots[i]
+            # <hw - beta, alpha_i> at beta = tgt, exact until this float
+            x = float(hw_pair[i] - sk.pairs[tgt][i])
+            cst = (q**x - q**(-x)) / (qi - 1.0 / qi)
             blk = Emats[i][span(tgt), span(content)]
             for s, t in enumerate(sk.basis_loc[content]):
                 w = sk.words[content][t]
@@ -667,18 +720,17 @@ def _build_verma(datum: CartanDatum, q, hw: Weight, depth: int) -> TruncatedVerm
                     eu = Emats[i][span(subsub), span(sub)] @ u
                     blk[:, s] += sk.F[j][span(tgt), span(subsub)] @ eu
                 if i == j:
-                    # <hw - beta, alpha_i>, exactly as a Fraction
-                    x = float(hw_pair[i] - datum.pairing(sk.betas[sub], alpha))
-                    cst = (q**x - q**(-x)) / (qi - 1.0 / qi)
                     blk[:, s] += cst * u
 
     wts = []
     for content in sk.contents:
         wts.extend([hw - sk.betas[content]] * len(sk.basis_loc[content]))
     name = f"M[{','.join(str(float(c)) for c in hw.coords)}]"
-    return TruncatedVerma(datum, q, "verma", tuple(wts),
-                          tuple(Emats), sk.F, name=name,
-                          hw=hw, depth=depth, depths=sk.depths)
+    M = TruncatedVerma(datum, q, "verma", tuple(wts),
+                       tuple(Emats), sk.F, name=name,
+                       hw=hw, depth=depth, depths=sk.depths)
+    M.offsets = sk.offsets  # already known; fills the cached property
+    return M
 
 
 # ---------------------------------------------------------------------------
@@ -708,9 +760,7 @@ def build_irrep(datum: CartanDatum, q, hw: Weight) -> WeightModule:
     M = build_verma(datum, q, hw, depth)
 
     # contravariant form per weight block, built by C(F_i u, y) = C(u, E_i y)
-    contents = {}
-    for idx, w in enumerate(M.weights):
-        contents.setdefault(w, []).append(idx)
+    contents = M.blocks
     order = sorted(contents, key=lambda w: (int((hw - w).height()), w.coords))
     Cblocks = {}
     keep = {}
@@ -879,9 +929,9 @@ def r_matrix(V: WeightModule, W: WeightModule, T: WeightModule = None,
     Iv, Iw = np.eye(dv), np.eye(dw)
 
     ops = []
-    for i, alpha in enumerate(datum.simple_roots):
+    for i in range(r):
         A0 = _kron_csr((Iv, W.E[i]))
-        A1 = _kron_csr((V.E[i], np.diag(W.qh(alpha))))
+        A1 = _kron_csr((V.E[i], np.diag(W.K[i])))
         B1 = _kron_csr((V.E[i], Iw))
         rows = np.repeat(np.arange(n), np.diff(B1.indptr))
         B1.data = (1.0 / kap)[rows] * B1.data * kap[B1.indices]
@@ -1019,9 +1069,9 @@ def _check_intertwines(V: WeightModule, W: WeightModule, R: np.ndarray,
     Iv, Iw = np.eye(V.dim), np.eye(W.dim)
     R_rows, R_cols = R[keep, :], R[:, keep]
     absR_rows, absR_cols = np.abs(R_rows), np.abs(R_cols)
-    for i, alpha in enumerate(V.datum.simple_roots):
-        KV, KW = np.diag(V.qh(alpha)), np.diag(W.qh(alpha))
-        KVinv, KWinv = np.diag(1.0 / V.qh(alpha)), np.diag(1.0 / W.qh(alpha))
+    for i in range(V.datum.rank):
+        KV, KW = np.diag(V.K[i]), np.diag(W.K[i])
+        KVinv, KWinv = np.diag(1.0 / V.K[i]), np.diag(1.0 / W.K[i])
         for DX, DOX in (
             (_kron_csr((V.E[i], KW), (Iv, W.E[i])),
              _kron_csr((KV, W.E[i]), (V.E[i], Iw))),
@@ -1055,8 +1105,7 @@ def r21_matrix(V: WeightModule, W: WeightModule, T: WeightModule = None,
 
 def character(W: WeightModule, xi: Weight) -> float:
     """chi_W evaluated at q^{xi}: sum_b q^{<xi, wt_b>}."""
-    d = W.datum
-    return float(sum(W.q ** float(d.pairing(xi, w)) for w in W.weights))
+    return float(sum(W.qh(xi)))
 
 
 def casimir_ratio(datum: CartanDatum, q, lam1: Weight, lam2: Weight) -> float:
@@ -1136,7 +1185,7 @@ def relation_residuals(V: WeightModule, depth_margin: int = None) -> float:
 
     for i in range(r):
         alpha_i = d.simple_roots[i]
-        Ki = V.qh(alpha_i)
+        Ki = V.K[i]
         qi = q ** d.d[i]
         for j in range(r):
             alpha_j = d.simple_roots[j]

@@ -12,12 +12,13 @@ the difference-operator checks consume.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .cartan import Weight
 from .dynamical import embedded_shifted, fusion, q_operator_inverse
-from .qalgebra import GradedMap, dual_tuple, tensor_many
+from .qalgebra import GradedMap, dual_tuple, slot_classes, tensor_many
 from .vertexops import Intertwiner, expectation, vertex_operator
 
 
@@ -135,16 +136,10 @@ def spin_component(phi: Intertwiner, psi: Intertwiner, lam: Weight,
 
 
 def _zero_tuples(S):
-    dims = _dims(S)
+    """Digit tuples of the zero-weight basis vectors of F(S), ascending."""
     zero = S[0].datum.zero_weight()
-    out = []
-    for digits in np.ndindex(*dims):
-        w = zero
-        for j, n in enumerate(digits):
-            w = w + S[j].weights[n]
-        if w.is_zero():
-            out.append(digits)
-    return out
+    idx = slot_classes(S, (range(len(S)),)).get((zero,), np.array([], int))
+    return list(zip(*np.unravel_index(idx, _dims(S))))
 
 
 def _reversed_index(digits, dims) -> int:
@@ -195,11 +190,7 @@ def t_vector(tv, S, vlist) -> np.ndarray:
     F(S*) side of the matrix through the dual-basis pairing.
     """
     M = tv.value if isinstance(tv, TraceValue) else tv
-    E = pairing_matrix(S)
-    G = vlist[0]
-    for v in vlist[1:]:
-        G = np.kron(G, v)
-    return M @ (E.T @ G)
+    return M @ (pairing_matrix(S).T @ reduce(np.kron, vlist))
 
 
 def t_functional(tv, S, flist) -> np.ndarray:
@@ -209,24 +200,15 @@ def t_functional(tv, S, flist) -> np.ndarray:
     basis, S order); internally they tensor in the reversed F(S*) order.
     """
     M = tv.value if isinstance(tv, TraceValue) else tv
-    E = pairing_matrix(S)
-    H = flist[-1]
-    for f in flist[-2::-1]:
-        H = np.kron(H, f)
-    return M.T @ (E @ H)
+    return M.T @ (pairing_matrix(S) @ reduce(np.kron, flist[::-1]))
 
 
 def t_component(tv, S, vlist, flist) -> complex:
     """Scalar component against spin vectors and dual functionals."""
     M = tv.value if isinstance(tv, TraceValue) else tv
     E = pairing_matrix(S)
-    G = vlist[0]
-    for v in vlist[1:]:
-        G = np.kron(G, v)
-    H = flist[-1]
-    for f in flist[-2::-1]:
-        H = np.kron(H, f)
-    return complex((E @ H) @ M @ (E.T @ G))
+    return complex((E @ reduce(np.kron, flist[::-1])) @ M
+                   @ (E.T @ reduce(np.kron, vlist)))
 
 
 def x_operator(mu: Weight, sstar, depth: int = 2,

@@ -46,14 +46,16 @@ def weight_of(V: WeightModule, v: np.ndarray, tol: float = 1e-12) -> Weight:
     return next(iter(wts))
 
 
-def _raise_budget(V: WeightModule, nu: Weight) -> int:
-    # max height a component can sit above nu inside wts(V)
-    best = 0
-    for sig in V.weight_set():
-        d = sig - nu
-        if all(c == int(c) and c >= 0 for c in d.coords):
-            best = max(best, int(d.height()))
-    return best
+def _raises(V: WeightModule, mu: Weight) -> dict:
+    """The raises beta > 0 with V[mu + beta] nonzero, by height, for a
+    weight mu of V.  Each beta is an integer simple-root vector read off V's
+    offsets; within a height they come in order of first appearance."""
+    x = V.offsets - V.offsets[V.block(mu)[0]]
+    out = {}
+    for b in dict.fromkeys(map(tuple, x.tolist())):
+        if min(b) >= 0 and sum(b) > 0:
+            out.setdefault(sum(b), []).append(b)
+    return out
 
 
 def singular_vector(lam: Weight, V: WeightModule, v: np.ndarray, depth: int,
@@ -90,14 +92,8 @@ def _singular_in(target: TruncatedVerma, V: WeightModule, v: np.ndarray,
     """
     datum = V.datum
     hwp = target.hw
-    K = [V.qh(alpha) for alpha in datum.simple_roots]
-
-    # admissible raises: beta with V[mu+beta] nonzero, by height
-    betas = {}
-    for sig in V.weight_set():
-        d = sig - mu
-        if all(c == int(c) and c >= 0 for c in d.coords) and d.height() > 0:
-            betas.setdefault(d.height(), []).append(d)
+    K = V.K
+    betas = _raises(V, mu)
     if betas and max(betas) > target.depth:
         raise ValueError("target truncation too shallow for this spin vector")
 
@@ -105,7 +101,7 @@ def _singular_in(target: TruncatedVerma, V: WeightModule, v: np.ndarray,
     U[target.block(hwp)] = v
 
     for h in sorted(betas):
-        for beta in betas[h]:
+        for beta in map(Weight, betas[h]):
             vb = V.block(mu + beta)
             mb = target.block(hwp - beta)
             if mb.size * vb.size == 0:
@@ -213,7 +209,7 @@ def _extend_by_lowering(src: TruncatedVerma, tgt: TruncatedVerma,
     (tgt.dim * V.dim, src.dim) matrix.
     """
     n, dv = tgt.dim, V.dim
-    Kinv = [1.0 / tgt.qh(alpha) for alpha in src.datum.simple_roots]
+    Kinv = 1.0 / tgt.K
     phi = np.zeros((n * dv, src.dim), dtype=complex)
     phi[:, 0] = U.ravel()
     for ch, cp, sol in _lowering_solves(src, tol):
@@ -272,7 +268,7 @@ def _leg_chain(lam: Weight, S: tuple, vlist, depth: int, tol: float,
             if not datum.is_regular(cur.hw):
                 raise ValueError(
                     f"non-regular intermediate weight lam_{j + 1} = {cur.hw}")
-            up = _raise_budget(S[j], nus[j])
+            up = max(_raises(S[j], nus[j]), default=0)
             phi, tgt = _one_point(cur.hw, S[j], vlist[j], nus[j], cur,
                                   cur.depth + max(up, 1), tol)
             if op is not None:

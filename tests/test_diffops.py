@@ -13,7 +13,7 @@ from dynq.traces import (
     pairing_matrix, t_functional, universal_f, universal_t, x_operator,
 )
 from dynq.diffops import (
-    DifferenceOperator, _check_index, _distinct_weights, _pair_cache,
+    DifferenceOperator, _check_index, _pair_cache,
     _slot_projector, apply, coord_mr_operator, dual_coord_mr_operator,
     dual_qkzb_operator, fusion_mr_residual, fusion_qkz_residual, multiplier,
     operator, qkzb_operator, transpose,
@@ -104,7 +104,7 @@ def dual_qkzb_transposed(S, i, depth=2, tol=1e-10):
         return transpose(dual_qkzb_kernel(S, i, mu, sigma, depth, tol), S)
 
     return DifferenceOperator("dual-qkzb", S, i, dual_tuple(S), "mu", +1,
-                              _distinct_weights(S[i - 1]), coefficient)
+                              S[i - 1].weight_set(), coefficient)
 
 
 class TestStructure:
@@ -232,6 +232,22 @@ class TestMultiplier:
     def test_family_guard(self):
         with pytest.raises(ValueError, match="unknown family"):
             multiplier("qkz", S2, 1, MU)
+
+    def test_one_character_per_weight_class(self, monkeypatch):
+        # slot 1 of (V, V) has two weights, so two characters, not one per
+        # basis vector of the four-dimensional tensor
+        import dynq.diffops as diffops
+        calls = []
+        monkeypatch.setattr(diffops, "character",
+                            lambda W, xi: calls.append(xi) or character(W, xi))
+        D = multiplier("coord-mr", S2, 1, MU, W=W2)
+        assert len(calls) == 2
+        monkeypatch.undo()
+        # F(S*) slot 1 holds the dual of the first module of S
+        want = [character(W2, 2 * MU + 2 * RHO - 2 * w)
+                for w in dual_tuple(S2)[1].weights]
+        for n, digits in enumerate(np.ndindex(2, 2)):
+            assert D[n, n] == want[digits[1]]
 
 
 class TestQkzbEigen:

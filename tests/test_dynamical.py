@@ -178,6 +178,22 @@ class TestFusionBasics:
         j = fusion((VV, W), LAM).matrix
         assert np.max(np.abs(AB @ j - j @ AB)) < 1e-9
 
+    def test_weight_pairings_do_not_grow_with_depth(self, monkeypatch):
+        # basis-vector weight data reads integer offsets, so a cold fusion
+        # pairs exact weights per module and leg, never per Verma content
+        from dynq.cartan import CartanDatum
+        calls = []
+        pairing = CartanDatum.pairing
+        monkeypatch.setattr(CartanDatum, "pairing",
+                            lambda self, x, y: calls.append(1) or pairing(self, x, y))
+        counts = []
+        for depth, coeffs in ((2, [-3.611, -2.283]), (6, [-3.711, -2.183])):
+            calls.clear()
+            fusion((V1, V2), A2.from_fundamental(coeffs), depth=depth)
+            counts.append(len(calls))
+        assert counts[0] > 0
+        assert counts[0] == counts[1]
+
     def test_family_wraps_fusion(self):
         fam = fusion_family((V, W))
         assert isinstance(fam, DynamicalFamily)

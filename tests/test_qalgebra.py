@@ -10,7 +10,7 @@ from dynq.qalgebra import (
     casimir_ratio, character, check_q, coeval_map, coeval_twisted,
     dual_module, eval_map, eval_twisted, flip_index, flip_matrix,
     left_dual_module, omega_tilde, partial_trace, qnum, r21_matrix, r_matrix,
-    relation_residuals, tensor_many, tensor_module, trivial_module,
+    relation_residuals, slot_classes, tensor_many, tensor_module, trivial_module,
 )
 
 A1 = preset("A1")
@@ -340,6 +340,42 @@ class TestLatticeOffsets:
             want = np.array([Q ** float(A2.pairing(a, b))
                              for a in X.weights for b in Y.weights])
             assert np.array_equal(_kappa_diag(X, Y), want)
+
+    def test_k_rows_and_character_read_the_offsets(self):
+        # K_i is qh(alpha_i), read-only; character is the sum of qh(xi)
+        lam = A2.from_fundamental([-3.217, -4.381])
+        M = build_verma(A2, Q, lam, 6)
+        D = dual_module(build_irrep(A2, Q, A2.fundamental_weights[1]))
+        for X in (M, D):
+            assert not X.K.flags.writeable
+            for i, alpha in enumerate(A2.simple_roots):
+                assert np.array_equal(X.K[i], X.qh(alpha))
+            for xi in (lam, -2 * (lam + A2.rho)):
+                want = float(sum(Q ** float(A2.pairing(xi, w)) for w in X.weights))
+                assert character(X, xi) == want
+
+    def test_slot_classes_match_weight_sums(self):
+        # reference: one Fraction sum per basis vector and slot group
+        for datum in (A2, B2):
+            V1, V2 = (build_irrep(datum, Q, w) for w in datum.fundamental_weights)
+            D1, D2 = dual_module(V1), dual_module(V2)
+            for mods in ((V1, D2, V2), (D1, V1, D1, V2), (V2, D2)):
+                k = len(mods)
+                dims = [V.dim for V in mods]
+                for groups in (((0,), tuple(range(1, k))), (tuple(range(k)),),
+                               ((k - 1,), (), (0, k - 1))):
+                    want = {}
+                    for n, digits in enumerate(np.ndindex(*dims)):
+                        key = []
+                        for g in groups:
+                            w = datum.zero_weight()
+                            for s in g:
+                                w = w + mods[s].weights[digits[s]]
+                            key.append(w)
+                        want.setdefault(tuple(key), []).append(n)
+                    got = slot_classes(mods, groups)
+                    assert list(got) == list(want)
+                    assert all(np.array_equal(got[w], want[w]) for w in want)
 
     def test_offsets_are_integral_lattice_steps(self):
         M = build_verma(A2, Q, A2.from_fundamental([-3.217, -4.381]), 3)

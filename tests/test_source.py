@@ -39,6 +39,23 @@ def test_threading_only_in_cache():
     assert not found, f"threading imported outside cache.py: {found}"
 
 
+def test_fractions_only_in_cartan():
+    # exact rationals live inside Weight; everything else reads offsets
+    found = []
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""]
+            else:
+                continue
+            if "fractions" in (m.split(".")[0] for m in mods) \
+                    and name != "cartan.py":
+                found.append(f"{name}:{node.lineno}")
+    assert not found, f"fractions imported outside cartan.py: {found}"
+
+
 def test_no_module_level_empty_dict():
     # a module-level `{}` is an unbounded ad hoc cache; use cache.Memo
     found = []

@@ -6,7 +6,7 @@ from dynq.qalgebra import (
     build_irrep, build_verma, qnum, tensor_many, tensor_module,
 )
 from dynq.vertexops import (
-    Intertwiner, _extend_by_lowering, _raise_budget, _singular_in,
+    Intertwiner, _extend_by_lowering, _raises, _singular_in,
     dual_vertex_operator, expectation, intertwiner_residual,
     singular_vector, vertex_operator, weight_of,
 )
@@ -440,7 +440,7 @@ class TestMatrixFreeLeg:
         for v in vecs:
             mu = weight_of(V, v)
             if orientation == "primal":
-                extra = max(_raise_budget(V, mu), 1)
+                extra = max(max(_raises(V, mu), default=0), 1)
             else:
                 extra = 2 * max(V.height_span(), 1)
             tgt = build_verma(datum, Q, lam - mu, src.depth + extra)
