@@ -11,6 +11,20 @@ The coefficient matrices act on the row-major tensor basis, and every
 dynamical argument shift is resolved blockwise by the actual weight of the
 named slots (spectator slots for the q-KZB families, the closed span from
 the auxiliary slot through the acting slot for the trace families).
+
+Two private builders make all four families: `_projected_product` for
+the q-KZB families (acting slot a, 0-based; arguments left, projector
+weight, right) and `_traced_product` for the trace families (split s:
+inverse flipped factors against slots 1..s, plain ones against the rest;
+one argument).  A dual family is the plain builder on the mirrored word
+S* = dual_tuple(S), where the dual of the j-th module of S sits at 0-based
+slot k - j (`qalgebra.mirror_index` maps the two bases):
+
+    family         word  slot/split  arguments
+    qkzb           S     a = i - 1   -lam-2rho-sigma, sigma, -lam-2rho
+    dual-qkzb      S*    a = k - i   mu+sigma, -sigma, mu
+    coord-mr       S     s = i       -lam-2rho
+    dual-coord-mr  S*    s = k - i   mu
 """
 
 import math
@@ -25,10 +39,9 @@ from .dynamical import (
 )
 from .qalgebra import (
     WeightModule, character, dual_module, dual_tuple, embed_slots,
-    partial_trace, r21_matrix, r_matrix, slot_classes, slot_index_arrays,
-    tensor_many,
+    mirror_index, partial_trace, r21_matrix, r_matrix,
+    slot_classes, slot_index_arrays, tensor_many,
 )
-from .traces import pairing_matrix
 
 FAMILIES = ("qkzb", "dual-qkzb", "coord-mr", "dual-coord-mr")
 
@@ -67,13 +80,14 @@ def transpose(A: np.ndarray, S, direction: str = "T") -> np.ndarray:
 
     "T" carries End F(S) to End F(S*) through the slotwise pairing; "T*"
     is its inverse direction.  transpose(transpose(A, S, "T"), S, "T*")
-    returns A exactly (the pairing matrix is a permutation).
+    returns A exactly (the pairing is a permutation of basis vectors).
     """
-    E = pairing_matrix(S)
     if direction == "T":
-        return E.T @ A.T @ E
+        back = mirror_index(S[::-1])
+        return A.T[np.ix_(back, back)]
     if direction == "T*":
-        return (E @ A @ E.T).T
+        mirror = mirror_index(S)
+        return A[np.ix_(mirror, mirror)].T
     raise ValueError(f"unknown transpose direction {direction!r}")
 
 
@@ -91,7 +105,11 @@ def _slot_projector(T: WeightModule, slot: int, w: Weight) -> np.ndarray:
 
 
 def _pair_cache(depth: int, tol: float):
-    """Evaluation cache of one operator for its two-slot dynamical matrices."""
+    """Evaluation cache of one operator for its two-slot dynamical matrices.
+
+    Kinds "R" and "R21" are R_{A,B}(z) and the flip of R_{B,A}(z) on
+    A (x) B; a trailing "inv" inverts either.
+    """
     memo = Memo()
 
     def make(kind: str, A: WeightModule, B: WeightModule, z: Weight):
@@ -109,6 +127,69 @@ def _pair_cache(depth: int, tol: float):
     return get
 
 
+def _projected_product(S: tuple, a: int, args, depth: int, tol: float):
+    """q-KZB coefficients on F(S), acting slot a (0-based).
+
+    args(at, sigma) gives (left, w, right).  Right to left, the product
+    applies exchange factors of each earlier slot b against slot a (b = a-1
+    first) at left minus the weight of every slot past b but a, then the
+    projector of slot a on weight w, then inverse exchange factors of slot
+    a against each later slot b (the last first) at right minus the weight
+    of the slots past b.
+    """
+    k = len(S)
+    T = tensor_many(S)
+    pair = _pair_cache(depth, tol)
+
+    def coefficient(at: Weight, sigma: Weight) -> np.ndarray:
+        left, w, right = args(at, sigma)
+        out = np.eye(T.dim, dtype=complex)
+        for b in range(a - 1, -1, -1):
+            spect = tuple(range(b + 1, a)) + tuple(range(a + 1, k))
+            fn = lambda z, A=S[b], B=S[a]: pair("R", A, B, z)
+            out = embedded_shifted(T, fn, (b, a), spect, left) @ out
+        out = _slot_projector(T, a, w) @ out
+        for b in range(k - 1, a, -1):
+            fn = lambda z, A=S[a], B=S[b]: pair("Rinv", A, B, z)
+            out = embedded_shifted(T, fn, (a, b), tuple(range(b + 1, k)),
+                                   right) @ out
+        return out
+
+    return coefficient
+
+
+def _traced_product(S: tuple, W: WeightModule, split: int, arg, depth: int,
+                    tol: float):
+    """Trace-family coefficients on F(S), auxiliary module W.
+
+    On W* (x) F(S) the product carries inverse flipped exchange factors of
+    W* against slots 1..split of S and plain ones against the rest, in slot
+    order, each at arg(at) raised by the weight of W* through that slot; the
+    sigma coefficient traces W* over its weight -sigma block.
+    """
+    ws = dual_module(W)
+    T = tensor_many((ws,) + S)
+    pair = _pair_cache(depth, tol)
+    memo = Memo()
+
+    def product(at: Weight) -> np.ndarray:
+        z0 = arg(at)
+        out = np.eye(T.dim, dtype=complex)
+        for j, B in enumerate(S, 1):
+            kind = "R21inv" if j <= split else "R"
+            fn = lambda z, B=B, kind=kind: pair(kind, ws, B, z)
+            out = embedded_shifted(T, fn, (0, j), tuple(range(j + 1)), z0,
+                                   sign=+1) @ out
+        return out
+
+    def coefficient(at: Weight, sigma: Weight) -> np.ndarray:
+        keep = [int(n) for n in ws.block(-1 * sigma)]
+        return partial_trace(memo.get(at, lambda: product(at)), T, 0,
+                             keep=keep)
+
+    return coefficient
+
+
 def qkzb_operator(S, i: int, depth: int = 2, tol: float = 1e-10
                   ) -> DifferenceOperator:
     """Shift family in the first weight argument, coefficients on F(S).
@@ -119,72 +200,37 @@ def qkzb_operator(S, i: int, depth: int = 2, tol: float = 1e-10
     earlier slots (argument additionally lowered by sigma).
     """
     S = tuple(S)
-    k = len(S)
-    _check_index(i, 1, k)
-    datum = S[0].datum
-    T = tensor_many(S)
-    pair = _pair_cache(depth, tol)
+    _check_index(i, 1, len(S))
+    rho2 = 2 * S[0].datum.rho
 
-    def coefficient(lam: Weight, sigma: Weight) -> np.ndarray:
-        base = -1 * lam - 2 * datum.rho
-        out = np.eye(T.dim, dtype=complex)
-        for j in range(i - 1, 0, -1):
-            spect = tuple(range(j, i - 1)) + tuple(range(i, k))
-            fn = lambda z, A=S[j - 1], B=S[i - 1]: pair("R", A, B, z)
-            out = embedded_shifted(T, fn, (j - 1, i - 1), spect,
-                                   base - sigma) @ out
-        out = _slot_projector(T, i - 1, sigma) @ out
-        for j in range(k, i, -1):
-            spect = tuple(range(j, k))
-            fn = lambda z, A=S[i - 1], B=S[j - 1]: pair("Rinv", A, B, z)
-            out = embedded_shifted(T, fn, (i - 1, j - 1), spect, base) @ out
-        return out
+    def args(lam: Weight, sigma: Weight):
+        base = -1 * lam - rho2
+        return base - sigma, sigma, base
 
-    return DifferenceOperator("qkzb", S, i, S, "lam", +1,
-                              S[i - 1].weight_set(), coefficient)
+    return DifferenceOperator(
+        "qkzb", S, i, S, "lam", +1, S[i - 1].weight_set(),
+        _projected_product(S, i - 1, args, depth, tol))
 
 
 def dual_qkzb_operator(S, i: int, depth: int = 2, tol: float = 1e-10
                        ) -> DifferenceOperator:
     """Second-argument shift family with coefficients directly on F(S*).
 
-    Inverse exchange factors of the slot-i dual against the earlier duals
-    (argument mu minus the leading spectator weights) follow the projector
-    on weight -sigma, preceded by plain exchange factors of the later
-    duals against slot i at argument mu + sigma.  On the zero-weight block
-    this equals the renormalization conjugate of the dual-basis transpose
-    of the flipped-exchange kernel on F(S); the tests keep that kernel as
-    an oracle.
+    The q-KZB product on the mirrored word S*, acting on the dual of slot i
+    (0-based slot k - i) with arguments mu + sigma, projector weight
+    -sigma, and mu.  On the zero-weight block this equals the
+    renormalization conjugate of the dual-basis transpose of the
+    flipped-exchange kernel on F(S); the tests keep that kernel as an
+    oracle.
     """
     S = tuple(S)
     k = len(S)
     _check_index(i, 1, k)
     sstar = dual_tuple(S)
-    T = tensor_many(sstar)
-    pair = _pair_cache(depth, tol)
-
-    def pos(j):
-        # slot of the j-th dual inside F(S*)
-        return k - j
-
-    def coefficient(mu: Weight, sigma: Weight) -> np.ndarray:
-        out = np.eye(T.dim, dtype=complex)
-        for j in range(i + 1, k + 1):
-            spect = tuple(pos(m) for m in range(1, i)) \
-                + tuple(pos(m) for m in range(i + 1, j))
-            fn = lambda z, A=sstar[pos(j)], B=sstar[pos(i)]: pair("R", A, B, z)
-            out = embedded_shifted(T, fn, (pos(j), pos(i)), spect,
-                                   mu + sigma) @ out
-        out = _slot_projector(T, pos(i), -1 * sigma) @ out
-        for j in range(1, i):
-            spect = tuple(pos(m) for m in range(1, j))
-            fn = lambda z, A=sstar[pos(i)], B=sstar[pos(j)]: \
-                pair("Rinv", A, B, z)
-            out = embedded_shifted(T, fn, (pos(i), pos(j)), spect, mu) @ out
-        return out
-
-    return DifferenceOperator("dual-qkzb", S, i, sstar, "mu", +1,
-                              S[i - 1].weight_set(), coefficient)
+    return DifferenceOperator(
+        "dual-qkzb", S, i, sstar, "mu", +1, S[i - 1].weight_set(),
+        _projected_product(sstar, k - i, lambda mu, s: (mu + s, -1 * s, mu),
+                           depth, tol))
 
 
 def coord_mr_operator(S, W: WeightModule, i: int, depth: int = 2,
@@ -198,78 +244,30 @@ def coord_mr_operator(S, W: WeightModule, i: int, depth: int = 2,
     auxiliary slot over its weight -sigma block.
     """
     S = tuple(S)
-    k = len(S)
-    _check_index(i, 0, k)
-    ws = dual_module(W)
-    T = tensor_many((ws,) + S)
-    pair = _pair_cache(depth, tol)
-    datum = S[0].datum
-    memo = Memo()
-
-    def product(lam: Weight) -> np.ndarray:
-        base = -1 * lam - 2 * datum.rho
-        out = np.eye(T.dim, dtype=complex)
-        for j in range(1, i + 1):
-            hull = tuple(range(j + 1))
-            fn = lambda z, B=S[j - 1]: pair("R21inv", ws, B, z)
-            out = embedded_shifted(T, fn, (0, j), hull, base, sign=+1) @ out
-        for j in range(i + 1, k + 1):
-            hull = tuple(range(j + 1))
-            fn = lambda z, B=S[j - 1]: pair("R", ws, B, z)
-            out = embedded_shifted(T, fn, (0, j), hull, base, sign=+1) @ out
-        return out
-
-    def coefficient(lam: Weight, sigma: Weight) -> np.ndarray:
-        keep = [int(n) for n in ws.block(-1 * sigma)]
-        return partial_trace(memo.get(lam, lambda: product(lam)), T, 0,
-                             keep=keep)
-
-    return DifferenceOperator("coord-mr", S, i, S, "lam", +1,
-                              W.weight_set(), coefficient, aux=W)
+    _check_index(i, 0, len(S))
+    rho2 = 2 * S[0].datum.rho
+    return DifferenceOperator(
+        "coord-mr", S, i, S, "lam", +1, W.weight_set(),
+        _traced_product(S, W, i, lambda lam: -1 * lam - rho2, depth, tol),
+        aux=W)
 
 
 def dual_coord_mr_operator(S, W: WeightModule, i: int, depth: int = 2,
                            tol: float = 1e-10) -> DifferenceOperator:
     """Trace family in the second argument: coefficients on F(S*).
 
-    Plain exchange factors of the auxiliary dual against the first i dual
-    slots and inverse flipped ones against the rest, arguments mu raised
-    by the span through the acting slot; samples step backwards, f(mu -
-    sigma).
+    The trace product on the mirrored word S*, split k - i, at mu: plain
+    exchange factors of the auxiliary dual against the duals of slots
+    1..i and inverse flipped ones against the rest.  Samples step
+    backwards, f(mu - sigma).
     """
     S = tuple(S)
     k = len(S)
     _check_index(i, 0, k)
-    ws = dual_module(W)
-    sstar = dual_tuple(S)
-    T = tensor_many((ws,) + sstar)
-    pair = _pair_cache(depth, tol)
-    memo = Memo()
-
-    def pos(j):
-        return 1 + k - j
-
-    def product(mu: Weight) -> np.ndarray:
-        out = np.eye(T.dim, dtype=complex)
-        for j in range(k, i, -1):
-            hull = tuple(range(pos(j) + 1))
-            fn = lambda z, B=sstar[pos(j) - 1]: pair("R21inv", ws, B, z)
-            out = embedded_shifted(T, fn, (0, pos(j)), hull, mu,
-                                   sign=+1) @ out
-        for j in range(i, 0, -1):
-            hull = tuple(range(pos(j) + 1))
-            fn = lambda z, B=sstar[pos(j) - 1]: pair("R", ws, B, z)
-            out = embedded_shifted(T, fn, (0, pos(j)), hull, mu,
-                                   sign=+1) @ out
-        return out
-
-    def coefficient(mu: Weight, sigma: Weight) -> np.ndarray:
-        keep = [int(n) for n in ws.block(-1 * sigma)]
-        return partial_trace(memo.get(mu, lambda: product(mu)), T, 0,
-                             keep=keep)
-
-    return DifferenceOperator("dual-coord-mr", S, i, sstar, "mu", -1,
-                              W.weight_set(), coefficient, aux=W)
+    return DifferenceOperator(
+        "dual-coord-mr", S, i, dual_tuple(S), "mu", -1, W.weight_set(),
+        _traced_product(dual_tuple(S), W, k - i, lambda mu: mu, depth, tol),
+        aux=W)
 
 
 def operator(family: str, S, i: int, W: WeightModule = None, depth: int = 2,
@@ -371,11 +369,10 @@ def fusion_mr_residual(S, W: WeightModule, i: int, lam: Weight,
     mat = np.diag(wvals).astype(complex)
     if i > 0:
         X = _fused(S[:i])
-        mat = embed_slots(TW, r_matrix(W, X).matrix,
-                          tuple(range(i + 1))) @ mat
+        mat = embed_slots(TW, r_matrix(W, X), tuple(range(i + 1))) @ mat
     if i < k:
         Y = _fused(S[i:])
-        mat = embed_slots(TW, np.linalg.inv(r21_matrix(W, Y).matrix),
+        mat = embed_slots(TW, np.linalg.inv(r21_matrix(W, Y)),
                           (0,) + tuple(range(i + 1, k + 1))) @ mat
     rhs = partial_trace(mat, TW, 0) @ jmat
     scale = max(float(np.max(np.abs(lhs))), 1e-300)
@@ -410,12 +407,12 @@ def fusion_qkz_residual(S, i: int, lam: Weight, depth: int = 2,
     rhs = jhat
     if i < k:
         Y = _fused(S[i:])
-        rhs = rhs @ embed_slots(T, r21_matrix(S[i - 1], Y).matrix,
+        rhs = rhs @ embed_slots(T, r21_matrix(S[i - 1], Y),
                                 tuple(range(i - 1, k)))
     rhs = np.diag(dt) @ rhs @ np.diag(ups)
     if i > 1:
         X = _fused(S[:i - 1])
         rhs = rhs @ np.linalg.inv(
-            embed_slots(T, r21_matrix(X, S[i - 1]).matrix, tuple(range(i))))
+            embed_slots(T, r21_matrix(X, S[i - 1]), tuple(range(i))))
     scale = max(float(np.max(np.abs(jhat))), 1e-300)
     return float(np.max(np.abs(jhat - rhs))) / scale

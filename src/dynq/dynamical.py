@@ -12,9 +12,10 @@ means "apply A at lam - nu on the part whose second-slot weight is nu".  Both
 ways of factoring such a product (shifted factor first or last) must agree;
 `pair_first_shifted` / `pair_second_shifted` check that.
 
-Fusion operators and braiding numerators are memoized in bounded
-`cache.Memo` tables keyed on the module objects themselves, the weight, and
-every argument that changes the result; duals are stored on their module.
+Fusion operators, braiding numerators and the tensor products F(S) of
+module tuples are memoized in bounded `cache.Memo` tables keyed on the
+module objects themselves, the weight, and every argument that changes the
+result; duals are stored on their module.
 """
 
 from __future__ import annotations
@@ -35,10 +36,10 @@ from .qalgebra import (
     eval_twisted,
     flip_index,
     left_dual_module,
+    mirror_index,
     r_matrix,
     slot_classes,
     tensor_many,
-    tensor_module,
     trivial_module,
 )
 from .vertexops import _leg_chain, expectation
@@ -98,7 +99,8 @@ class DynamicalFamily:
 
 _FUSION_MEMO = Memo()
 _RMAT_MEMO = Memo()
-_dual_of = dual_module  # older private name, still used by callers
+_FUSED_MEMO = Memo()
+_dual_of = dual_module  # older private name; the benchmark workloads call it
 
 
 def _basis_vector(V: WeightModule, n: int) -> np.ndarray:
@@ -128,7 +130,7 @@ def pair_first_shifted(fnA, B_mat: np.ndarray, V: WeightModule, W: WeightModule,
     fnA(mu) must return a dim(V) square matrix.  Both factorization orders are
     formed and must agree; B_mat has to preserve W-weights for that.
     """
-    T = tensor_module(V, W)
+    T = _fused((V, W))
     nv = len(V.slots)
     lead = embedded_shifted(T, fnA, tuple(range(nv)),
                             tuple(range(nv, len(T.slots))), lam, sign)
@@ -138,7 +140,7 @@ def pair_first_shifted(fnA, B_mat: np.ndarray, V: WeightModule, W: WeightModule,
 def pair_second_shifted(A_mat: np.ndarray, fnB, V: WeightModule, W: WeightModule,
                         lam: Weight, sign: int = -1) -> np.ndarray:
     """Matrix of (A (x) B(lam + sign*h^(1))) on V (x) W."""
-    T = tensor_module(V, W)
+    T = _fused((V, W))
     nv = len(V.slots)
     lead = embedded_shifted(T, fnB, tuple(range(nv, len(T.slots))),
                             tuple(range(nv)), lam, sign)
@@ -184,7 +186,7 @@ def fusion(S, lam: Weight, depth: int = 2, tol: float = 1e-10,
         return EvaluatedOperator(GradedMap.identity(T), lam, "fusion")
 
     def make():
-        T = tensor_many(S) if len(S) > 1 else S[0]
+        T = _fused(S)
         dz = S[0].datum.zero_weight()
         if len(S) == 1:
             return EvaluatedOperator(
@@ -235,14 +237,14 @@ def dynamical_twist(A, S, T, lam: Weight, depth: int = 2,
 
 
 def _fused(S) -> WeightModule:
+    """F(S), one module object per tuple of module objects."""
     S = tuple(S)
-    return S[0] if len(S) == 1 else tensor_many(S)
+    return S[0] if len(S) == 1 else _FUSED_MEMO.get(S, lambda: tensor_many(S))
 
 
 def _plain_r(V: WeightModule, W: WeightModule) -> np.ndarray:
     """Braiding numerator on V (x) W, cached (it does not depend on lam)."""
-    return _RMAT_MEMO.get(
-        (V, W), lambda: r_matrix(V, W, tensor_module(V, W)).matrix)
+    return _RMAT_MEMO.get((V, W), lambda: r_matrix(V, W))
 
 
 def _exchange_pair(V: WeightModule, W: WeightModule, lam: Weight,
@@ -265,8 +267,8 @@ def exchange(S, T, lam: Weight, depth: int = 2,
     T = (T,) if isinstance(T, WeightModule) else tuple(T)
     FS, FT = _fused(S), _fused(T)
     core = _exchange_pair(FS, FT, lam, depth, tol)
+    pair = _fused((FS, FT))
     if len(S) == 1 and len(T) == 1:
-        pair = tensor_module(FS, FT)
         gm = GradedMap(pair, pair, FS.datum.zero_weight(), core)
         return EvaluatedOperator(gm, lam, "exchange")
 
@@ -275,7 +277,6 @@ def exchange(S, T, lam: Weight, depth: int = 2,
     pre = pair_first_shifted(jS, jT(lam), FS, FT, lam)
     post = pair_second_shifted(
         np.linalg.inv(jS(lam)), lambda mu: np.linalg.inv(jT(mu)), FS, FT, lam)
-    pair = tensor_module(FS, FT)
     gm = GradedMap(pair, pair, FS.datum.zero_weight(), post @ core @ pre)
     return EvaluatedOperator(gm, lam, "exchange")
 
@@ -289,7 +290,7 @@ def exchange21(S, T, lam: Weight, depth: int = 2,
     R = exchange(T, S, lam, depth, tol)
     p = flip_index(FT, FS)
     mat = R.matrix[np.ix_(p, p)]
-    pair = tensor_module(FS, FT)
+    pair = _fused((FS, FT))
     gm = GradedMap(pair, pair, FS.datum.zero_weight(), mat)
     return EvaluatedOperator(gm, lam, "exchange")
 
@@ -360,20 +361,6 @@ def q_family(V: WeightModule, depth: int = 2, tol: float = 1e-10) -> DynamicalFa
 # dressed duality structure
 
 
-def _pair_permutation(S) -> np.ndarray:
-    """For each linear index of F(S), the linear index of its mirror in F(S*).
-
-    F(S*) runs over the duals in reversed order, so the multi-index simply
-    reverses.
-    """
-    dims = tuple(V.dim for V in S)
-    rev = tuple(reversed(dims))
-    out = np.empty(int(np.prod(dims)), dtype=int)
-    for n, A in enumerate(np.ndindex(*dims)):
-        out[n] = np.ravel_multi_index(tuple(reversed(A)), rev)
-    return out
-
-
 def _ribbon_matrix(V: WeightModule) -> np.ndarray:
     """Twist on a tensor product of irreducible slots, normalized at the unit.
 
@@ -385,7 +372,7 @@ def _ribbon_matrix(V: WeightModule) -> np.ndarray:
         hw = max(V.weight_set(), key=lambda w: w.height())
         s = casimir_ratio(V.datum, V.q, hw, V.datum.zero_weight())
         return s * np.eye(V.dim, dtype=complex)
-    A = slots[0] if len(slots) == 2 else tensor_many(slots[:-1])
+    A = _fused(slots[:-1])
     B = slots[-1]
     thA = _ribbon_matrix(A)
     thB = _ribbon_matrix(B)
@@ -410,7 +397,7 @@ def dyn_structure(tag: str, S, lam: Weight, depth: int = 2,
     triv = trivial_module(datum, qv)
     FS = _fused(S)
     df = FS.dim
-    mirror = _pair_permutation(S)
+    mirror = mirror_index(S)
     zero = datum.zero_weight()
 
     if tag == "twist":

@@ -277,16 +277,26 @@ def _q_pairings(q: float, datum: CartanDatum, v0: Weight, x: np.ndarray,
 
 
 def flip_index(V: WeightModule, W: WeightModule) -> np.ndarray:
-    """p with flip_matrix(V, W) @ X == X[p] and X @ flip_matrix(W, V) == X[:, p]."""
+    """p with P @ X == X[p] for the flip P: v (x) w -> w (x) v of V (x) W.
+
+    Entry m of p is the index in V (x) W of the m-th basis vector of W (x) V;
+    X @ P' == X[:, p] for the flip P' of W (x) V.
+    """
     return np.arange(V.dim * W.dim).reshape(V.dim, W.dim).T.ravel()
 
 
-def flip_matrix(V: WeightModule, W: WeightModule) -> np.ndarray:
-    """Permutation matrix of v (x) w -> w (x) v, domain index a*dimW + b."""
-    return np.eye(V.dim * W.dim)[flip_index(V, W)]
+def mirror_index(S) -> np.ndarray:
+    """For each basis vector of F(S), the index of its mirror in F(S*).
+
+    F(S*) = F(V_k*) (x) ... (x) F(V_1*) reverses the slots, so the vector
+    with digits (a_1, ..., a_k) meets the dual basis functional with digits
+    (a_k, ..., a_1).  mirror_index(S[::-1]) is the inverse permutation.
+    """
+    dims = [V.dim for V in S]
+    return np.arange(math.prod(dims)).reshape(dims[::-1]).transpose().ravel()
 
 
-def tensor_module(V: WeightModule, W: WeightModule, name: str = "") -> WeightModule:
+def tensor_module(V: WeightModule, W: WeightModule) -> WeightModule:
     """V (x) W with the coproduct action; slot lists flatten.
 
     Weights and offsets come from the factors' integer lattice offsets:
@@ -308,7 +318,7 @@ def tensor_module(V: WeightModule, W: WeightModule, name: str = "") -> WeightMod
         E.append(np.kron(V.E[i], Kw) + np.kron(Iv, W.E[i]))
         F.append(np.kron(V.F[i], Iw) + np.kron(Kinv_v, W.F[i]))
     T = WeightModule(V.datum, V.q, "tensor", weights, tuple(E), tuple(F),
-                     name=name or f"({V.name})x({W.name})",
+                     name=f"({V.name})x({W.name})",
                      slots=V.slots + W.slots)
     off.flags.writeable = False
     T.offsets = off  # already known; fills the cached property
@@ -864,9 +874,8 @@ def _kron_csr(*pairs) -> sp.csr_matrix:
     return out
 
 
-def r_matrix(V: WeightModule, W: WeightModule, T: WeightModule = None,
-             tol: float = 1e-10) -> GradedMap:
-    """R-matrix endomorphism of V (x) W, normalized kappa (1 + N).
+def r_matrix(V: WeightModule, W: WeightModule, tol: float = 1e-10) -> np.ndarray:
+    """Matrix of the R-matrix endomorphism of V (x) W, normalized kappa (1 + N).
 
     N strictly raises the first slot; it is solved degree by degree from the
     E-generator intertwining of P R with the coproduct. A rank drop in any
@@ -879,8 +888,6 @@ def r_matrix(V: WeightModule, W: WeightModule, T: WeightModule = None,
     weight, so V and W must each lie in one root-lattice coset.
     """
     datum, q = V.datum, V.q
-    if T is None:
-        T = tensor_module(V, W)
     dv, dw = V.dim, W.dim
     n = dv * dw
     r = datum.rank
@@ -1059,7 +1066,7 @@ def r_matrix(V: WeightModule, W: WeightModule, T: WeightModule = None,
     keep = np.flatnonzero(mask)
     if keep.size:
         _check_intertwines(V, W, R, keep, tol)
-    return GradedMap(T, T, datum.zero_weight(), R)
+    return R
 
 
 def _check_intertwines(V: WeightModule, W: WeightModule, R: np.ndarray,
@@ -1089,15 +1096,10 @@ def _check_intertwines(V: WeightModule, W: WeightModule, R: np.ndarray,
                     f"R fails to intertwine the coproduct: {worst:.2e}")
 
 
-def r21_matrix(V: WeightModule, W: WeightModule, T: WeightModule = None,
-               RWV: GradedMap = None) -> GradedMap:
-    """R^{21} on V (x) W: flip-conjugated R of (W, V)."""
-    if T is None:
-        T = tensor_module(V, W)
-    if RWV is None:
-        RWV = r_matrix(W, V)
+def r21_matrix(V: WeightModule, W: WeightModule) -> np.ndarray:
+    """Matrix of R^{21} on V (x) W: flip-conjugated R of (W, V)."""
     p = flip_index(W, V)
-    return GradedMap(T, T, V.datum.zero_weight(), RWV.matrix[np.ix_(p, p)])
+    return r_matrix(W, V)[np.ix_(p, p)]
 
 
 # ---------------------------------------------------------------------------
@@ -1146,10 +1148,9 @@ def omega_tilde(W: WeightModule, M: TruncatedVerma):
     if M.depth < span:
         raise ValueError("Verma truncation too shallow for this W")
     T = tensor_module(M, W)
-    R = r_matrix(M, W, T)
-    R21 = r21_matrix(M, W, T)
     q2rho = np.kron(np.eye(M.dim), np.diag(W.qh(2 * datum.rho)))
-    X = unitriangular_solve(R.matrix, unitriangular_solve(R21.matrix, q2rho, span), span)
+    inner = unitriangular_solve(r21_matrix(M, W), q2rho, span)
+    X = unitriangular_solve(r_matrix(M, W), inner, span)
     O = partial_trace(X, T, 1)
     scalar = character(W, -2 * (M.hw + datum.rho))
     return GradedMap(M, M, datum.zero_weight(), O), scalar

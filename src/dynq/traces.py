@@ -18,7 +18,9 @@ import numpy as np
 
 from .cartan import Weight
 from .dynamical import embedded_shifted, fusion, q_operator_inverse
-from .qalgebra import GradedMap, dual_tuple, slot_classes, tensor_many
+from .qalgebra import (
+    GradedMap, dual_tuple, mirror_index, slot_classes, tensor_many,
+)
 from .vertexops import Intertwiner, expectation, vertex_operator
 
 
@@ -37,23 +39,6 @@ class TraceValue:
 
 def _dims(S) -> list:
     return [V.dim for V in S]
-
-
-def pairing_matrix(S) -> np.ndarray:
-    """Matrix of the slotwise dual-basis pairing F(S) x F(S*) -> C.
-
-    F(S*) reverses the slot order, so basis functional m = (m_k,...,m_1)
-    pairs to 1 exactly with the basis vector a = (m_1,...,m_k) of F(S):
-    E[a, m] = 1 iff the digit strings are reverses of each other.
-    """
-    dims = _dims(S)
-    df = int(np.prod(dims or [1]))
-    E = np.zeros((df, df))
-    for m in range(df):
-        digits = np.unravel_index(m, dims[::-1])
-        a = int(np.ravel_multi_index(digits[::-1], dims))
-        E[a, m] = 1.0
-    return E
 
 
 def check_cone(datum, xi: Weight, margin: float = 1.0) -> None:
@@ -131,19 +116,8 @@ def spin_component(phi: Intertwiner, psi: Intertwiner, lam: Weight,
     if _dims(psi.spin) != _dims(phi.spin)[::-1]:
         raise ValueError("leg words are not dual to each other")
     H = weighted_trace(phi, mu, xi, depth, margin)
-    E = pairing_matrix(phi.spin)
-    return complex(H.value @ E @ expectation(psi))
-
-
-def _zero_tuples(S):
-    """Digit tuples of the zero-weight basis vectors of F(S), ascending."""
-    zero = S[0].datum.zero_weight()
-    idx = slot_classes(S, (range(len(S)),)).get((zero,), np.array([], int))
-    return list(zip(*np.unravel_index(idx, _dims(S))))
-
-
-def _reversed_index(digits, dims) -> int:
-    return int(np.ravel_multi_index(tuple(digits)[::-1], dims[::-1]))
+    back = mirror_index(phi.spin[::-1])
+    return complex(H.value[back] @ expectation(psi))
 
 
 def universal_t(S, lam: Weight, mu: Weight, depth: int,
@@ -169,15 +143,14 @@ def universal_t(S, lam: Weight, mu: Weight, depth: int,
     check_cone(datum, xi, margin)
     jinv = fusion(S, -lam - 2 * datum.rho, tol=tol).gmap.inverse().matrix
     tails = [0.0]
-    for digits in _zero_tuples(S):
-        vlist = []
-        for j, n in enumerate(digits):
-            v = np.zeros(dims[j], dtype=complex)
-            v[n] = 1.0
-            vlist.append(v)
+    mirror = mirror_index(S)
+    zero = slot_classes(S, (range(len(S)),)).get((datum.zero_weight(),), ())
+    for n in zero:
+        vlist = [np.eye(d, dtype=complex)[a]
+                 for d, a in zip(dims, np.unravel_index(n, dims))]
         phi = vertex_operator(mu, S, vlist, depth, tol=tol)
         H = weighted_trace(phi, mu, xi, depth, margin)
-        M[:, _reversed_index(digits, dims)] = delta * (jinv @ H.value)
+        M[:, mirror[n]] = delta * (jinv @ H.value)
         tails.append(H.tail_estimate)
     scale = abs(delta) * float(np.linalg.norm(jinv, 2))
     return TraceValue(M, depth, scale * max(tails))
@@ -190,7 +163,7 @@ def t_vector(tv, S, vlist) -> np.ndarray:
     F(S*) side of the matrix through the dual-basis pairing.
     """
     M = tv.value if isinstance(tv, TraceValue) else tv
-    return M @ (pairing_matrix(S).T @ reduce(np.kron, vlist))
+    return M @ reduce(np.kron, vlist)[mirror_index(S[::-1])]
 
 
 def t_functional(tv, S, flist) -> np.ndarray:
@@ -200,15 +173,14 @@ def t_functional(tv, S, flist) -> np.ndarray:
     basis, S order); internally they tensor in the reversed F(S*) order.
     """
     M = tv.value if isinstance(tv, TraceValue) else tv
-    return M.T @ (pairing_matrix(S) @ reduce(np.kron, flist[::-1]))
+    return M.T @ reduce(np.kron, flist[::-1])[mirror_index(S)]
 
 
 def t_component(tv, S, vlist, flist) -> complex:
     """Scalar component against spin vectors and dual functionals."""
     M = tv.value if isinstance(tv, TraceValue) else tv
-    E = pairing_matrix(S)
-    return complex((E @ reduce(np.kron, flist[::-1])) @ M
-                   @ (E.T @ reduce(np.kron, vlist)))
+    return complex(reduce(np.kron, flist[::-1])[mirror_index(S)] @ M
+                   @ reduce(np.kron, vlist)[mirror_index(S[::-1])])
 
 
 def x_operator(mu: Weight, sstar, depth: int = 2,

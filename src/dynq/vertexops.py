@@ -23,7 +23,7 @@ from .cache import Memo
 from .cartan import CartanDatum, Weight
 from .qalgebra import (
     GradedMap, TruncatedVerma, WeightModule, build_verma, flip_index,
-    r_matrix, tensor_many, tensor_module, unitriangular_solve,
+    r_matrix, tensor_many, unitriangular_solve,
 )
 
 
@@ -307,9 +307,7 @@ def dual_vertex_operator(lam: Weight, sstar: tuple, glist, depth: int,
         span = W.height_span()
         phi, tgt = _one_point(cur_lam, W, glist[j], nus[j], cur,
                               cur.depth + 2 * max(span, 1), tol)
-        Tl = tensor_module(W, tgt)
-        R = r_matrix(W, tgt, Tl)
-        psi = unitriangular_solve(R.matrix, phi[flip_index(tgt, W)], span)
+        psi = unitriangular_solve(r_matrix(W, tgt), phi[flip_index(tgt, W)], span)
         op = psi if op is None else np.kron(np.eye(left_dim), psi) @ op
         left_dim *= W.dim
         cur = tgt

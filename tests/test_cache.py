@@ -138,6 +138,20 @@ class TestPerModuleDuals:
         assert len(dynamical._FUSION_MEMO) == size
         assert np.array_equal(first, again)
 
+    def test_repeated_tuple_exchange_misses_no_memo(self):
+        # F(S) is one module object per tuple, so fusion and braiding
+        # numerator entries keyed on it are found again
+        V = build_irrep(A1, Q, OM)
+        W = build_irrep(A1, Q, 2 * OM)
+        assert dynamical._fused((V, W)) is dynamical._fused((V, W))
+        lam = -7.31 * OM
+        first = dynamical.exchange((V, W), (V,), lam).matrix
+        memos = (dynamical._FUSION_MEMO, dynamical._RMAT_MEMO)
+        misses = [m.misses for m in memos]
+        again = dynamical.exchange((V, W), (V,), lam).matrix
+        assert [m.misses for m in memos] == misses
+        assert np.array_equal(first, again)
+
 
 class TestKeys:
     def test_fusion_key_carries_tol(self):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dynq.cartan import preset
 from dynq.qalgebra import (
-    build_irrep, dual_module, eval_twisted, flip_matrix, qnum, tensor_many,
+    build_irrep, dual_module, eval_twisted, qnum, tensor_many,
     tensor_module, trivial_module,
 )
 from dynq.vertexops import dual_vertex_operator, expectation, vertex_operator
@@ -17,8 +17,10 @@ from dynq.dynamical import (
     DynamicalFamily, dyn_structure, dynamical_twist, embedded_shifted,
     exchange, exchange21, exchange_family, exchange_inverse, fusion,
     fusion_family, pair_first_shifted, pair_second_shifted, q_family,
-    q_operator, q_operator_inverse, _dual_of,
+    q_operator, q_operator_inverse,
 )
+
+from oracles import flip_matrix
 
 A1 = preset("A1")
 A2 = preset("A2")
@@ -30,8 +32,8 @@ MU = -6.13 * OM
 V = build_irrep(A1, Q, OM)
 W = build_irrep(A1, Q, 2 * OM)
 VV = tensor_many((V, V))
-VS = _dual_of(V)
-WS = _dual_of(W)
+VS = dual_module(V)
+WS = dual_module(W)
 
 O1, O2 = A2.fundamental_weights
 V1 = build_irrep(A2, Q, O1)
@@ -436,8 +438,8 @@ class TestDynStructures:
         df = FS.dim
         ev = lambda mu: dyn_structure("eval", S, mu).matrix
         co = lambda mu: dyn_structure("coeval", S, mu).matrix
-        FSs = tensor_many(tuple(_dual_of(X) for X in reversed(S))) \
-            if len(S) > 1 else _dual_of(S[0])
+        FSs = tensor_many(tuple(dual_module(X) for X in reversed(S))) \
+            if len(S) > 1 else dual_module(S[0])
         for m in range(df):
             k = FSs.weights[m]
             out = (np.kron(ev(LAM - k), np.eye(df))
@@ -460,8 +462,8 @@ class TestDynStructures:
         df = FS.dim
         rev = lambda mu: dyn_structure("r-eval", S, mu).matrix
         rco = lambda mu: dyn_structure("r-coeval", S, mu).matrix
-        FSs = tensor_many(tuple(_dual_of(X) for X in reversed(S))) \
-            if len(S) > 1 else _dual_of(S[0])
+        FSs = tensor_many(tuple(dual_module(X) for X in reversed(S))) \
+            if len(S) > 1 else dual_module(S[0])
         for m in range(df):
             k = FSs.weights[m]
             out = (np.kron(np.eye(df), rev(LAM))
@@ -495,7 +497,7 @@ class TestDynStructures:
         # this pins the twist's chirality against the braiding's
         for S in ((V,), (W,), (V, W)):
             FS = S[0] if len(S) == 1 else tensor_many(S)
-            Sstar = tuple(_dual_of(X) for X in reversed(S))
+            Sstar = tuple(dual_module(X) for X in reversed(S))
             FSs = Sstar[0] if len(Sstar) == 1 else tensor_many(Sstar)
             lhs = dyn_structure("r-coeval", S, LAM).matrix
             rhs = (np.kron(np.eye(FSs.dim),

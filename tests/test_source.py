@@ -1,16 +1,23 @@
 """Rules on the library source itself."""
 
 import ast
+from collections import Counter
+from functools import cache
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "dynq"
 
 
+@cache
+def _parse(path: Path) -> ast.Module:
+    # parsed once per run; the rules only read the trees
+    return ast.parse(path.read_text(), filename=str(path))
+
+
 def _trees():
     paths = sorted(SRC.glob("*.py"))
     assert paths, f"no library sources under {SRC}"
-    return [(path.name, ast.parse(path.read_text(), filename=str(path)))
-            for path in paths]
+    return [(path.name, _parse(path)) for path in paths]
 
 
 def test_no_assert_statements_in_library():
@@ -71,3 +78,29 @@ def test_no_module_level_empty_dict():
                 if empty:
                     found.append(f"{name}:{node.lineno}")
     assert not found, f"module-level empty dicts: {found}"
+
+
+def test_every_top_level_definition_is_referenced():
+    # a helper that a refactor leaves without callers shows up here; a
+    # reference inside the definition itself (recursion) does not count
+    root = SRC.parents[1]
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    counts = Counter()  # name -> top-level nodes that reference it
+    defined = []  # (file, name, whether the definition names itself)
+    for d in ("src", "tests", "bench"):
+        for path in (root / d).rglob("*.py"):
+            for node in _parse(path).body:
+                refs = set()
+                for sub in ast.walk(node):
+                    if isinstance(sub, ast.Name):
+                        refs.add(sub.id)
+                    elif isinstance(sub, ast.Attribute):
+                        refs.add(sub.attr)
+                    elif isinstance(sub, ast.alias):
+                        refs.add(sub.name.split(".")[-1])
+                counts.update(refs)
+                if path.parent == SRC and isinstance(node, kinds):
+                    defined.append((path.name, node.name, node.name in refs))
+    orphans = [f"{file}:{name}" for file, name, own in defined
+               if counts[name] == own]
+    assert not orphans, f"top-level definitions nothing references: {orphans}"

@@ -6,10 +6,11 @@ from dynq.qalgebra import build_irrep, dual_module, dual_tuple, tensor_many
 from dynq.vertexops import dual_vertex_operator, expectation, vertex_operator
 from dynq.dynamical import q_operator_inverse
 from dynq.traces import (
-    TraceValue, check_cone, pairing_matrix, spin_component, t_component,
-    t_functional, t_vector, universal_f, universal_t, weighted_trace,
-    x_operator,
+    TraceValue, check_cone, spin_component, t_component, t_functional,
+    t_vector, universal_f, universal_t, weighted_trace, x_operator,
 )
+
+from oracles import pairing_matrix
 
 A1 = preset("A1")
 Q = 0.5

@@ -329,19 +329,22 @@ class TestLazyTarget:
             assert op.target is got  # cached on the instance
 
     def test_legs_build_no_tensor_module(self, monkeypatch):
-        from dynq import qalgebra, vertexops
+        from dynq import qalgebra
+        from dynq.qalgebra import dual_module
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(args)
             return tensor_module(*args, **kwargs)
 
-        monkeypatch.setattr(vertexops, "tensor_module", counted)
         monkeypatch.setattr(qalgebra, "tensor_module", counted)
         V = build_irrep(A1, Q, OM)
+        Vd = dual_module(V)
         for k in (1, 2, 3):
             vlist = [hw_vec(V) if j % 2 else lw_vec(V) for j in range(k)]
             vertex_operator(-7.31 * OM, (V,) * k, vlist, 3)
+            glist = [hw_vec(Vd) if j % 2 else lw_vec(Vd) for j in range(k)]
+            dual_vertex_operator(-7.31 * OM, (Vd,) * k, glist, 3)
         assert not calls
 
     def test_fusion_shares_legs_per_suffix(self, monkeypatch):
