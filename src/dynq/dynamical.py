@@ -2,15 +2,22 @@
 
 Everything here is an operator-valued function of a regular weight lam.  The
 fusion operator j_S(lam) is assembled column by column from expectation values
-of composite vertex operators; exchange operators, Q-operators and the dressed
-(co)evaluation / twist maps are built from it.  Fusion corrections always lower
-the first tensor leg, so every j_S(lam) is block-unitriangular with identity
-diagonal and in particular invertible.
+of composite vertex operators.  Fusion corrections always lower the first
+tensor leg, so every j_S(lam) is block-unitriangular with identity diagonal
+and in particular invertible.
 
-Shift semantics: for a pair space V (x) W, an expression A(lam - h^(2)) (x) B
-means "apply A at lam - nu on the part whose second-slot weight is nu".  Both
-ways of factoring such a product (shifted factor first or last) must agree;
-`pair_first_shifted` / `pair_second_shifted` check that.
+Every other operator is the dynamical twist of one module map, and
+`_transport` is the only code that applies it: A: F(S) -> F(T) becomes
+j_T(lam)^{-1} A j_S(lam), with the empty word standing for the unit object.
+The exchange operator of two words is the twist of their braiding from
+S + T to T + S, flipped back; by the fusion cocycle this equals the braiding
+of F(S), F(T) dressed with each word's fusion at shifted weights.  The dressed
+(co)evaluations and the ribbon twist are twists of the plain maps, and Q_V is
+read off the dressed twisted evaluation of V.
+
+Shift semantics: on a tensor module, A(lam - h^(2)) (x) B means "apply A at
+lam - nu on the part whose second-slot weight is nu"; `embedded_shifted`
+builds such operators.
 
 Fusion operators, braiding numerators and the tensor products F(S) of
 module tuples are memoized in bounded `cache.Memo` tables keyed on the
@@ -33,7 +40,6 @@ from .qalgebra import (
     dual_module,
     dual_tuple,
     embed_slots,
-    eval_twisted,
     flip_index,
     left_dual_module,
     mirror_index,
@@ -48,11 +54,8 @@ __all__ = [
     "EvaluatedOperator", "DynamicalFamily",
     "fusion", "dynamical_twist", "exchange", "exchange21", "exchange_inverse",
     "q_operator", "q_operator_inverse", "dyn_structure",
-    "fusion_family", "exchange_family", "q_family",
-    "pair_first_shifted", "pair_second_shifted", "embedded_shifted",
+    "fusion_family", "exchange_family", "q_family", "embedded_shifted",
 ]
-
-_DECOMP_TOL = 1e-9
 
 
 @dataclass(eq=False)
@@ -110,41 +113,7 @@ def _basis_vector(V: WeightModule, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# weight-shifted pair application
-
-
-def _both_orders(lead: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """lead @ other, after checking that other @ lead agrees with it."""
-    one = lead @ other
-    two = other @ lead
-    scale = max(1.0, float(np.max(np.abs(one))))
-    if np.max(np.abs(one - two)) > _DECOMP_TOL * scale:
-        raise ArithmeticError("shifted-pair factorization orders disagree")
-    return one
-
-
-def pair_first_shifted(fnA, B_mat: np.ndarray, V: WeightModule, W: WeightModule,
-                       lam: Weight, sign: int = -1) -> np.ndarray:
-    """Matrix of (A(lam + sign*h^(2)) (x) B) on V (x) W.
-
-    fnA(mu) must return a dim(V) square matrix.  Both factorization orders are
-    formed and must agree; B_mat has to preserve W-weights for that.
-    """
-    T = _fused((V, W))
-    nv = len(V.slots)
-    lead = embedded_shifted(T, fnA, tuple(range(nv)),
-                            tuple(range(nv, len(T.slots))), lam, sign)
-    return _both_orders(lead, np.kron(np.eye(V.dim), B_mat))
-
-
-def pair_second_shifted(A_mat: np.ndarray, fnB, V: WeightModule, W: WeightModule,
-                        lam: Weight, sign: int = -1) -> np.ndarray:
-    """Matrix of (A (x) B(lam + sign*h^(1))) on V (x) W."""
-    T = _fused((V, W))
-    nv = len(V.slots)
-    lead = embedded_shifted(T, fnB, tuple(range(nv, len(T.slots))),
-                            tuple(range(nv)), lam, sign)
-    return _both_orders(lead, np.kron(A_mat, np.eye(W.dim)))
+# weight-shifted application
 
 
 def embedded_shifted(T: WeightModule, fn, act, shift, lam: Weight,
@@ -212,6 +181,25 @@ def fusion_family(S, depth: int = 2, tol: float = 1e-10) -> DynamicalFamily:
 # dynamical twist of a module map
 
 
+def _transport(A, S, T, lam: Weight, depth: int, tol: float) -> GradedMap:
+    """j_T(lam)^{-1} o A o j_S(lam), a GradedMap F(S) -> F(T).
+
+    A is a GradedMap or a plain matrix F(S) -> F(T); an empty word is the
+    unit object.  This is the only conjugation by fusion operators.
+    """
+    S, T = tuple(S), tuple(T)
+    A_mat = A.matrix if isinstance(A, GradedMap) else np.asarray(A, dtype=complex)
+    ref = (S + T)[0]
+    jS = fusion(S, lam, depth, tol, ref.datum, ref.q)
+    jT = fusion(T, lam, depth, tol, ref.datum, ref.q)
+    cond = np.linalg.cond(jT.matrix)
+    if not np.isfinite(cond) or cond > 1e12:
+        raise np.linalg.LinAlgError(
+            f"target fusion operator numerically singular, cond {cond:.2e}")
+    mat = np.linalg.solve(jT.matrix, A_mat @ jS.matrix)
+    return GradedMap(jS.source, jT.source, ref.datum.zero_weight(), mat)
+
+
 def dynamical_twist(A, S, T, lam: Weight, depth: int = 2,
                     tol: float = 1e-10) -> EvaluatedOperator:
     """Conjugate a module map F(S) -> F(T) into the dynamical category.
@@ -219,17 +207,7 @@ def dynamical_twist(A, S, T, lam: Weight, depth: int = 2,
     A may be a GradedMap or a plain matrix; the result is
     j_T(lam)^{-1} o A o j_S(lam).  For length-1 tuples this is A itself.
     """
-    S, T = tuple(S), tuple(T)
-    A_mat = A.matrix if isinstance(A, GradedMap) else np.asarray(A, dtype=complex)
-    jS = fusion(S, lam, depth, tol)
-    jT = fusion(T, lam, depth, tol)
-    cond = np.linalg.cond(jT.matrix)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise np.linalg.LinAlgError(
-            f"target fusion operator numerically singular, cond {cond:.2e}")
-    mat = np.linalg.solve(jT.matrix, A_mat @ jS.matrix)
-    gm = GradedMap(jS.source, jT.source, jS.source.datum.zero_weight(), mat)
-    return EvaluatedOperator(gm, lam, "generic")
+    return EvaluatedOperator(_transport(A, S, T, lam, depth, tol), lam, "generic")
 
 
 # ---------------------------------------------------------------------------
@@ -247,37 +225,20 @@ def _plain_r(V: WeightModule, W: WeightModule) -> np.ndarray:
     return _RMAT_MEMO.get((V, W), lambda: r_matrix(V, W))
 
 
-def _exchange_pair(V: WeightModule, W: WeightModule, lam: Weight,
-                   depth: int, tol: float) -> np.ndarray:
-    """R_{V,W}(lam) for single modules: conjugate the braiding by fusions."""
-    jVW = fusion((V, W), lam, depth, tol).matrix
-    jWV = fusion((W, V), lam, depth, tol).matrix
-    out = np.linalg.solve(jWV, _plain_r(V, W)[flip_index(V, W)] @ jVW)
-    return out[flip_index(W, V)]
-
-
 def exchange(S, T, lam: Weight, depth: int = 2,
              tol: float = 1e-10) -> EvaluatedOperator:
     """Exchange operator R_{S,T}(lam) on F(S) (x) F(T).
 
-    Tuples of length one reduce to the conjugated braiding; longer tuples
-    dress that pair operator with shifted fusion factors on either side.
+    The braiding F(S) (x) F(T) -> F(T) (x) F(S) transported from the word
+    S + T to T + S, with the flip undone on the rows.
     """
     S = (S,) if isinstance(S, WeightModule) else tuple(S)
     T = (T,) if isinstance(T, WeightModule) else tuple(T)
     FS, FT = _fused(S), _fused(T)
-    core = _exchange_pair(FS, FT, lam, depth, tol)
+    braid = _plain_r(FS, FT)[flip_index(FS, FT)]
+    mat = _transport(braid, S + T, T + S, lam, depth, tol).matrix
     pair = _fused((FS, FT))
-    if len(S) == 1 and len(T) == 1:
-        gm = GradedMap(pair, pair, FS.datum.zero_weight(), core)
-        return EvaluatedOperator(gm, lam, "exchange")
-
-    jS = lambda mu: fusion(S, mu, depth, tol).matrix
-    jT = lambda mu: fusion(T, mu, depth, tol).matrix
-    pre = pair_first_shifted(jS, jT(lam), FS, FT, lam)
-    post = pair_second_shifted(
-        np.linalg.inv(jS(lam)), lambda mu: np.linalg.inv(jT(mu)), FS, FT, lam)
-    gm = GradedMap(pair, pair, FS.datum.zero_weight(), post @ core @ pre)
+    gm = GradedMap(pair, pair, FS.datum.zero_weight(), mat[flip_index(FT, FS)])
     return EvaluatedOperator(gm, lam, "exchange")
 
 
@@ -313,23 +274,18 @@ def exchange_family(S, T, depth: int = 2, tol: float = 1e-10) -> DynamicalFamily
 
 def q_operator(V: WeightModule, lam: Weight, depth: int = 2,
                tol: float = 1e-10) -> EvaluatedOperator:
-    """Q_V(lam), fixed entrywise by contracting j_{(V,V*)}(lam) with the
-    twisted evaluation: row (v (x) f) -> f(q^{2rho} Q_V(lam) v)."""
-    datum = V.datum
-    Vd = dual_module(V)
-    j = fusion((V, Vd), lam, depth, tol).matrix
-    row = eval_twisted(V, Vd).matrix.ravel()
-    r = (row @ j).reshape(V.dim, V.dim)
-    q2r = V.qh(2 * datum.rho)
-    mat = r.T / q2r[:, None]
-    gm = GradedMap(V, V, datum.zero_weight(), mat)
+    """Q_V(lam), read off the dressed twisted evaluation of V: its entry at
+    (v (x) f) is f(q^{2rho} Q_V(lam) v)."""
+    r = dyn_structure("r-eval", (V,), lam, depth, tol).matrix
+    mat = r.reshape(V.dim, V.dim).T / V.qh(2 * V.datum.rho)[:, None]
+    gm = GradedMap(V, V, V.datum.zero_weight(), mat)
     if not gm.graded_residual() < 1e-8:
         raise ArithmeticError("Q operator lost the weight grading")
     return EvaluatedOperator(gm, lam, "Q")
 
 
 def q_operator_inverse(V: WeightModule, lam: Weight, depth: int = 2,
-                       tol: float = 1e-8) -> EvaluatedOperator:
+                       tol: float = 1e-10) -> EvaluatedOperator:
     """Q_V(lam)^{-1} by the weight-blockwise contraction of the inverted
     fusion operator of (*V, V); cross-checked against direct inversion.
 
@@ -337,7 +293,7 @@ def q_operator_inverse(V: WeightModule, lam: Weight, depth: int = 2,
     M = j_{(*V,V)}(lam+nu)^{-1}.  Disagreement with the numerically inverted
     q_operator signals a convention fault somewhere upstream, so it raises.
     """
-    direct = np.linalg.inv(q_operator(V, lam, depth).matrix)
+    direct = np.linalg.inv(q_operator(V, lam, depth, tol).matrix)
     lV = left_dual_module(V)
     d = V.dim
     out = np.zeros((d, d), dtype=complex)
@@ -383,7 +339,7 @@ def _ribbon_matrix(V: WeightModule) -> np.ndarray:
 
 def dyn_structure(tag: str, S, lam: Weight, depth: int = 2,
                   tol: float = 1e-10) -> EvaluatedOperator:
-    """Dressed duality data of the tuple S.
+    """Dressed duality data of the tuple S: the plain map, transported.
 
     tag: 'eval'     e_S o j_{S* x S}(lam)          F(S*) (x) F(S) -> unit
          'coeval'   j_{S x S*}(lam)^{-1} o iota_S   unit -> F(S) (x) F(S*)
@@ -393,47 +349,27 @@ def dyn_structure(tag: str, S, lam: Weight, depth: int = 2,
     """
     S = (S,) if isinstance(S, WeightModule) else tuple(S)
     Sstar = dual_tuple(S)
-    datum, qv = S[0].datum, S[0].q
-    triv = trivial_module(datum, qv)
     FS = _fused(S)
-    df = FS.dim
+    df, rho2 = FS.dim, 2 * FS.datum.rho
     mirror = mirror_index(S)
-    zero = datum.zero_weight()
+    # b (x) b* sits at pairs[b] in F(S x S*), b* (x) b at dual[b] in F(S* x S)
+    pairs, dual = np.arange(df) * df + mirror, mirror * df + np.arange(df)
 
-    if tag == "twist":
-        j = fusion(S, lam, depth, tol)
-        mat = np.linalg.solve(j.matrix, _ribbon_matrix(FS) @ j.matrix)
-        gm = GradedMap(j.source, j.source, zero, mat)
-        return EvaluatedOperator(gm, lam, "dyn-twist")
+    def row(idx, vals) -> np.ndarray:
+        out = np.zeros((1, df * df), dtype=complex)
+        out[0, idx] = vals
+        return out
 
-    if tag == "eval":
-        row = np.zeros(df * df, dtype=complex)
-        row[mirror * df + np.arange(df)] = 1.0
-        j = fusion(Sstar + S, lam, depth, tol)
-        gm = GradedMap(j.source, triv, zero, (row @ j.matrix)[None, :])
-        return EvaluatedOperator(gm, lam, "dyn-eval")
-
-    if tag == "r-eval":
-        row = np.zeros(df * df, dtype=complex)
-        row[np.arange(df) * df + mirror] = FS.qh(2 * datum.rho)
-        j = fusion(S + Sstar, lam, depth, tol)
-        gm = GradedMap(j.source, triv, zero, (row @ j.matrix)[None, :])
-        return EvaluatedOperator(gm, lam, "dyn-eval")
-
-    if tag == "coeval":
-        col = np.zeros(df * df, dtype=complex)
-        col[np.arange(df) * df + mirror] = 1.0
-        j = fusion(S + Sstar, lam, depth, tol)
-        gm = GradedMap(triv, j.source, zero,
-                       np.linalg.solve(j.matrix, col)[:, None])
-        return EvaluatedOperator(gm, lam, "dyn-coeval")
-
-    if tag == "r-coeval":
-        col = np.zeros(df * df, dtype=complex)
-        col[mirror * df + np.arange(df)] = FS.qh(-2 * datum.rho)
-        j = fusion(Sstar + S, lam, depth, tol)
-        gm = GradedMap(triv, j.source, zero,
-                       np.linalg.solve(j.matrix, col)[:, None])
-        return EvaluatedOperator(gm, lam, "dyn-coeval")
-
-    raise ValueError(f"unknown structure tag {tag!r}")
+    entries = {  # tag -> (source word, target word, plain map, family)
+        "eval": lambda: (Sstar + S, (), row(dual, 1.0), "dyn-eval"),
+        "r-eval": lambda: (S + Sstar, (), row(pairs, FS.qh(rho2)), "dyn-eval"),
+        "coeval": lambda: ((), S + Sstar, row(pairs, 1.0).T, "dyn-coeval"),
+        "r-coeval": lambda: ((), Sstar + S, row(dual, FS.qh(-rho2)).T,
+                             "dyn-coeval"),
+        "twist": lambda: (S, S, _ribbon_matrix(FS), "dyn-twist"),
+    }
+    if tag not in entries:
+        raise ValueError(f"unknown structure tag {tag!r}")
+    src, tgt, plain, family = entries[tag]()
+    return EvaluatedOperator(_transport(plain, src, tgt, lam, depth, tol),
+                             lam, family)

@@ -17,10 +17,8 @@ from functools import reduce
 import numpy as np
 
 from .cartan import Weight
-from .dynamical import embedded_shifted, fusion, q_operator_inverse
-from .qalgebra import (
-    GradedMap, dual_tuple, mirror_index, slot_classes, tensor_many,
-)
+from .dynamical import _fused, embedded_shifted, fusion, q_operator_inverse
+from .qalgebra import GradedMap, dual_tuple, mirror_index, slot_classes
 from .vertexops import Intertwiner, expectation, vertex_operator
 
 
@@ -192,11 +190,7 @@ def x_operator(mu: Weight, sstar, depth: int = 2,
     product order is immaterial.
     """
     mods = tuple(sstar)
-    if len(mods) == 1:
-        V = mods[0]
-        return GradedMap(V, V, V.datum.zero_weight(),
-                         q_operator_inverse(V, mu, depth, tol).matrix)
-    T = tensor_many(mods)
+    T = _fused(mods)
     out = np.eye(T.dim, dtype=complex)
     for j, V in enumerate(mods):
         def fn(z, V=V):

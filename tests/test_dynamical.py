@@ -16,11 +16,12 @@ from dynq.vertexops import dual_vertex_operator, expectation, vertex_operator
 from dynq.dynamical import (
     DynamicalFamily, dyn_structure, dynamical_twist, embedded_shifted,
     exchange, exchange21, exchange_family, exchange_inverse, fusion,
-    fusion_family, pair_first_shifted, pair_second_shifted, q_family,
-    q_operator, q_operator_inverse,
+    fusion_family, q_family, q_operator, q_operator_inverse,
 )
 
-from oracles import flip_matrix
+from oracles import (
+    dressed_exchange, flip_matrix, pair_first_shifted, pair_second_shifted,
+)
 
 A1 = preset("A1")
 A2 = preset("A2")
@@ -333,6 +334,15 @@ class TestExchangeIdentities:
         sc = max(1.0, np.abs(got).max())
         assert np.max(np.abs(R_split - got)) < 1e-10 * sc
 
+    def test_word_exchange_matches_dressed_oracle(self):
+        # the library transports the braiding of the concatenated words; the
+        # oracle frames the fused-pair exchange with shifted word fusions
+        for S, T, lam in (((V, V), (W,), LAM), ((V,), (V, W), LAM),
+                          ((V1, V2), (V1,), LAM3), ((V1,), (V1, V2), LAM3)):
+            got = exchange(S, T, lam).matrix
+            want = dressed_exchange(S, T, lam)
+            assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
     def test_naturality_under_dressed_module_maps(self):
         # commuting square for a braiding: the second-slot shift on the
         # incoming side trades for a first-slot shift on the outgoing side
@@ -394,6 +404,16 @@ class TestQOperator:
             Qi = q_operator_inverse(M, LAM).matrix
             assert np.max(np.abs(Qm @ Qi - np.eye(M.dim))) < 1e-11
 
+    def test_inverse_forwards_tol_to_direct_route(self):
+        # the direct route's fusion of (V, V*) is computed, guarded and
+        # memoized under the caller's tol
+        import dynq.dynamical as dyn
+        lam = -6.77 * OM
+        q_operator_inverse(V, lam, tol=1e-9)
+        misses = dyn._FUSION_MEMO.misses
+        fusion((V, VS), lam, tol=1e-9)
+        assert dyn._FUSION_MEMO.misses == misses
+
     def test_family_tag(self):
         fam = q_family(V)
         assert fam(LAM).family == "Q"
@@ -402,8 +422,15 @@ class TestQOperator:
         # a fusion matrix with entries across weight blocks spoils Q's grading
         import dynq.dynamical as dyn
         dense = np.ones((W.dim ** 2, W.dim ** 2), dtype=complex)
-        monkeypatch.setattr(dyn, "fusion",
-                            lambda *a, **k: SimpleNamespace(matrix=dense))
+        real = dyn.fusion
+
+        def mixed(S, *a, **k):
+            # the unit object of the empty word stays the real one
+            if not S:
+                return real(S, *a, **k)
+            return SimpleNamespace(matrix=dense, source=dyn._fused(S))
+
+        monkeypatch.setattr(dyn, "fusion", mixed)
         with pytest.raises(ArithmeticError, match="grading"):
             q_operator(W, LAM)
 

@@ -80,6 +80,22 @@ def test_no_module_level_empty_dict():
     assert not found, f"module-level empty dicts: {found}"
 
 
+def test_fusion_solves_only_in_transport():
+    # dynamical._transport is the one route that conjugates a module map by
+    # fusion operators, so it is the only caller of np.linalg.solve there
+    found, seen = [], False
+    for node in _parse(SRC / "dynamical.py").body:
+        if getattr(node, "name", None) == "_transport":
+            seen = True
+            continue
+        found += [f"dynamical.py:{sub.lineno}" for sub in ast.walk(node)
+                  if isinstance(sub, ast.Call)
+                  and (getattr(sub.func, "attr", None) == "solve"
+                       or getattr(sub.func, "id", None) == "solve")]
+    assert seen, "dynamical._transport is missing"
+    assert not found, f"np.linalg.solve outside dynamical._transport: {found}"
+
+
 def test_every_top_level_definition_is_referenced():
     # a helper that a refactor leaves without callers shows up here; a
     # reference inside the definition itself (recursion) does not count
