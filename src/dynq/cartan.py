@@ -3,12 +3,11 @@
 A `Weight` holds exact rational coordinates in the simple-root basis and
 `CartanDatum.pairing` pairs two of them exactly; floats appear only at the
 q-exponentiation boundary.  This is the one module that does arithmetic over
-Fraction.  Exact weights live at module and op granularity: highest weights,
-evaluation points, and one per distinct weight of a module.  Data indexed by
-basis vector is not computed here one vector at a time: a module carries
-integer lattice offsets from its first weight, and `qalgebra` reads q-powers
-and weight classes off them (`WeightModule.offsets`, `K`, `qh`,
-`slot_classes`).
+Fraction, and it does so per module and per op, never per basis vector or
+Verma content: a module is one base Weight plus integer lattice offsets
+(`qalgebra.WeightModule`), so every weight an op touches is its evaluation
+point plus a lattice vector, and one `is_regular` check at that point
+covers them all.
 """
 
 from __future__ import annotations
@@ -86,30 +85,13 @@ class Weight:
         return f"wt({','.join(str(c) for c in self.coords)})"
 
 
-def _frac_solve(A: list[list[Fraction]], rhs: list[list[Fraction]]):
-    """Solve A X = rhs exactly by Gaussian elimination over Fraction."""
-    n = len(A)
-    m = [row[:] + r[:] for row, r in zip(A, rhs)]
-    w = len(m[0])
-    for col in range(n):
-        piv = next(r for r in range(col, n) if m[r][col] != 0)
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return [row[n:w] for row in m]
-
-
 @dataclass(eq=False)
 class CartanDatum:
     """Finite-type Cartan data plus the derived h* geometry.
 
-    bilinear[i][j] = d_i * a_ij is the symmetrized form on simple roots;
-    pairings of arbitrary weights stay exact rationals.  Equality and hashing
-    go by identity, so a datum can key a memo.
+    bilinear[i][j] = d_i * a_ij, in ints, is the symmetrized form on simple
+    roots; pairings of arbitrary weights stay exact rationals.  Equality and
+    hashing go by identity, so a datum can key a memo.
     """
 
     cartan_matrix: np.ndarray
@@ -127,15 +109,19 @@ class CartanDatum:
         n = A.shape[0]
         self.rank = n
         self.bilinear = tuple(
-            tuple(Fraction(self.d[i] * int(A[i, j])) for j in range(n)) for i in range(n)
+            tuple(self.d[i] * int(A[i, j]) for j in range(n)) for i in range(n)
         )
-        eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        self.simple_roots = tuple(Weight(tuple(row)) for row in eye)
-        # fundamental weights solve <w_i, a_j^vee> = delta_ij, i.e. columns of A^{-1}
-        Afrac = [[Fraction(int(A[i, j])) for j in range(n)] for i in range(n)]
-        Ainv = _frac_solve(Afrac, eye)
+        self.simple_roots = tuple(Weight(tuple(int(i == j) for j in range(n)))
+                                  for i in range(n))
+        # fundamental weights solve <w_i, a_j^vee> = delta_ij: the columns of
+        # A^{-1} = adj(A) / det(A), whose small integer adjugate the float
+        # inverse gives to well within rounding
+        det = int(round(np.linalg.det(A)))
+        adj = np.rint(det * np.linalg.inv(A)).astype(int)
+        if not np.array_equal(A @ adj, det * np.eye(n, dtype=int)):
+            raise ValueError("Cartan matrix has no exact integer adjugate")
         self.fundamental_weights = tuple(
-            Weight(tuple(Ainv[k][i] for k in range(n))) for i in range(n)
+            Weight(tuple(Fraction(int(a), det) for a in adj[:, i])) for i in range(n)
         )
         rho = self.fundamental_weights[0]
         for w in self.fundamental_weights[1:]:

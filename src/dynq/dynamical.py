@@ -48,7 +48,7 @@ from .qalgebra import (
     tensor_many,
     trivial_module,
 )
-from .vertexops import _leg_chain, expectation
+from .vertexops import _check_regular, _leg_chain, expectation
 
 __all__ = [
     "EvaluatedOperator", "DynamicalFamily",
@@ -145,14 +145,16 @@ def fusion(S, lam: Weight, depth: int = 2, tol: float = 1e-10,
     table keyed on basis-index suffixes, so columns that agree on their
     rightmost legs share those legs.  The truncation depth only pads the
     source Verma; the expectation value is exact for any depth >= 1 because
-    per-stage budgets grow with each leg.
+    per-stage budgets grow with each leg.  The empty word's fusion is the
+    identity of the unit object, one per (datum, q, lam).
     """
     S = tuple(S)
     if not S:
         if datum is None or q is None:
             raise ValueError("empty tuple needs datum and q for its unit object")
-        T = trivial_module(datum, q)
-        return EvaluatedOperator(GradedMap.identity(T), lam, "fusion")
+        q = float(q)
+        return _FUSION_MEMO.get((datum, q, lam), lambda: EvaluatedOperator(
+            GradedMap.identity(trivial_module(datum, q)), lam, "fusion"))
 
     def make():
         T = _fused(S)
@@ -160,6 +162,7 @@ def fusion(S, lam: Weight, depth: int = 2, tol: float = 1e-10,
         if len(S) == 1:
             return EvaluatedOperator(
                 GradedMap(T, T, dz, np.eye(T.dim, dtype=complex)), lam, "fusion")
+        _check_regular(S[0].datum, lam, len(S))
         dims = tuple(V.dim for V in S)
         cols = np.empty((T.dim, T.dim), dtype=complex)
         legs = {}

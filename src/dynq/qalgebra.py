@@ -5,15 +5,15 @@ the non-dynamical R-matrix, characters, and the central-element action.
 Module matrices (E, F) and R-matrices are dense complex128; `r_matrix`
 applies the coproduct generators as sparse CSR matrices.
 
-Exact `Weight`s live at module and op granularity: one per distinct weight
-of a module (its `weights` share them block by block), one per highest
-weight or evaluation point.  Data indexed by basis vector goes through the
-integer lattice offsets of a module from its first weight
-(`WeightModule.offsets`): q^xi (`qh`), the K_i diagonals (`K`), kappa and
-the R-matrix weight matching, the weights of a tensor product, and the
-weight classes of slot groups of a tensor word (`slot_classes`).  A
-truncated Verma's basis, F and offsets depend only on (datum, q, depth) and
-come from a memoized skeleton.
+A module has one weight representation, set by every constructor: an
+exact `base` Weight (that of basis vector 0) and integer simple-root
+`offsets` from it, one row per basis vector.  Data indexed by basis vector
+reads the offsets: q^xi (`qh`), the K_i (`K`), kappa and the R-matrix
+weight matching, tensor products, slot-group weight classes
+(`slot_classes`), and the rows a vertex-operator leg looks up.  Per-vector
+`weights` and `blocks` are views built on first read.  A truncated Verma's
+basis, F and offsets depend only on (datum, q, depth) and come from a
+memoized skeleton; its base is its highest weight.
 
 Conventions (fixed once, gated by the consistency suite):
     K_i = q^{d_i h_i},  Delta(E_i) = E_i (x) K_i + 1 (x) E_i,
@@ -26,7 +26,6 @@ with N strictly raising the first slot.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -71,19 +70,22 @@ def qbinom(q: float, n: int, k: int) -> float:
 
 @dataclass(eq=False)
 class WeightModule:
-    """Finite basis, homogeneous basis vectors, generator matrices per node.
+    """Finite basis of weight vectors and the generator matrices per node.
 
-    E[i], F[i] are dim x dim complex matrices.  `weights` holds one exact
-    Weight per basis vector, the same object across a weight block; every
-    per-vector computation reads the integer `offsets` instead, through
-    qh(xi) = diag(q^{<xi, wt_b>}) and its simple-root rows K, which is all
-    of q^h that ever gets used.
+    Weights are stored once: `base`, the exact weight of basis vector 0,
+    and the read-only integer `offsets`, whose row b is wt_b - base in
+    simple-root coordinates (so row 0 is zero).  Every per-vector
+    computation reads the offsets, q^xi (`qh`) and its simple-root rows `K`
+    included.  `weights` (one exact Weight per basis vector, the same
+    object across a block) and `blocks` are views built on first read.
+    E[i], F[i] are dim x dim complex matrices.
     """
 
     datum: CartanDatum
     q: float
     kind: str
-    weights: tuple
+    base: Weight
+    offsets: np.ndarray
     E: tuple
     F: tuple
     name: str = ""
@@ -91,44 +93,52 @@ class WeightModule:
     slots: tuple = None
 
     def __post_init__(self):
-        self.dim = len(self.weights)
-        blocks = {}
-        for idx, w in enumerate(self.weights):
-            blocks.setdefault(w, []).append(idx)
-        self.blocks = {w: np.array(ix, dtype=int) for w, ix in blocks.items()}
+        off = np.asarray(self.offsets)
+        if off.dtype.kind != "i":
+            raise ValueError(f"non-integral weight offsets of dtype {off.dtype}")
+        if off.ndim != 2 or off.shape[1] != self.datum.rank or off[0].any():
+            raise ValueError("offsets need one row per basis vector, the first zero")
+        self.offsets = off.view()
+        self.offsets.flags.writeable = False
+        self.dim = len(off)
         if self.slots is None:
             self.slots = (self,)
 
     @cached_property
-    def offsets(self) -> np.ndarray:
-        """wt_b - wt_0 in integer simple-root coordinates, one row per b.
+    def offset_blocks(self) -> dict:
+        """Offset row (a tuple of ints) -> its basis indices, in order of
+        first appearance."""
+        out = {}
+        for n, row in enumerate(map(tuple, self.offsets.tolist())):
+            out.setdefault(row, []).append(n)
+        return {row: np.array(ix) for row, ix in out.items()}
 
-        Raises ValueError when the weights do not lie in one coset of the
-        root lattice, which no module built here does.
-        """
-        w0 = self.weights[0]
-        rows = {}
-        for w in self.blocks:
-            diff = (w - w0).coords
-            if any(c.denominator != 1 for c in diff):
-                raise ValueError(f"weights {w0} and {w} differ by a non-integral vector")
-            rows[w] = [int(c) for c in diff]
-        out = np.array([rows[w] for w in self.weights], dtype=int)
-        out.flags.writeable = False
-        return out
+    def at_offset(self, x) -> np.ndarray:
+        """Basis indices of weight base + x, for an integer vector x."""
+        return self.offset_blocks.get(tuple(map(int, x)), np.zeros(0, dtype=int))
+
+    @cached_property
+    def blocks(self) -> dict:
+        """Exact weight -> its basis indices: a view of `offset_blocks`."""
+        return {self.base + Weight(row): ix for row, ix in self.offset_blocks.items()}
+
+    @cached_property
+    def weights(self) -> tuple:
+        """One exact Weight per basis vector, shared by its block: a view."""
+        of_row = dict(zip(self.offset_blocks, self.blocks))
+        return tuple(of_row[row] for row in map(tuple, self.offsets.tolist()))
 
     def qh(self, xi: Weight) -> np.ndarray:
         """Diagonal of the q^{xi} action: q^{<xi, wt_b>} per basis vector."""
         zero = np.zeros((1, self.datum.rank), dtype=int)
-        return _q_pairings(self.q, self.datum, xi, zero,
-                           self.weights[0], self.offsets)[0]
+        return _q_pairings(self.q, self.datum, xi, zero, self.base, self.offsets)[0]
 
     @cached_property
     def K(self) -> np.ndarray:
         """Read-only diagonals of the K_i: row i is qh(alpha_i)."""
         d = self.datum
         out = _q_pairings(self.q, d, d.zero_weight(), np.eye(d.rank, dtype=int),
-                          self.weights[0], self.offsets)
+                          self.base, self.offsets)
         out.flags.writeable = False
         return out
 
@@ -136,7 +146,7 @@ class WeightModule:
         return tuple(self.blocks.keys())
 
     def block(self, w: Weight) -> np.ndarray:
-        return self.blocks.get(w, np.array([], dtype=int))
+        return self.blocks.get(w, np.zeros(0, dtype=int))
 
     def height_span(self) -> int:
         hts = self.offsets.sum(axis=1)
@@ -145,28 +155,24 @@ class WeightModule:
     @cached_property
     def dual(self) -> "WeightModule":
         """Right dual: (x . f)(v) = f(S(x) v), basis dual to V's, weight -wt."""
-        d = self.datum
-        weights = tuple(-w for w in self.weights)
         E, F = [], []
         for i, Kdiag in enumerate(self.K):
             Kinv = 1.0 / Kdiag
             E.append(-(self.E[i] * Kinv[None, :]).T)   # S(E_i) = -E_i K_i^{-1}
             F.append(-(Kdiag[:, None] * self.F[i]).T)  # S(F_i) = -K_i F_i
-        return WeightModule(d, self.q, "dual", weights, tuple(E), tuple(F),
-                            name=f"({self.name})*", parent=self)
+        return WeightModule(self.datum, self.q, "dual", -self.base, -self.offsets,
+                            tuple(E), tuple(F), name=f"({self.name})*", parent=self)
 
     @cached_property
     def left_dual(self) -> "WeightModule":
         """Left dual through S^{-1}; used to contract m^op((S^{-1} (x) id) . )."""
-        d = self.datum
-        weights = tuple(-w for w in self.weights)
         E, F = [], []
         for i, Kdiag in enumerate(self.K):
             Kinv = 1.0 / Kdiag
             E.append(-(Kinv[:, None] * self.E[i]).T)   # S^{-1}(E_i) = -K_i^{-1} E_i
             F.append(-(self.F[i] * Kdiag[None, :]).T)  # S^{-1}(F_i) = -F_i K_i
-        return WeightModule(d, self.q, "ldual", weights, tuple(E), tuple(F),
-                            name=f"*({self.name})", parent=self)
+        return WeightModule(self.datum, self.q, "ldual", -self.base, -self.offsets,
+                            tuple(E), tuple(F), name=f"*({self.name})", parent=self)
 
     def __repr__(self):
         return f"<{self.kind} {self.name or ''} dim={self.dim}>"
@@ -174,9 +180,12 @@ class WeightModule:
 
 @dataclass(eq=False)
 class TruncatedVerma(WeightModule):
-    hw: Weight = None
     depth: int = 0
     depths: np.ndarray = None
+
+    @property
+    def hw(self) -> Weight:
+        return self.base
 
     @property
     def hw_vector(self) -> np.ndarray:
@@ -190,7 +199,8 @@ class TruncatedVerma(WeightModule):
 
 
 def same_space(a: WeightModule, b: WeightModule) -> bool:
-    return a is b or (a.dim == b.dim and a.weights == b.weights)
+    return a is b or (a.dim == b.dim and a.base == b.base
+                      and np.array_equal(a.offsets, b.offsets))
 
 
 @dataclass(eq=False)
@@ -250,6 +260,12 @@ class GradedMap:
                          np.eye(module.dim, dtype=complex))
 
 
+def _over_common_denominator(*weights):
+    """(D, coordinate lists): the weights as integer vectors over one D."""
+    D = math.lcm(*(c.denominator for w in weights for c in w.coords))
+    return D, [[c.numerator * (D // c.denominator) for c in w.coords] for w in weights]
+
+
 def _q_pairings(q: float, datum: CartanDatum, v0: Weight, x: np.ndarray,
                 w0: Weight, y: np.ndarray) -> np.ndarray:
     """q^{<v0 + x_a, w0 + y_b>} for integer offset rows x_a and y_b.
@@ -259,10 +275,8 @@ def _q_pairings(q: float, datum: CartanDatum, v0: Weight, x: np.ndarray,
     quotient of Python ints by D^2 and rounds as float(Fraction) does.
     """
     r = datum.rank
-    D = math.lcm(*(c.denominator for c in v0.coords + w0.coords))
-    B = [[int(b) for b in row] for row in datum.bilinear]
-    v = [c.numerator * (D // c.denominator) for c in v0.coords]
-    w = [c.numerator * (D // c.denominator) for c in w0.coords]
+    D, (v, w) = _over_common_denominator(v0, w0)
+    B = datum.bilinear
     # (v0 + x_a) B, and w0 + y_b, both scaled by D
     left = [[sum((v[i] + D * row[i]) * B[i][j] for i in range(r)) for j in range(r)]
             for row in x.tolist()]
@@ -299,17 +313,13 @@ def mirror_index(S) -> np.ndarray:
 def tensor_module(V: WeightModule, W: WeightModule) -> WeightModule:
     """V (x) W with the coproduct action; slot lists flatten.
 
-    Weights and offsets come from the factors' integer lattice offsets:
-    one Weight per distinct weight, shared by its whole block.
+    The base weight is the sum of the factors' bases and the offsets are the
+    pairwise sums of their offset rows, row-major.
     """
     if V.datum is not W.datum or V.q != W.q:
         raise ValueError("tensor factors over different Cartan data or q")
     dv, dw = V.dim, W.dim
     off = (V.offsets[:, None, :] + W.offsets[None, :, :]).reshape(dv * dw, -1)
-    rows = [tuple(o) for o in off.tolist()]
-    base = V.weights[0] + W.weights[0]
-    shared = {o: base + Weight(o) for o in dict.fromkeys(rows)}
-    weights = tuple(shared[o] for o in rows)
     Iv, Iw = np.eye(dv), np.eye(dw)
     E, F = [], []
     for i in range(V.datum.rank):
@@ -317,12 +327,9 @@ def tensor_module(V: WeightModule, W: WeightModule) -> WeightModule:
         Kinv_v = np.diag(1.0 / V.K[i])
         E.append(np.kron(V.E[i], Kw) + np.kron(Iv, W.E[i]))
         F.append(np.kron(V.F[i], Iw) + np.kron(Kinv_v, W.F[i]))
-    T = WeightModule(V.datum, V.q, "tensor", weights, tuple(E), tuple(F),
-                     name=f"({V.name})x({W.name})",
-                     slots=V.slots + W.slots)
-    off.flags.writeable = False
-    T.offsets = off  # already known; fills the cached property
-    return T
+    return WeightModule(V.datum, V.q, "tensor", V.base + W.base, off,
+                        tuple(E), tuple(F), name=f"({V.name})x({W.name})",
+                        slots=V.slots + W.slots)
 
 
 def tensor_many(mods) -> WeightModule:
@@ -334,10 +341,10 @@ def tensor_many(mods) -> WeightModule:
 
 
 def trivial_module(datum: CartanDatum, q: float) -> WeightModule:
-    zero = datum.zero_weight()
     z = np.zeros((1, 1), dtype=complex)
     r = datum.rank
-    return WeightModule(datum, q, "trivial", (zero,), (z,) * r, (z,) * r, name="1")
+    return WeightModule(datum, q, "trivial", datum.zero_weight(),
+                        np.zeros((1, r), dtype=int), (z,) * r, (z,) * r, name="1")
 
 
 def slot_index_arrays(T: WeightModule):
@@ -372,7 +379,7 @@ def slot_classes(mods, groups) -> dict:
             shape = [1] * len(dims) + [r]
             shape[s] = dims[s]
             off = off + mods[s].offsets.reshape(shape)
-            base = base + mods[s].weights[0]
+            base = base + mods[s].base
         offs.append(off.reshape(-1, r))
         bases.append(base)
     index = {}
@@ -425,38 +432,6 @@ def left_dual_module(V: WeightModule) -> WeightModule:
 def dual_tuple(S):
     """S* = (V_k*, ..., V_1*), the same objects on every call."""
     return tuple(dual_module(V) for V in reversed(S))
-
-
-def eval_map(V: WeightModule, dual: WeightModule = None) -> GradedMap:
-    """e_V : V* (x) V -> 1, f (x) v -> f(v)."""
-    Vd = dual or dual_module(V)
-    T = tensor_module(Vd, V)
-    row = np.eye(V.dim, dtype=complex).reshape(1, -1)
-    return GradedMap(T, trivial_module(V.datum, V.q), V.datum.zero_weight(), row)
-
-
-def coeval_map(V: WeightModule, dual: WeightModule = None) -> GradedMap:
-    """iota_V : 1 -> V (x) V*, 1 -> sum_b b (x) b*."""
-    Vd = dual or dual_module(V)
-    T = tensor_module(V, Vd)
-    col = np.eye(V.dim, dtype=complex).reshape(-1, 1)
-    return GradedMap(trivial_module(V.datum, V.q), T, V.datum.zero_weight(), col)
-
-
-def eval_twisted(V: WeightModule, dual: WeightModule = None) -> GradedMap:
-    """e~_V : V (x) V* -> 1, v (x) f -> f(q^{2 rho} v)."""
-    Vd = dual or dual_module(V)
-    T = tensor_module(V, Vd)
-    row = np.diag(V.qh(2 * V.datum.rho)).astype(complex).reshape(1, -1)
-    return GradedMap(T, trivial_module(V.datum, V.q), V.datum.zero_weight(), row)
-
-
-def coeval_twisted(V: WeightModule, dual: WeightModule = None) -> GradedMap:
-    """iota~_V : 1 -> V* (x) V, 1 -> sum_b b* (x) q^{-2 rho} b."""
-    Vd = dual or dual_module(V)
-    T = tensor_module(Vd, V)
-    col = np.diag(1.0 / V.qh(2 * V.datum.rho)).astype(complex).reshape(-1, 1)
-    return GradedMap(trivial_module(V.datum, V.q), T, V.datum.zero_weight(), col)
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +546,6 @@ class _VermaSkeleton:
     expand: dict       # content -> (n_words x n_basis) expansion of classes
     ideal: dict        # content -> reduced spanning rows of the ideal slice
     start: dict        # content -> global index of its first basis vector
-    betas: dict        # content -> its weight below the highest weight
     pairs: dict        # content -> <beta, alpha_i> for each i, as ints
     offsets: np.ndarray  # -content per basis vector: the Verma's offsets
     depths: np.ndarray
@@ -652,21 +626,19 @@ def _verma_skeleton(datum: CartanDatum, q: float, depth: int) -> _VermaSkeleton:
             expand[content] = exp
 
     # global basis, ordered by (height, content, local word order)
-    B = [[int(b) for b in row] for row in datum.bilinear]
+    B = datum.bilinear
     start = {}
-    betas = {}
     pairs = {}
     offsets = []
     for content in contents:
         start[content] = len(offsets)
-        betas[content] = Weight(content)
         pairs[content] = tuple(sum(c * B[j][i] for j, c in enumerate(content))
                                for i in range(r))
         offsets.extend([[-c for c in content]] * len(basis_loc[content]))
     offsets = np.array(offsets, dtype=int)
     depths = -offsets.sum(axis=1)
     sk = _VermaSkeleton(contents, words, widx, basis_loc, expand, ideal,
-                        start, betas, pairs, offsets, depths, ())
+                        start, pairs, offsets, depths, ())
 
     # F_i into each content, read off the class expansion of F_i w
     Fmats = [np.zeros((len(depths),) * 2, dtype=complex) for _ in range(r)]
@@ -688,10 +660,12 @@ def _verma_skeleton(datum: CartanDatum, q: float, depth: int) -> _VermaSkeleton:
 def _build_verma(datum: CartanDatum, q, hw: Weight, depth: int) -> TruncatedVerma:
     """Verma module with highest weight hw, truncated below depth `depth`.
 
-    The basis, F, the depths and the offsets come from `_verma_skeleton`,
-    memoized on (datum, q, depth) since they do not depend on hw.  Only E
-    and the weights hw - beta are built here; hw is paired with each simple
-    root once, and the skeleton's integer pairings do the rest.  E is exact
+    The basis, F, the depths and the offsets (-content per basis vector)
+    come from `_verma_skeleton`, memoized on (datum, q, depth) since they do
+    not depend on hw; hw is the module's base weight.  Only E is built here.
+    Its constants need <hw - beta, alpha_i> per content beta: with hw's
+    coordinates over their common denominator D, each is one exact quotient
+    of Python ints by D, which rounds as float(Fraction) does.  E is exact
     everywhere; F out of the last degree is dropped, which is what the
     depth-margin contract of every downstream computation accounts for.
     All matrices are dense.
@@ -707,7 +681,9 @@ def _build_verma(datum: CartanDatum, q, hw: Weight, depth: int) -> TruncatedVerm
     # E_i out of each content, built by the commutation
     # [E_i, F_j] = delta_ij (K_i - K_i^{-1})/(q_i - q_i^{-1}); the block of
     # E_i from `content` into content - e_i is a view into Emats[i]
-    hw_pair = [datum.pairing(hw, alpha) for alpha in datum.simple_roots]
+    # <hw, alpha_i> times the common denominator D of hw's coordinates
+    D, (h,) = _over_common_denominator(hw)
+    hw_pair = [sum(h[j] * datum.bilinear[j][i] for j in range(r)) for i in range(r)]
     Emats = [np.zeros((N, N), dtype=complex) for _ in range(r)]
     for content in sk.contents[1:]:
         for i in range(r):
@@ -715,8 +691,8 @@ def _build_verma(datum: CartanDatum, q, hw: Weight, depth: int) -> TruncatedVerm
             if tgt is None:
                 continue
             qi = q ** datum.d[i]
-            # <hw - beta, alpha_i> at beta = tgt, exact until this float
-            x = float(hw_pair[i] - sk.pairs[tgt][i])
+            # <hw - beta, alpha_i> at beta = tgt, exact until this division
+            x = (hw_pair[i] - D * sk.pairs[tgt][i]) / D
             cst = (q**x - q**(-x)) / (qi - 1.0 / qi)
             blk = Emats[i][span(tgt), span(content)]
             for s, t in enumerate(sk.basis_loc[content]):
@@ -732,63 +708,44 @@ def _build_verma(datum: CartanDatum, q, hw: Weight, depth: int) -> TruncatedVerm
                 if i == j:
                     blk[:, s] += cst * u
 
-    wts = []
-    for content in sk.contents:
-        wts.extend([hw - sk.betas[content]] * len(sk.basis_loc[content]))
     name = f"M[{','.join(str(float(c)) for c in hw.coords)}]"
-    M = TruncatedVerma(datum, q, "verma", tuple(wts),
-                       tuple(Emats), sk.F, name=name,
-                       hw=hw, depth=depth, depths=sk.depths)
-    M.offsets = sk.offsets  # already known; fills the cached property
-    return M
+    return TruncatedVerma(datum, q, "verma", hw, sk.offsets, tuple(Emats), sk.F,
+                          name=name, depth=depth, depths=sk.depths)
 
 
 # ---------------------------------------------------------------------------
 # irreducibles
-
-def lowest_weight(datum: CartanDatum, hw: Weight) -> Weight:
-    """w_0(hw) computed by walking into the antidominant chamber."""
-    nu = hw
-    moved = True
-    while moved:
-        moved = False
-        for alpha in datum.simple_roots:
-            c = datum.coroot_pairing(nu, alpha)
-            if c > 0:
-                nu = nu - c * alpha
-                moved = True
-    return nu
-
 
 def build_irrep(datum: CartanDatum, q, hw: Weight) -> WeightModule:
     """Simple module V(hw) as the contravariant-form quotient of a Verma."""
     q = check_q(q)
     if not datum.is_dominant_integral(hw):
         raise ValueError(f"{hw} is not dominant integral")
-    lw = lowest_weight(datum, hw)
-    depth = int((hw - lw).height())
+    # V(hw) reaches down to w_0(hw), at height 2<hw, rho^vee> below hw
+    depth = int(sum(datum.coroot_pairing(hw, a) for a in datum.positive_roots))
     M = build_verma(datum, q, hw, depth)
 
-    # contravariant form per weight block, built by C(F_i u, y) = C(u, E_i y)
-    contents = M.blocks
-    order = sorted(contents, key=lambda w: (int((hw - w).height()), w.coords))
+    # contravariant form per weight block, built by C(F_i u, y) = C(u, E_i y);
+    # blocks are keyed by their offset rows x = wt - hw, shallowest first
+    contents = M.offset_blocks
+    order = sorted(contents, key=lambda x: (-sum(x), x))
     Cblocks = {}
     keep = {}
     proj = {}
-    for w in order:
-        ix = np.array(contents[w], dtype=int)
+    for x in order:
+        ix = contents[x]
         n = len(ix)
-        if w == hw:
+        if not any(x):
             C = np.eye(1, dtype=complex)
         else:
             # C(F_i u, y) = C(u, E_i y); a block may need the F-images of
             # several simple roots together, so solve the stacked system
             Fcols, Gs = [], []
             for i in range(datum.rank):
-                up = w + datum.simple_roots[i]
+                up = x[:i] + (x[i] + 1,) + x[i + 1:]
                 if up not in contents:
                     continue
-                ixu = np.array(contents[up], dtype=int)
+                ixu = contents[up]
                 Fcols.append(M.F[i][np.ix_(ix, ixu)])
                 Gs.append(Cblocks[up] @ M.E[i][np.ix_(ixu, ix)])
             Fall = np.hstack(Fcols)
@@ -796,11 +753,11 @@ def build_irrep(datum: CartanDatum, q, hw: Weight) -> WeightModule:
             sol, _, _, _ = scipy.linalg.lstsq(Fall, np.eye(n, dtype=complex),
                                               lapack_driver="gelsy")
             if np.linalg.norm(Fall @ sol - np.eye(n)) > 1e-8:
-                raise RuntimeError(f"contravariant recursion stuck at {w}")
+                raise RuntimeError(f"contravariant recursion stuck at {hw + Weight(x)}")
             C = sol.T @ G
-        Cblocks[w] = C
+        Cblocks[x] = C
         red, pivots = _rref(C)
-        keep[w] = np.array(pivots, dtype=int)
+        keep[x] = np.array(pivots, dtype=int)
         # kernel basis from the RREF rows
         npiv = [c for c in range(n) if c not in set(pivots)]
         K = np.zeros((n, len(npiv)), dtype=complex)
@@ -809,35 +766,33 @@ def build_irrep(datum: CartanDatum, q, hw: Weight) -> WeightModule:
             for rr, p in zip(red, pivots):
                 K[p, t] = -rr[c]
         A = np.zeros((n, n), dtype=complex)
-        for t, p in enumerate(keep[w]):
+        for t, p in enumerate(keep[x]):
             A[p, t] = 1.0
-        A[:, len(keep[w]):] = K
-        proj[w] = np.linalg.inv(A)[: len(keep[w]), :]
+        A[:, len(keep[x]):] = K
+        proj[x] = np.linalg.inv(A)[: len(keep[x]), :]
         # irreducibility of the quotient: restricted form stays full rank
-        sub = C[np.ix_(keep[w], keep[w])]
-        if len(keep[w]) and np.linalg.matrix_rank(sub, tol=PIVOT_TOL) < len(keep[w]):
+        sub = C[np.ix_(keep[x], keep[x])]
+        if len(keep[x]) and np.linalg.matrix_rank(sub, tol=PIVOT_TOL) < len(keep[x]):
             raise RuntimeError("contravariant form degenerate on the quotient")
 
     new_index = []
-    for w in order:
-        ix = contents[w]
-        for p in keep[w]:
-            new_index.append((w, ix[p]))
+    for x in order:
+        ix = contents[x]
+        for p in keep[x]:
+            new_index.append((x, ix[p]))
     dim = len(new_index)
-    wts = tuple(w for w, _ in new_index)
     carrier = np.zeros((M.dim, dim), dtype=complex)   # quotient basis into M
-    for t, (w, gi) in enumerate(new_index):
+    for t, (x, gi) in enumerate(new_index):
         carrier[gi, t] = 1.0
     lift = np.zeros((dim, M.dim), dtype=complex)      # projection M -> quotient
-    for w in order:
-        ix = np.array(contents[w], dtype=int)
-        nk = len(keep[w])
-        rows = [s for s, (wc, _) in enumerate(new_index) if wc == w]
-        lift[np.ix_(rows, ix)] = proj[w]
+    for x in order:
+        rows = [s for s, (xs, _) in enumerate(new_index) if xs == x]
+        lift[np.ix_(rows, contents[x])] = proj[x]
     E = tuple(lift @ M.E[i] @ carrier for i in range(datum.rank))
     F = tuple(lift @ M.F[i] @ carrier for i in range(datum.rank))
     name = "V(" + ",".join(str(datum.coroot_pairing(hw, a)) for a in datum.simple_roots) + ")"
-    return WeightModule(datum, q, "irrep", wts, E, F, name=name)
+    offsets = np.array([x for x, _ in new_index], dtype=int)
+    return WeightModule(datum, q, "irrep", hw, offsets, E, F, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -845,8 +800,7 @@ def build_irrep(datum: CartanDatum, q, hw: Weight) -> WeightModule:
 
 def _kappa_diag(V: WeightModule, W: WeightModule) -> np.ndarray:
     """q^{<wt_a, wt_b>} on the basis of V (x) W, row-major."""
-    return _q_pairings(V.q, V.datum, V.weights[0], V.offsets,
-                       W.weights[0], W.offsets).ravel()
+    return _q_pairings(V.q, V.datum, V.base, V.offsets, W.base, W.offsets).ravel()
 
 
 def _kron_csr(*pairs) -> sp.csr_matrix:

@@ -89,26 +89,27 @@ def _singular_in(target: TruncatedVerma, V: WeightModule, v: np.ndarray,
     Delta(E_i) = E_i (x) K_i + 1 (x) E_i acts on the array directly.  The
     unknowns of a raise beta sit on the Verma block hw - beta and their
     equations on hw - beta + alpha_i, so only E_i (x) K_i couples them.
+    Rows of V and of the target are looked up by integer offset.
     """
-    datum = V.datum
-    hwp = target.hw
     K = V.K
+    x = V.offsets[V.block(mu)[0]]
     betas = _raises(V, mu)
     if betas and max(betas) > target.depth:
         raise ValueError("target truncation too shallow for this spin vector")
 
     U = np.zeros((target.dim, V.dim), dtype=complex)
-    U[target.block(hwp)] = v
+    U[0] = v  # the top block of a Verma is its highest-weight vector
+    units = np.eye(V.datum.rank, dtype=int)
 
     for h in sorted(betas):
-        for beta in map(Weight, betas[h]):
-            vb = V.block(mu + beta)
-            mb = target.block(hwp - beta)
+        for beta in map(np.array, betas[h]):
+            vb = V.at_offset(x + beta)
+            mb = target.at_offset(-beta)
             if mb.size * vb.size == 0:
                 continue
             rows_all, rhs_all = [], []
-            for i, alpha in enumerate(datum.simple_roots):
-                mrows = target.block(hwp - beta + alpha)
+            for i, unit in enumerate(units):
+                mrows = target.at_offset(unit - beta)
                 if not mrows.size:
                     continue
                 Ei = target.E[i][mrows]
@@ -122,7 +123,7 @@ def _singular_in(target: TruncatedVerma, V: WeightModule, v: np.ndarray,
             if rank < mb.size * vb.size:
                 sv = np.linalg.svd(A, compute_uv=False)
                 raise ValueError(
-                    f"singular-vector system rank deficient at raise {beta}; "
+                    f"singular-vector system rank deficient at raise {Weight(beta)}; "
                     f"smallest singular value {sv[-1]:.3e} (non-regular "
                     "highest weight?)")
             resid = np.linalg.norm(A @ sol - b)
@@ -146,10 +147,14 @@ class Intertwiner:
     source: TruncatedVerma
     target_verma: TruncatedVerma
     spin: tuple
-    mu: Weight
     nus: tuple
     matrix: np.ndarray
     exact_depth: int = field(default=0)
+
+    @property
+    def mu(self) -> Weight:
+        """Total weight of the legs: the drop from source to target Verma."""
+        return self.source.hw - self.target_verma.hw
 
     @property
     def spin_dim(self) -> int:
@@ -236,16 +241,28 @@ def vertex_operator(lam: Weight, S: tuple, vlist, depth: int,
     """k-point operator: legs applied right to left, each shifting the weight.
 
     The j-th leg (1-based, rightmost = k) starts from lam_j = lam - sum of
-    the weights of the later legs; every lam_j must be regular.  No leg
-    builds a tensor module; the operator's full target M (x) F(S) is built
-    only when `target` is first read.
+    the weights of the later legs; every lam_j must be regular, which
+    `_check_regular` decides once, at lam_k = lam.  No leg builds a tensor
+    module; the operator's full target M (x) F(S) is built only when
+    `target` is first read.
     """
+    if S:
+        _check_regular(S[0].datum, lam, len(S))
     return _leg_chain(lam, S, vlist, depth, tol, {}, tuple(range(len(vlist))))
+
+
+def _check_regular(datum: CartanDatum, lam: Weight, j: int) -> None:
+    """Raise unless lam = lam_j, where a leg chain starts, is regular.  Every
+    later leg's weight differs from lam by an integral weight, so its coroot
+    pairings keep lam's distance to the integers."""
+    if not datum.is_regular(lam):
+        raise ValueError(f"non-regular weight lam_{j} = {lam}")
 
 
 def _leg_chain(lam: Weight, S: tuple, vlist, depth: int, tol: float,
                legs: dict, keys: tuple) -> Intertwiner:
-    """The legs of `vertex_operator`, right to left.
+    """The legs of `vertex_operator`, right to left; the caller has checked
+    that lam is regular.
 
     `legs` maps a suffix keys[j:] to the composite (matrix, target Verma)
     of legs j..k, so operators that share one table and agree on the keys
@@ -265,9 +282,6 @@ def _leg_chain(lam: Weight, S: tuple, vlist, depth: int, tol: float,
     for j in reversed(range(k)):
         leg = legs.get(keys[j:])
         if leg is None:
-            if not datum.is_regular(cur.hw):
-                raise ValueError(
-                    f"non-regular intermediate weight lam_{j + 1} = {cur.hw}")
             up = max(_raises(S[j], nus[j]), default=0)
             phi, tgt = _one_point(cur.hw, S[j], vlist[j], nus[j], cur,
                                   cur.depth + max(up, 1), tol)
@@ -276,8 +290,7 @@ def _leg_chain(lam: Weight, S: tuple, vlist, depth: int, tol: float,
                 phi = (phi @ op.reshape(cur.dim, -1)).reshape(-1, src.dim)
             leg = legs[keys[j:]] = (phi, tgt)
         op, cur = leg
-    return Intertwiner("primal", src, cur, S, lam - cur.hw, nus, op,
-                       exact_depth=depth)
+    return Intertwiner("primal", src, cur, S, nus, op, exact_depth=depth)
 
 
 def dual_vertex_operator(lam: Weight, sstar: tuple, glist, depth: int,
@@ -285,35 +298,32 @@ def dual_vertex_operator(lam: Weight, sstar: tuple, glist, depth: int,
     """Composite of braided one-point legs, target F(sstar) (x) M.
 
     Legs are applied left to right: leg j targets sstar[j] (x) M and is the
-    braiding inverse applied to a primal one-point operator.  The full
-    target F(sstar) (x) M is built only when `target` is first read.
+    braiding inverse applied to a primal one-point operator.  Regularity is
+    checked once, at lam_1 = lam (see `_check_regular`).  The full target
+    F(sstar) (x) M is built only when `target` is first read.
     """
     sstar = tuple(sstar)
     m = len(sstar)
     if m == 0 or len(glist) != m:
         raise ValueError("need one vector per spin module")
     datum, q = sstar[0].datum, sstar[0].q
+    _check_regular(datum, lam, 1)
     nus = tuple(weight_of(sstar[j], glist[j]) for j in range(m))
 
     src = build_verma(datum, q, lam, depth)
     cur = src
-    cur_lam = lam
     op = None
     left_dim = 1
     for j in range(m):
-        if not datum.is_regular(cur_lam):
-            raise ValueError(f"non-regular intermediate weight lam_{j + 1} = {cur_lam}")
         W = sstar[j]
         span = W.height_span()
-        phi, tgt = _one_point(cur_lam, W, glist[j], nus[j], cur,
+        phi, tgt = _one_point(cur.hw, W, glist[j], nus[j], cur,
                               cur.depth + 2 * max(span, 1), tol)
         psi = unitriangular_solve(r_matrix(W, tgt), phi[flip_index(tgt, W)], span)
         op = psi if op is None else np.kron(np.eye(left_dim), psi) @ op
         left_dim *= W.dim
         cur = tgt
-        cur_lam = cur_lam - nus[j]
-    return Intertwiner("dual", src, cur, sstar, lam - cur.hw, nus, op,
-                       exact_depth=depth)
+    return Intertwiner("dual", src, cur, sstar, nus, op, exact_depth=depth)
 
 
 def expectation(phi: Intertwiner) -> np.ndarray:

@@ -4,7 +4,10 @@ second routes kept to cross-check the library's one route."""
 import numpy as np
 
 from dynq.dynamical import _fused, embedded_shifted, exchange, fusion
-from dynq.qalgebra import WeightModule, flip_index, mirror_index
+from dynq.qalgebra import (
+    GradedMap, WeightModule, dual_module, flip_index, mirror_index,
+    tensor_module, trivial_module,
+)
 
 _DECOMP_TOL = 1e-9
 
@@ -23,6 +26,42 @@ def pairing_matrix(S) -> np.ndarray:
     """
     mirror = mirror_index(S)
     return np.eye(mirror.size)[mirror]
+
+
+# ---------------------------------------------------------------------------
+# plain (co)evaluations; dyn_structure builds its own rows of these
+
+
+def eval_map(V: WeightModule, dual: WeightModule = None) -> GradedMap:
+    """e_V : V* (x) V -> 1, f (x) v -> f(v)."""
+    Vd = dual or dual_module(V)
+    T = tensor_module(Vd, V)
+    row = np.eye(V.dim, dtype=complex).reshape(1, -1)
+    return GradedMap(T, trivial_module(V.datum, V.q), V.datum.zero_weight(), row)
+
+
+def coeval_map(V: WeightModule, dual: WeightModule = None) -> GradedMap:
+    """iota_V : 1 -> V (x) V*, 1 -> sum_b b (x) b*."""
+    Vd = dual or dual_module(V)
+    T = tensor_module(V, Vd)
+    col = np.eye(V.dim, dtype=complex).reshape(-1, 1)
+    return GradedMap(trivial_module(V.datum, V.q), T, V.datum.zero_weight(), col)
+
+
+def eval_twisted(V: WeightModule, dual: WeightModule = None) -> GradedMap:
+    """e~_V : V (x) V* -> 1, v (x) f -> f(q^{2 rho} v)."""
+    Vd = dual or dual_module(V)
+    T = tensor_module(V, Vd)
+    row = np.diag(V.qh(2 * V.datum.rho)).astype(complex).reshape(1, -1)
+    return GradedMap(T, trivial_module(V.datum, V.q), V.datum.zero_weight(), row)
+
+
+def coeval_twisted(V: WeightModule, dual: WeightModule = None) -> GradedMap:
+    """iota~_V : 1 -> V* (x) V, 1 -> sum_b b* (x) q^{-2 rho} b."""
+    Vd = dual or dual_module(V)
+    T = tensor_module(Vd, V)
+    col = np.diag(1.0 / V.qh(2 * V.datum.rho)).astype(complex).reshape(-1, 1)
+    return GradedMap(trivial_module(V.datum, V.q), T, V.datum.zero_weight(), col)
 
 
 # ---------------------------------------------------------------------------

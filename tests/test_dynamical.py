@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from dynq.cartan import preset
 from dynq.qalgebra import (
-    build_irrep, dual_module, eval_twisted, qnum, tensor_many,
-    tensor_module, trivial_module,
+    build_irrep, dual_module, qnum, tensor_many, tensor_module, trivial_module,
 )
 from dynq.vertexops import dual_vertex_operator, expectation, vertex_operator
 from dynq.dynamical import (
@@ -20,7 +19,8 @@ from dynq.dynamical import (
 )
 
 from oracles import (
-    dressed_exchange, flip_matrix, pair_first_shifted, pair_second_shifted,
+    dressed_exchange, eval_twisted, flip_matrix, pair_first_shifted,
+    pair_second_shifted,
 )
 
 A1 = preset("A1")
@@ -123,6 +123,14 @@ class TestFusionBasics:
         assert j.matrix.shape == (1, 1)
         assert j.matrix[0, 0] == pytest.approx(1.0)
 
+    def test_empty_word_is_memoized(self):
+        # one unit fusion per (datum, q, lam), as for every other word
+        lam = -7.77 * OM
+        j = fusion((), lam, datum=A1, q=Q)
+        assert fusion((), lam, datum=A1, q=Q) is j
+        assert fusion((), lam, depth=5, datum=A1, q=Q) is j
+        assert fusion((), -7.78 * OM, datum=A1, q=Q) is not j
+
     def test_zero_weight_block_coefficient(self):
         # two fundamental legs, zero-weight block in order (+-, -+): the
         # composite operator picks up exactly one correction term, computed
@@ -182,20 +190,36 @@ class TestFusionBasics:
         assert np.max(np.abs(AB @ j - j @ AB)) < 1e-9
 
     def test_weight_pairings_do_not_grow_with_depth(self, monkeypatch):
-        # basis-vector weight data reads integer offsets, so a cold fusion
-        # pairs exact weights per module and leg, never per Verma content
-        from dynq.cartan import CartanDatum
-        calls = []
-        pairing = CartanDatum.pairing
-        monkeypatch.setattr(CartanDatum, "pairing",
-                            lambda self, x, y: calls.append(1) or pairing(self, x, y))
+        # weight data of basis vectors and Verma contents reads integer
+        # offsets, so a cold fusion pairs and combines exact weights per
+        # module and leg, never per Verma content, and checks regularity
+        # once, at lam
+        from dynq.cartan import CartanDatum, Weight
+        calls = {"pairing": 0, "arith": 0, "is_regular": 0}
+
+        def counted(kind, fn):
+            def wrapped(*args, **kwargs):
+                calls[kind] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in ("pairing", "is_regular"):
+            monkeypatch.setattr(CartanDatum, name,
+                                counted(name, getattr(CartanDatum, name)))
+        for name in ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__"):
+            monkeypatch.setattr(Weight, name, counted("arith", getattr(Weight, name)))
+        # a first fusion builds what every later one reuses: the spin
+        # modules' weight views and F((V1, V2))
+        fusion((V1, V2), A2.from_fundamental([-3.511, -2.383]))
         counts = []
         for depth, coeffs in ((2, [-3.611, -2.283]), (6, [-3.711, -2.183])):
-            calls.clear()
-            fusion((V1, V2), A2.from_fundamental(coeffs), depth=depth)
-            counts.append(len(calls))
-        assert counts[0] > 0
+            lam = A2.from_fundamental(coeffs)
+            calls.update(dict.fromkeys(calls, 0))
+            fusion((V1, V2), lam, depth=depth)
+            counts.append(dict(calls))
+        assert counts[0]["pairing"] > 0 and counts[0]["arith"] > 0
         assert counts[0] == counts[1]
+        assert counts[0]["is_regular"] == 1
 
     def test_family_wraps_fusion(self):
         fam = fusion_family((V, W))

@@ -7,13 +7,12 @@ import scipy.linalg
 from dynq.cartan import preset
 from dynq.qalgebra import (
     GradedMap, WeightModule, _kappa_diag, build_irrep, build_verma,
-    casimir_ratio, character, check_q, coeval_map, coeval_twisted,
-    dual_module, eval_map, eval_twisted, flip_index,
+    casimir_ratio, character, check_q, dual_module, flip_index,
     left_dual_module, omega_tilde, partial_trace, qnum, r21_matrix, r_matrix,
     relation_residuals, slot_classes, tensor_many, tensor_module, trivial_module,
 )
 
-from oracles import flip_matrix
+from oracles import coeval_map, coeval_twisted, eval_map, eval_twisted, flip_matrix
 
 A1 = preset("A1")
 A2 = preset("A2")
@@ -386,8 +385,9 @@ class TestLatticeOffsets:
             assert M.weights[0] + A2.weight(off.tolist()) == w
 
     def test_tensor_weights_match_pairwise_sums(self):
-        # reference: one Fraction sum per basis pair, blocks and offsets
-        # read off those weights as a plain WeightModule does
+        # reference: one Fraction sum per basis pair; the reference module
+        # takes its base and offsets from those sums, and its blocks are
+        # read off them as for any WeightModule
         lam = A2.from_fundamental([-3.217, -4.381])
         M = build_verma(A2, Q, lam, 4)
         V1 = build_irrep(A2, Q, A2.fundamental_weights[0])
@@ -395,7 +395,11 @@ class TestLatticeOffsets:
         for V, W in ((M, V1), (dual_module(V1), M), (W1, W2)):
             T = tensor_module(V, W)
             want = tuple(a + b for a in V.weights for b in W.weights)
-            ref = WeightModule(V.datum, Q, "ref", want, T.E, T.F)
+            steps = [(w - want[0]).coords for w in want]
+            assert all(c.denominator == 1 for row in steps for c in row)
+            ref = WeightModule(V.datum, Q, "ref", want[0],
+                               np.array(steps, dtype=int), T.E, T.F)
+            assert T.base == want[0]
             assert T.weights == want
             assert list(T.blocks) == list(ref.blocks)
             assert all(np.array_equal(T.blocks[w], ref.blocks[w]) for w in ref.blocks)
@@ -405,13 +409,12 @@ class TestLatticeOffsets:
             assert all(T.weights[i] is w for w, ix in T.blocks.items() for i in ix)
 
     def test_non_integral_offsets_raise(self):
+        # weights of one module differ by integer simple-root steps
         z = np.zeros((2, 2), dtype=complex)
-        weights = (A1.zero_weight(), A1.weight([Fraction(1, 2)]))
-        X = WeightModule(A1, Q, "test", weights, (z,), (z,))
-        with pytest.raises(ValueError, match="non-integral"):
-            X.offsets
-        with pytest.raises(ValueError, match="non-integral"):
-            r_matrix(X, X)
+        half = np.array([[Fraction(0)], [Fraction(1, 2)]])
+        for offsets in (np.array([[0.0], [0.5]]), half):
+            with pytest.raises(ValueError, match="non-integral"):
+                WeightModule(A1, Q, "test", A1.zero_weight(), offsets, (z,), (z,))
 
 
 class TestScalars:

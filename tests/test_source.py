@@ -120,3 +120,23 @@ def test_every_top_level_definition_is_referenced():
     orphans = [f"{file}:{name}" for file, name, own in defined
                if counts[name] == own]
     assert not orphans, f"top-level definitions nothing references: {orphans}"
+
+
+def test_no_cached_property_assigned():
+    # a cached property is derived on first read; code that fills one in
+    # from outside keeps a second copy that can disagree with its source
+    cached = set()
+    for _, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and any(
+                    getattr(d, "id", getattr(d, "attr", None)) == "cached_property"
+                    for d in node.decorator_list):
+                cached.add(node.name)
+    assert "K" in cached  # the scan finds WeightModule.K
+    found = []
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            targets = node.targets if isinstance(node, ast.Assign) else []
+            found += [f"{name}:{node.lineno}" for t in targets
+                      if isinstance(t, ast.Attribute) and t.attr in cached]
+    assert not found, f"cached properties assigned: {found}"
