@@ -51,10 +51,9 @@ from .qalgebra import (
 from .vertexops import _check_regular, _leg_chain, expectation
 
 __all__ = [
-    "EvaluatedOperator", "DynamicalFamily",
+    "EvaluatedOperator",
     "fusion", "dynamical_twist", "exchange", "exchange21", "exchange_inverse",
-    "q_operator", "q_operator_inverse", "dyn_structure",
-    "fusion_family", "exchange_family", "q_family", "embedded_shifted",
+    "q_operator", "q_operator_inverse", "dyn_structure", "embedded_shifted",
 ]
 
 
@@ -80,24 +79,6 @@ class EvaluatedOperator:
 
     def __repr__(self):
         return f"<{self.family} at {self.lam} on dim {self.source.dim}>"
-
-
-class DynamicalFamily:
-    """lam -> EvaluatedOperator, memoized per family in a `cache.Memo`.
-
-    Repeated evaluation at equal lam returns the very same object, so results
-    are bit-identical by construction.  The closure must be pure.
-    """
-
-    def __init__(self, fn):
-        self._fn = fn
-        self._memo = Memo()
-
-    def __call__(self, lam: Weight) -> EvaluatedOperator:
-        return self._memo.get(lam, lambda: self._fn(lam))
-
-    def matrix(self, lam: Weight) -> np.ndarray:
-        return self(lam).matrix
 
 
 _FUSION_MEMO = Memo()
@@ -174,10 +155,6 @@ def fusion(S, lam: Weight, depth: int = 2, tol: float = 1e-10,
         return EvaluatedOperator(GradedMap(T, T, dz, cols), lam, "fusion")
 
     return _FUSION_MEMO.get((S, lam, int(depth), float(tol)), make)
-
-
-def fusion_family(S, depth: int = 2, tol: float = 1e-10) -> DynamicalFamily:
-    return DynamicalFamily(lambda lam: fusion(S, lam, depth, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +244,6 @@ def exchange_inverse(S, T, lam: Weight, depth: int = 2,
     return EvaluatedOperator(gm, lam, "exchange")
 
 
-def exchange_family(S, T, depth: int = 2, tol: float = 1e-10) -> DynamicalFamily:
-    return DynamicalFamily(lambda lam: exchange(S, T, lam, depth, tol))
-
-
 # ---------------------------------------------------------------------------
 # Q-operators
 
@@ -310,10 +283,6 @@ def q_operator_inverse(V: WeightModule, lam: Weight, depth: int = 2,
             "Q inverse routes disagree beyond tolerance (convention fault)")
     gm = GradedMap(V, V, V.datum.zero_weight(), out)
     return EvaluatedOperator(gm, lam, "Q")
-
-
-def q_family(V: WeightModule, depth: int = 2, tol: float = 1e-10) -> DynamicalFamily:
-    return DynamicalFamily(lambda lam: q_operator(V, lam, depth, tol))
 
 
 # ---------------------------------------------------------------------------

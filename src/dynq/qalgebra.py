@@ -5,6 +5,12 @@ the non-dynamical R-matrix, characters, and the central-element action.
 Module matrices (E, F) and R-matrices are dense complex128; `r_matrix`
 applies the coproduct generators as sparse CSR matrices.
 
+The R-matrix is kappa (1 + N), with kappa = q^{<wt, wt>} diagonal and N
+strictly raising the first slot.  Beside a truncated Verma second slot, N
+is free of the Verma's highest weight: it is solved once per (first slot,
+Verma skeleton, tol) and memoized, while kappa and the intertwining guard
+are formed on every call, at that call's weight.
+
 A module has one weight representation, set by every constructor: an
 exact `base` Weight (that of basis vector 0) and integer simple-root
 `offsets` from it, one row per basis vector.  Data indexed by basis vector
@@ -803,13 +809,20 @@ def _kappa_diag(V: WeightModule, W: WeightModule) -> np.ndarray:
     return _q_pairings(V.q, V.datum, V.base, V.offsets, W.base, W.offsets).ravel()
 
 
+def _csr(rows, cols, vals, shape) -> sp.csr_matrix:
+    """CSR matrix of the given entries, column indices ascending within
+    each row, so a product sums its terms in the order a dense product
+    does.  Repeated entries stay apart until `sum_duplicates`."""
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=shape[0]))))
+    return sp.csr_matrix((vals[order], cols[order], indptr), shape=shape)
+
+
 def _kron_csr(*pairs) -> sp.csr_matrix:
     """Sum of A (x) B over pairs of dense factors, as a canonical CSR matrix.
 
     Built by index arithmetic: on small modules scipy's own kron costs more
-    than every product the matrix then takes part in.  Column indices
-    ascend within each row, so a product sums its terms in the order a
-    dense product does.
+    than every product the matrix then takes part in.
     """
     n = pairs[0][0].shape[0] * pairs[0][1].shape[0]
     m = pairs[0][0].shape[1] * pairs[0][1].shape[1]
@@ -821,37 +834,23 @@ def _kron_csr(*pairs) -> sp.csr_matrix:
         cols.append((aj[:, None] * B.shape[1] + bl[None, :]).ravel())
         vals.append((A[ai, aj][:, None] * B[bk, bl][None, :]).ravel())
     rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
-    order = np.lexsort((cols, rows))
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-    out = sp.csr_matrix((vals[order], cols[order], indptr), shape=(n, m))
+    out = _csr(rows, cols, vals, (n, m))
     out.sum_duplicates()
     return out
 
 
-def r_matrix(V: WeightModule, W: WeightModule, tol: float = 1e-10) -> np.ndarray:
-    """Matrix of the R-matrix endomorphism of V (x) W, normalized kappa (1 + N).
+def _shift_pairs(x: np.ndarray, shift) -> tuple:
+    """(targets, sources) of the basis vectors whose offset rows x differ
+    by `shift`, sorted by target, then source."""
+    return np.nonzero((x[:, None, :] == x[None, :, :] + shift).all(axis=2))
 
-    N strictly raises the first slot; it is solved degree by degree from the
-    E-generator intertwining of P R with the coproduct. A rank drop in any
-    degree slice means a resonance; that raises with the nullity reported.
 
-    The coproduct generators (1 (x) E, E (x) K, kappa-scaled E (x) 1) act as
-    sparse matrices, and the final guard is formed only on the rows and
-    columns it reads.  N, R and each slice's residual stay dense n x n.
-    Weights enter as integer lattice offsets from each module's first
-    weight, so V and W must each lie in one root-lattice coset.
-    """
-    datum, q = V.datum, V.q
-    dv, dw = V.dim, W.dim
-    n = dv * dw
-    r = datum.rank
-    kap = _kappa_diag(V, W)
-    xv, xw = V.offsets, W.offsets
-
-    # candidate raising shifts: differences of V-weights realizable in W too
+def _raising_shifts(V: WeightModule, W: WeightModule) -> dict:
+    """The degrees beta > 0 N can have, each mapped to its height: the
+    differences of V-weights that some pair of W-weights differs by too."""
     betas = {}
-    vset = {tuple(o) for o in xv.tolist()}
-    wset = {tuple(o) for o in xw.tolist()}
+    vset = {tuple(o) for o in V.offsets.tolist()}
+    wset = {tuple(o) for o in W.offsets.tolist()}
     for mu in vset:
         for mu2 in vset:
             b = tuple(c2 - c1 for c1, c2 in zip(mu, mu2))
@@ -860,30 +859,160 @@ def r_matrix(V: WeightModule, W: WeightModule, tol: float = 1e-10) -> np.ndarray
                 continue
             if any(tuple(c - cb for c, cb in zip(nu, b)) in wset for nu in wset):
                 betas[b] = h
-    beta_order = sorted(betas, key=lambda b: (betas[b], b))
+    return dict(sorted(betas.items(), key=lambda kv: (kv[1], kv[0])))
+
+
+_VERMA_N_MEMO = Memo()
+
+
+def r_matrix(V: WeightModule, W: WeightModule, tol: float = 1e-10) -> np.ndarray:
+    """Matrix of the R-matrix endomorphism of V (x) W, normalized kappa (1 + N).
+
+    kappa = q^{<wt, wt>} is diagonal and N strictly raises the first slot.
+    With a truncated Verma second slot, N does not depend on the Verma's
+    highest weight: it is solved once per (V, Verma skeleton, tol) by
+    `_verma_nilpotent` and memoized, so only kappa and the final guard
+    are formed per call.  With a finite second slot, N is solved on each
+    call by `_finite_nilpotent`.  A rank drop in any degree slice raises
+    with the nullity reported.
+
+    The final guard checks R Delta(x) = Delta^op(x) R for every generator,
+    on the rows and columns that keep 2 * (largest degree) + 1 away from
+    each Verma slot's truncation.  N and R are dense n x n; the coproduct
+    generators act as sparse matrices.  Weights enter as integer lattice
+    offsets from each module's first weight, so V and W must each lie in
+    one root-lattice coset.
+    """
+    n = V.dim * W.dim
+    kap = _kappa_diag(V, W)
+    betas = _raising_shifts(V, W)
+    if isinstance(W, TruncatedVerma):
+        if isinstance(V, TruncatedVerma):
+            raise ValueError("r_matrix needs a finite first slot beside a Verma")
+        # the Verma's datum, q and depth fix its skeleton, the only part read
+        key = (V, W.datum, W.q, W.depth, float(tol))
+        N = _VERMA_N_MEMO.get(key, lambda: _verma_nilpotent(V, W, betas, tol)).toarray()
+    else:
+        N = _finite_nilpotent(V, W, kap, betas, tol)
+    R = kap[:, None] * (np.eye(n) + N)
+
+    # final guard: commutation with the full coproduct on safe rows/cols
+    margin = max(betas.values(), default=0)
+    mask = np.ones(n, dtype=bool)
+    if isinstance(W, TruncatedVerma):
+        mask &= np.tile(W.depths, V.dim) + 2 * margin + 1 <= W.depth
+    if isinstance(V, TruncatedVerma):
+        mask &= np.repeat(V.depths, W.dim) + 2 * margin + 1 <= V.depth
+    keep = np.flatnonzero(mask)
+    if keep.size:
+        _check_intertwines(V, W, R, keep, tol)
+    return R
+
+
+def _verma_nilpotent(V: WeightModule, M: TruncatedVerma, betas: dict,
+                     tol: float) -> sp.csr_matrix:
+    """N of R = kappa (1 + N) on V (x) M, from data free of M's highest weight.
+
+    Since kappa^{-1} Delta^op(F_i) kappa = K_i (x) F_i + F_i (x) 1, the
+    F-intertwining of kappa (1 + N) reads, degree by degree in the first slot,
+        [N_beta, F_i (x) 1] = (K_i (x) F_i) N_{beta - alpha_i}
+                              - N_{beta - alpha_i} (K_i^{-1} (x) F_i),
+    with N_0 = 1.  Only V's F and K and the Verma skeleton's F enter.  The
+    left side acts on V alone, so each degree is one small system L_beta on
+    V's degree-beta matrices, solved for every pair (b', b) of Verma basis
+    vectors with content(b') = content(b) + beta at once.  L_beta is
+    injective when V is generated by its highest-weight vector under the
+    F_i, as every irreducible module is.  Every F these equations read maps
+    into depth <= M.depth, so N is exact up to the truncation.
+
+    Each column (b', b) is summed in one fixed order, so the N of a
+    shallower Verma is bit-identical to the matching block of a deeper one.
+    Returns a read-only canonical CSR matrix.
+    """
+    dv, dm = V.dim, M.dim
+    n = dv * dm
+    r = V.datum.rank
+    units = np.eye(r, dtype=int)
+    A = [_kron_csr((np.diag(V.K[i]), M.F[i])) for i in range(r)]
+    B = [_kron_csr((np.diag(1.0 / V.K[i]), M.F[i])) for i in range(r)]
+    parts = {(0,) * r: sp.identity(n, dtype=complex, format="csr")}
+    for beta in betas:
+        bvec = np.array(beta)
+        ut, us = _shift_pairs(V.offsets, bvec)
+        pt, ps = _shift_pairs(M.offsets, -bvec)
+        if not pt.size:
+            continue
+        L, rhs = [], []
+        for i in range(r):
+            et, es = _shift_pairs(V.offsets, bvec - units[i])
+            if not et.size:
+                continue
+            Fi = V.F[i]
+            # coefficient of X[ut, us] in (X F_i - F_i X)[et, es]
+            L.append(np.where(ut[None, :] == et[:, None], Fi[us[None, :], es[:, None]], 0)
+                     - np.where(us[None, :] == es[:, None], Fi[et[:, None], ut[None, :]], 0))
+            prev = parts.get(tuple(bvec - units[i]))
+            if prev is None:
+                rhs.append(np.zeros((et.size, pt.size), dtype=complex))
+                continue
+            C = A[i] @ prev - prev @ B[i]
+            rows = (et[:, None] * dm + pt[None, :]).ravel()
+            cols = (es[:, None] * dm + ps[None, :]).ravel()
+            rhs.append(np.asarray(C[rows, cols]).reshape(et.size, pt.size))
+        rank = np.linalg.matrix_rank(np.vstack(L)) if L else 0
+        if rank < ut.size:
+            raise ValueError(
+                f"R solve underdetermined at shift {Weight(beta)}: nullity "
+                f"{ut.size - rank} (V is not generated by its highest-weight vector)")
+        L, rhs = np.vstack(L), np.vstack(rhs)
+        # the system is consistent, so a square subsystem of independent rows
+        # (chosen by pivoted QR) fixes Y; the check below reads every row
+        sq = scipy.linalg.qr(L.T, mode="r", pivoting=True)[1][:ut.size]
+        inv = np.linalg.inv(L[sq])
+        # one elementwise product per equation, so that no column's sum
+        # depends on how many columns there are
+        Y = np.zeros((ut.size, pt.size), dtype=complex)
+        for k, row in enumerate(sq):
+            Y += inv[:, k, None] * rhs[row]
+        full = np.abs(L @ Y - rhs)
+        scale = 1.0 + float(np.max(np.abs(L) @ np.abs(Y) + np.abs(rhs)))
+        if np.max(full) > tol * scale:
+            raise ValueError(
+                f"R solve inconsistent at shift {Weight(beta)}: {np.max(full):.2e}")
+        rows = (ut[:, None] * dm + pt[None, :]).ravel()
+        cols = (us[:, None] * dm + ps[None, :]).ravel()
+        parts[beta] = _csr(rows, cols, Y.ravel(), (n, n))
+    del parts[(0,) * r]
+    N = sum(parts.values(), sp.csr_matrix((n, n), dtype=complex))
+    for arr in (N.data, N.indices, N.indptr):
+        arr.flags.writeable = False
+    return N
+
+
+def _finite_nilpotent(V: WeightModule, W: WeightModule, kap: np.ndarray,
+                      betas: dict, tol: float) -> np.ndarray:
+    """N of R = kappa (1 + N) on V (x) W for a finite second slot.
+
+    Solved degree by degree from the E-generator intertwining of P R with
+    the coproduct.  Constraints flow both ways along raising chains
+    (raising dies at the top), so each slice is solved globally; all
+    entries are O(1)-scaled here and one equilibrated least squares is
+    accurate.  The generators (1 (x) E, E (x) K, kappa-scaled E (x) 1) act
+    as sparse matrices; N and each slice's residual stay dense n x n.
+    """
+    dv, dw = V.dim, W.dim
+    n = dv * dw
+    r = V.datum.rank
+    xv, xw = V.offsets, W.offsets
     units = [tuple(int(i == j) for j in range(r)) for i in range(r)]
 
-    # second-slot truncation data (for Verma in the second slot)
-    w_depth = None
-    if isinstance(W, TruncatedVerma):
-        w_depth = W.depths
-    w_height = xw.sum(axis=1)
-
-    def positions(shift_v, shift_w, hb):
+    def positions(shift_v, shift_w):
         """(rows, cols) where the V weight moves by shift_v and the W weight
-        by shift_w, sorted by column, then row; Verma columns too deep for
-        height hb are dropped."""
+        by shift_w, sorted by column, then row."""
         mv = (xv[None, :, :] == xv[:, None, :] + shift_v).all(axis=2)
         mw = (xw[None, :, :] == xw[:, None, :] + shift_w).all(axis=2)
         cols, rows = np.nonzero(np.kron(mv, mw))
-        if w_depth is not None:
-            ok = w_depth[cols % dw] + hb <= W.depth
-            rows, cols = rows[ok], cols[ok]
         return rows, cols
-
-    def by_col(rows, cols):
-        heads, first = np.unique(cols, return_index=True)
-        return dict(zip(heads.tolist(), np.split(rows, first[1:])))
 
     N = np.zeros((n, n), dtype=complex)
     Nparts = {}
@@ -902,16 +1031,18 @@ def r_matrix(V: WeightModule, W: WeightModule, tol: float = 1e-10) -> np.ndarray
         """Entries of A0 = 1 (x) WE at broadcast index arrays."""
         return np.where(rows // dw == cols // dw, WE[rows % dw, cols % dw], 0)
 
-    for beta in beta_order:
-        hb = betas[beta]
+    for beta in betas:
         bvec = np.array(beta)
-        ut, us = positions(bvec, -bvec, hb)
+        ut, us = positions(bvec, -bvec)
         if ut.size == 0:
             continue
         inhom = []
         eqs = []
+        rows_all = []
+        rhs_all = []
         for i, (A0, A1, B1, WE) in enumerate(ops):
-            eqs.append(positions(bvec, np.array(units[i]) - bvec, hb))
+            et, es = eqs_i = positions(bvec, np.array(units[i]) - bvec)
+            eqs.append(eqs_i)
             Nprev = Nparts.get(tuple(c - u for c, u in zip(beta, units[i])))
             C = np.zeros((n, n), dtype=complex)
             if beta == units[i]:
@@ -919,79 +1050,32 @@ def r_matrix(V: WeightModule, W: WeightModule, tol: float = 1e-10) -> np.ndarray
             if Nprev is not None:
                 C += B1 @ Nprev - Nprev @ A1
             inhom.append(C)
-        Nb = np.zeros((n, n), dtype=complex)
-        if w_depth is None:
-            # finite second slot: constraints flow both ways along raising
-            # chains (raising dies at the top), so solve the slice globally;
-            # all entries are O(1)-scaled here and one equilibrated least
-            # squares is accurate
-            rows_all = []
-            rhs_all = []
-            for i, (A0, A1, B1, WE) in enumerate(ops):
-                et, es = eqs[i]
-                if not et.size:
-                    continue
-                # (A0 N - N A0)[t, s] over the unknowns (ut, us) of N
-                eq = (np.where(us[None, :] == es[:, None],
-                               a0_at(WE, et[:, None], ut[None, :]), 0)
-                      - np.where(ut[None, :] == et[:, None],
-                                 a0_at(WE, us[None, :], es[:, None]), 0))
-                rows_all.append(eq)
-                rhs_all.append(-inhom[i][et, es])
-            if not rows_all:
+            if not et.size:
                 continue
-            eq = np.vstack(rows_all)
-            rhs = np.concatenate(rhs_all)
-            rs = np.max(np.abs(eq), axis=1)
-            rs[rs == 0] = 1.0
-            eq = eq / rs[:, None]
-            rhs = rhs / rs
-            cs = np.max(np.abs(eq), axis=0)
-            cs[cs == 0] = 1.0
-            eq = eq / cs[None, :]
-            sol, _, rank, _ = scipy.linalg.lstsq(eq, rhs, lapack_driver="gelsy")
-            if rank < ut.size:
-                raise ValueError(
-                    f"resonant weight data solving R at shift {Weight(beta)}: "
-                    f"nullity {ut.size - rank}")
-            Nb[ut, us] = sol / cs
-        else:
-            # Verma second slot: the equation at source column s couples its
-            # unknowns only to columns one simple raise up, so descending
-            # second-slot height is exact back substitution; a global least
-            # squares would mix depth scales q^{-k} and lose the deep rows
-            unk = by_col(ut, us)
-            eq_by_col = [by_col(*e) for e in eqs]
-            for s in sorted(unk, key=lambda s: -w_height[s % dw]):
-                uts = unk[s]
-                a, b = divmod(s, dw)
-                rows = []
-                rhs = []
-                for i, (A0, A1, B1, WE) in enumerate(ops):
-                    ts = eq_by_col[i].get(s)
-                    if ts is None:
-                        continue
-                    rows.append(a0_at(WE, ts[:, None], uts[None, :]))
-                    # (N A0)[t, s] over the columns already solved
-                    cross = 0.0
-                    for b2 in np.nonzero(WE[:, b])[0]:
-                        cross = cross + WE[b2, b] * Nb[ts, a * dw + b2]
-                    rhs.append(cross - inhom[i][ts, s])
-                if not rows:
-                    continue
-                eq = np.vstack(rows)
-                rhs = np.concatenate(rhs)
-                rs = np.max(np.abs(eq), axis=1)
-                rs[rs == 0] = 1.0
-                eq = eq / rs[:, None]
-                rhs = rhs / rs
-                sol, _, rank, _ = scipy.linalg.lstsq(eq, rhs,
-                                                     lapack_driver="gelsy")
-                if rank < uts.size:
-                    raise ValueError(
-                        f"resonant weight data solving R at shift {Weight(beta)}: "
-                        f"nullity {uts.size - rank}")
-                Nb[uts, s] = sol
+            # (A0 N - N A0)[t, s] over the unknowns (ut, us) of N
+            rows_all.append(np.where(us[None, :] == es[:, None],
+                                     a0_at(WE, et[:, None], ut[None, :]), 0)
+                            - np.where(ut[None, :] == et[:, None],
+                                       a0_at(WE, us[None, :], es[:, None]), 0))
+            rhs_all.append(-C[et, es])
+        if not rows_all:
+            continue
+        eq = np.vstack(rows_all)
+        rhs = np.concatenate(rhs_all)
+        rs = np.max(np.abs(eq), axis=1)
+        rs[rs == 0] = 1.0
+        eq = eq / rs[:, None]
+        rhs = rhs / rs
+        cs = np.max(np.abs(eq), axis=0)
+        cs[cs == 0] = 1.0
+        eq = eq / cs[None, :]
+        sol, _, rank, _ = scipy.linalg.lstsq(eq, rhs, lapack_driver="gelsy")
+        if rank < ut.size:
+            raise ValueError(
+                f"resonant weight data solving R at shift {Weight(beta)}: "
+                f"nullity {ut.size - rank}")
+        Nb = np.zeros((n, n), dtype=complex)
+        Nb[ut, us] = sol / cs
         # slice consistency, including columns that carry no unknowns
         for i, (A0, A1, B1, WE) in enumerate(ops):
             left, right = A0 @ Nb, Nb @ A0
@@ -1007,20 +1091,7 @@ def r_matrix(V: WeightModule, W: WeightModule, tol: float = 1e-10) -> np.ndarray
                     f"{abs(full[et[k], es[k]]):.2e}")
         Nparts[beta] = Nb
         N += Nb
-
-    R = kap[:, None] * (np.eye(n) + N)
-
-    # final guard: commutation with the full coproduct on safe rows/cols
-    margin = max(betas.values(), default=0)
-    mask = np.ones(n, dtype=bool)
-    if w_depth is not None:
-        mask &= np.tile(w_depth, dv) + 2 * margin + 1 <= W.depth
-    if isinstance(V, TruncatedVerma):
-        mask &= np.repeat(V.depths, dw) + 2 * margin + 1 <= V.depth
-    keep = np.flatnonzero(mask)
-    if keep.size:
-        _check_intertwines(V, W, R, keep, tol)
-    return R
+    return N
 
 
 def _check_intertwines(V: WeightModule, W: WeightModule, R: np.ndarray,

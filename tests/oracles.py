@@ -2,11 +2,14 @@
 second routes kept to cross-check the library's one route."""
 
 import numpy as np
+import scipy.linalg
 
+from dynq.cartan import Weight
 from dynq.dynamical import _fused, embedded_shifted, exchange, fusion
 from dynq.qalgebra import (
-    GradedMap, WeightModule, dual_module, flip_index, mirror_index,
-    tensor_module, trivial_module,
+    GradedMap, TruncatedVerma, WeightModule, _kappa_diag, _kron_csr,
+    _raising_shifts, dual_module, flip_index, mirror_index, tensor_module,
+    trivial_module,
 )
 
 _DECOMP_TOL = 1e-9
@@ -115,3 +118,91 @@ def dressed_exchange(S, T, lam, depth: int = 2, tol: float = 1e-10) -> np.ndarra
     post = pair_second_shifted(
         np.linalg.inv(jS(lam)), lambda mu: np.linalg.inv(jT(mu)), FS, FT, lam)
     return post @ core @ pre
+
+
+# ---------------------------------------------------------------------------
+# Verma-slot R-matrix by back substitution at the Verma's highest weight
+
+
+def r_matrix_backsub(V: WeightModule, M: TruncatedVerma) -> np.ndarray:
+    """kappa (1 + N) on V (x) M with N solved from the E-intertwining.
+
+    The E-equations read the Verma's E, so this solve depends on M's highest
+    weight.  The equation at source column s couples its unknowns only to
+    columns one simple raise up, so descending second-slot height is exact
+    back substitution, one small least squares per column.  Columns too
+    deep for a degree's height are dropped.  No guard runs here.
+    """
+    dv, dw = V.dim, M.dim
+    n = dv * dw
+    r = V.datum.rank
+    kap = _kappa_diag(V, M)
+    xv, xw = V.offsets, M.offsets
+    betas = _raising_shifts(V, M)
+    units = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    w_height = xw.sum(axis=1)
+
+    def by_col(shift_v, shift_w, hb):
+        mv = (xv[None, :, :] == xv[:, None, :] + shift_v).all(axis=2)
+        mw = (xw[None, :, :] == xw[:, None, :] + shift_w).all(axis=2)
+        cols, rows = np.nonzero(np.kron(mv, mw))
+        ok = M.depths[cols % dw] + hb <= M.depth
+        rows, cols = rows[ok], cols[ok]
+        heads, first = np.unique(cols, return_index=True)
+        return dict(zip(heads.tolist(), np.split(rows, first[1:])))
+
+    Iv, Iw = np.eye(dv), np.eye(dw)
+    ops = []
+    for i in range(r):
+        A1 = _kron_csr((V.E[i], np.diag(M.K[i])))
+        B1 = _kron_csr((V.E[i], Iw))
+        rows = np.repeat(np.arange(n), np.diff(B1.indptr))
+        B1.data = (1.0 / kap)[rows] * B1.data * kap[B1.indices]
+        ops.append((A1, B1, M.E[i]))
+
+    N = np.zeros((n, n), dtype=complex)
+    parts = {}
+    for beta, hb in betas.items():
+        bvec = np.array(beta)
+        unk = by_col(bvec, -bvec, hb)
+        if not unk:
+            continue
+        inhom, eqs = [], []
+        for i, (A1, B1, WE) in enumerate(ops):
+            eqs.append(by_col(bvec, np.array(units[i]) - bvec, hb))
+            prev = parts.get(tuple(c - u for c, u in zip(beta, units[i])))
+            C = np.zeros((n, n), dtype=complex)
+            if beta == units[i]:
+                C += (B1 - A1).toarray()
+            if prev is not None:
+                C += B1 @ prev - prev @ A1
+            inhom.append(C)
+        Nb = np.zeros((n, n), dtype=complex)
+        for s in sorted(unk, key=lambda s: -w_height[s % dw]):
+            uts = unk[s]
+            a, b = divmod(s, dw)
+            rows, rhs = [], []
+            for i, (A1, B1, WE) in enumerate(ops):
+                ts = eqs[i].get(s)
+                if ts is None:
+                    continue
+                # (1 (x) E) N over the unknowns; (N (1 (x) E))[t, s] is known
+                rows.append(np.where(ts[:, None] // dw == uts[None, :] // dw,
+                                     WE[ts[:, None] % dw, uts[None, :] % dw], 0))
+                cross = 0.0
+                for b2 in np.nonzero(WE[:, b])[0]:
+                    cross = cross + WE[b2, b] * Nb[ts, a * dw + b2]
+                rhs.append(cross - inhom[i][ts, s])
+            if not rows:
+                continue
+            eq, rhs = np.vstack(rows), np.concatenate(rhs)
+            rs = np.max(np.abs(eq), axis=1)
+            rs[rs == 0] = 1.0
+            sol, _, rank, _ = scipy.linalg.lstsq(eq / rs[:, None], rhs / rs,
+                                                 lapack_driver="gelsy")
+            if rank < uts.size:
+                raise ValueError(f"back substitution rank drop at {Weight(beta)}")
+            Nb[uts, s] = sol
+        parts[beta] = Nb
+        N += Nb
+    return kap[:, None] * (np.eye(n) + N)

@@ -13,9 +13,8 @@ from dynq.qalgebra import (
 )
 from dynq.vertexops import dual_vertex_operator, expectation, vertex_operator
 from dynq.dynamical import (
-    DynamicalFamily, dyn_structure, dynamical_twist, embedded_shifted,
-    exchange, exchange21, exchange_family, exchange_inverse, fusion,
-    fusion_family, q_family, q_operator, q_operator_inverse,
+    dyn_structure, dynamical_twist, embedded_shifted, exchange, exchange21,
+    exchange_inverse, fusion, q_operator, q_operator_inverse,
 )
 
 from oracles import (
@@ -222,10 +221,9 @@ class TestFusionBasics:
         assert counts[0]["is_regular"] == 1
 
     def test_family_wraps_fusion(self):
-        fam = fusion_family((V, W))
-        assert isinstance(fam, DynamicalFamily)
-        got = fam(LAM)
-        assert np.array_equal(got.matrix, fusion((V, W), LAM).matrix)
+        got = fusion((V, W), LAM)
+        assert got.family == "fusion"
+        assert got is fusion((V, W), LAM)
 
 
 class TestDynamicalTwist:
@@ -302,8 +300,9 @@ class TestExchangeBasics:
         assert np.array_equal(a, b)
 
     def test_family_tag(self):
-        fam = exchange_family((V,), (W,))
-        assert fam(LAM).family == "exchange"
+        got = exchange((V,), (W,), LAM)
+        assert got.family == "exchange"
+        assert np.array_equal(got.matrix, exchange((V,), (W,), LAM).matrix)
 
 
 class TestExchangeIdentities:
@@ -439,8 +438,9 @@ class TestQOperator:
         assert dyn._FUSION_MEMO.misses == misses
 
     def test_family_tag(self):
-        fam = q_family(V)
-        assert fam(LAM).family == "Q"
+        got = q_operator(V, LAM)
+        assert got.family == "Q"
+        assert np.array_equal(got.matrix, q_operator(V, LAM).matrix)
 
     def test_lost_grading_raises(self, monkeypatch):
         # a fusion matrix with entries across weight blocks spoils Q's grading
@@ -679,18 +679,17 @@ class TestDualOperatorExpectation:
 
 class TestFamilies:
     def test_repeat_evaluations_bit_identical(self):
-        fam = exchange_family((V,), (W,))
-        a = fam(LAM)
-        b = fam(LAM)
-        assert a is b
+        assert fusion((V, W), LAM) is fusion((V, W), LAM)
+        a = exchange((V,), (W,), LAM)
+        b = exchange((V,), (W,), LAM)
+        assert np.array_equal(a.matrix, b.matrix)
 
     def test_threaded_evaluation_single_object(self):
-        fam = fusion_family((V, W))
         out = [None] * 8
         mu = -4.93 * OM
 
         def run(k):
-            out[k] = fam(mu)
+            out[k] = fusion((V, W), mu)
 
         threads = [threading.Thread(target=run, args=(k,)) for k in range(8)]
         for t in threads:

@@ -3,16 +3,24 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from dynq import qalgebra
+from dynq.cache import Memo
 from dynq.cartan import preset
 from dynq.qalgebra import (
-    GradedMap, WeightModule, _kappa_diag, build_irrep, build_verma,
-    casimir_ratio, character, check_q, dual_module, flip_index,
+    GradedMap, WeightModule, _kappa_diag, _raising_shifts, build_irrep,
+    build_verma, casimir_ratio, character, check_q, dual_module, flip_index,
     left_dual_module, omega_tilde, partial_trace, qnum, r21_matrix, r_matrix,
     relation_residuals, slot_classes, tensor_many, tensor_module, trivial_module,
 )
+from dynq.vertexops import dual_vertex_operator
 
-from oracles import coeval_map, coeval_twisted, eval_map, eval_twisted, flip_matrix
+from oracles import (
+    coeval_map, coeval_twisted, eval_map, eval_twisted, flip_matrix,
+    r_matrix_backsub,
+)
 
 A1 = preset("A1")
 A2 = preset("A2")
@@ -305,6 +313,7 @@ class TestRMatrix:
     @pytest.mark.parametrize("datum,coeffs,depth", [
         (A2, (-3.217, -4.381), 8),
         (B2, (-2.713, -3.119), 7),
+        (B2, (-2.713, -3.119), 8),
     ])
     def test_verma_slot_stable_in_depth_on_guarded_block(self, datum, coeffs,
                                                           depth):
@@ -325,6 +334,101 @@ class TestRMatrix:
             same = a * big.dim + b
             assert keep.size
             assert np.array_equal(Rs[np.ix_(keep, keep)], Rb[np.ix_(same, same)])
+
+
+
+LAM_A2 = (-3.217, -4.381)
+
+
+def _guarded(V, M):
+    """Indices of V (x) M that r_matrix's final guard reads."""
+    margin = max(_raising_shifts(V, M).values())
+    return np.flatnonzero(np.tile(M.depths, V.dim) + 2 * margin + 1 <= M.depth)
+
+
+class TestVermaSlotRoute:
+    """R on V (x) M from its highest-weight-free nilpotent part, against the
+    back substitution at the Verma's highest weight (`r_matrix_backsub`)."""
+
+    # B2's 5-dim dual at depth 7 has no guarded block, so it is left out
+    @pytest.mark.parametrize("datum,coeffs,k,dual,depth", [
+        (A2, LAM_A2, k, dual, depth) for depth in (6, 8, 10)
+        for k, dual in ((0, True), (1, True), (0, False))
+    ] + [(B2, (-2.713, -3.119), k, True, depth)
+         for k, depth in ((1, 7), (0, 9), (1, 9))])
+    def test_matches_backsubstitution_oracle(self, datum, coeffs, k, dual, depth):
+        V = build_irrep(datum, Q, datum.fundamental_weights[k])
+        V = dual_module(V) if dual else V
+        M = build_verma(datum, Q, datum.from_fundamental(coeffs), depth)
+        keep = np.ix_(_guarded(V, M), _guarded(V, M))
+        assert keep[0].size
+        got = r_matrix(V, M)[keep]
+        want = r_matrix_backsub(V, M)[keep]
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+    def test_sl2_fundamental_closed_form(self):
+        # on V(omega) (x) M the quasi-R-matrix stops at its first term:
+        # R = kappa (1 + (q - 1/q) E (x) F)
+        om = A1.fundamental_weights[0]
+        V = build_irrep(A1, Q, om)
+        M = build_verma(A1, Q, -5.37 * om, 12)
+        kap = _kappa_diag(V, M)
+        want = kap[:, None] * (np.eye(kap.size) + (Q - 1 / Q) * np.kron(V.E[0], M.F[0]))
+        got = r_matrix(V, M)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @given(st.floats(min_value=-4.9, max_value=-2.1, allow_nan=False),
+           st.floats(min_value=-4.9, max_value=-2.1, allow_nan=False))
+    @settings(max_examples=5, deadline=None)
+    def test_r_over_kappa_does_not_depend_on_lam(self, a, b):
+        lam = A2.from_fundamental((a, b))
+        assume(A2.is_regular(lam))
+        V = dual_module(build_irrep(A2, Q, A2.fundamental_weights[0]))
+        M = build_verma(A2, Q, lam, 6)
+        ref = build_verma(A2, Q, A2.from_fundamental(LAM_A2), 6)
+        X = r_matrix(V, M) / _kappa_diag(V, M)[:, None]
+        Xref = r_matrix(V, ref) / _kappa_diag(V, ref)[:, None]
+        assert np.max(np.abs(X - Xref)) <= 1e-14 * np.max(np.abs(Xref))
+        keep = np.ix_(_guarded(V, M), _guarded(V, M))
+        X0 = r_matrix_backsub(V, M) / _kappa_diag(V, M)[:, None]
+        assert np.max(np.abs(X[keep] - X0[keep])) <= 1e-11 * np.max(np.abs(X0[keep]))
+
+    def _dual_op(self, D, coeffs):
+        g = np.zeros(D.dim, dtype=complex)
+        g[0] = 1.0
+        return dual_vertex_operator(A2.from_fundamental(coeffs), (D,), [g], 6)
+
+    def test_dual_operators_at_two_weights_solve_n_once(self, monkeypatch):
+        memo = Memo()
+        monkeypatch.setattr(qalgebra, "_VERMA_N_MEMO", memo)
+        D = dual_module(build_irrep(A2, Q, A2.fundamental_weights[0]))
+        self._dual_op(D, LAM_A2)
+        self._dual_op(D, (-2.513, -3.652))
+        assert (memo.misses, memo.hits) == (1, 1)
+
+    def test_guard_runs_at_every_weight(self, monkeypatch):
+        # a memoized N spoiled in one guarded entry must fail the guard of
+        # the next call at a fresh weight
+        memo = Memo()
+        monkeypatch.setattr(qalgebra, "_VERMA_N_MEMO", memo)
+        D = dual_module(build_irrep(A2, Q, A2.fundamental_weights[0]))
+        self._dual_op(D, LAM_A2)
+        ((key, N),) = memo._d.items()
+        M = build_verma(A2, Q, A2.from_fundamental(LAM_A2), key[-2])
+        keep = np.zeros(N.shape[0], dtype=bool)
+        keep[_guarded(D, M)] = True
+        rows = np.repeat(np.arange(N.shape[0]), np.diff(N.indptr))
+        k = int(np.flatnonzero(keep[rows] & keep[N.indices])[0])
+        bad = N.copy()
+        bad.data[k] *= 1.0 + 1e-4
+        memo._d[key] = bad
+        with pytest.raises(ValueError, match="fails to intertwine"):
+            self._dual_op(D, (-2.513, -3.652))
+
+    def test_verma_in_both_slots_raises(self):
+        M = build_verma(A2, Q, A2.from_fundamental(LAM_A2), 2)
+        with pytest.raises(ValueError, match="finite first slot"):
+            r_matrix(M, M)
 
 
 class TestLatticeOffsets:
