@@ -6,10 +6,13 @@ Module matrices (E, F) and R-matrices are dense complex128; `r_matrix`
 applies the coproduct generators as sparse CSR matrices.
 
 The R-matrix is kappa (1 + N), with kappa = q^{<wt, wt>} diagonal and N
-strictly raising the first slot.  Beside a truncated Verma second slot, N
-is free of the Verma's highest weight: it is solved once per (first slot,
-Verma skeleton, tol) and memoized, while kappa and the intertwining guard
-are formed on every call, at that call's weight.
+strictly raising the first slot.  It has one route: a multi-slot first
+slot splits into one crossing per slot by the hexagon, a Verma first slot
+is the flipped crossing of the omega-twisted modules ((omega (x) omega) R
+= R_21), and every other crossing solves N degree by degree from the
+F-equations.  Beside a truncated Verma second slot that N is free of the
+Verma's highest weight and memoized; kappa and the intertwining guard are
+formed on every call, at that call's weight.
 
 A module has one weight representation, set by every constructor: an
 exact `base` Weight (that of basis vector 0) and integer simple-root
@@ -869,35 +872,29 @@ def r_matrix(V: WeightModule, W: WeightModule, tol: float = 1e-10) -> np.ndarray
     """Matrix of the R-matrix endomorphism of V (x) W, normalized kappa (1 + N).
 
     kappa = q^{<wt, wt>} is diagonal and N strictly raises the first slot.
-    With a truncated Verma second slot, N does not depend on the Verma's
-    highest weight: it is solved once per (V, Verma skeleton, tol) by
-    `_verma_nilpotent` and memoized, so only kappa and the final guard
-    are formed per call.  With a finite second slot, N is solved on each
-    call by `_finite_nilpotent`.  A rank drop in any degree slice raises
-    with the nullity reported.
+    `_crossing` builds R by one route: a multi-slot V splits into one
+    crossing per slot (hexagon), a Verma first slot is the flipped crossing
+    of the omega-twisted modules, and every remaining crossing solves N from
+    the F-equations (`_nilpotent`).  Beside a truncated Verma second slot, N
+    does not depend on the Verma's highest weight: it is solved once per
+    (first slot, Verma skeleton, tol) and memoized, so kappa and the guard
+    are all that is formed per call.  A rank drop in any degree raises with
+    the nullity reported.
 
     The final guard checks R Delta(x) = Delta^op(x) R for every generator,
     on the rows and columns that keep 2 * (largest degree) + 1 away from
-    each Verma slot's truncation.  N and R are dense n x n; the coproduct
+    each Verma slot's truncation.  R is dense n x n; the coproduct
     generators act as sparse matrices.  Weights enter as integer lattice
     offsets from each module's first weight, so V and W must each lie in
     one root-lattice coset.
     """
-    n = V.dim * W.dim
-    kap = _kappa_diag(V, W)
-    betas = _raising_shifts(V, W)
-    if isinstance(W, TruncatedVerma):
-        if isinstance(V, TruncatedVerma):
-            raise ValueError("r_matrix needs a finite first slot beside a Verma")
-        # the Verma's datum, q and depth fix its skeleton, the only part read
-        key = (V, W.datum, W.q, W.depth, float(tol))
-        N = _VERMA_N_MEMO.get(key, lambda: _verma_nilpotent(V, W, betas, tol)).toarray()
-    else:
-        N = _finite_nilpotent(V, W, kap, betas, tol)
-    R = kap[:, None] * (np.eye(n) + N)
+    if isinstance(V, TruncatedVerma) and isinstance(W, TruncatedVerma):
+        raise ValueError("r_matrix needs a finite first slot beside a Verma")
+    R = _crossing(V, W, tol)
 
     # final guard: commutation with the full coproduct on safe rows/cols
-    margin = max(betas.values(), default=0)
+    n = V.dim * W.dim
+    margin = max(_raising_shifts(V, W).values(), default=0)
     mask = np.ones(n, dtype=bool)
     if isinstance(W, TruncatedVerma):
         mask &= np.tile(W.depths, V.dim) + 2 * margin + 1 <= W.depth
@@ -909,37 +906,79 @@ def r_matrix(V: WeightModule, W: WeightModule, tol: float = 1e-10) -> np.ndarray
     return R
 
 
-def _verma_nilpotent(V: WeightModule, M: TruncatedVerma, betas: dict,
-                     tol: float) -> sp.csr_matrix:
-    """N of R = kappa (1 + N) on V (x) M, from data free of M's highest weight.
+def _omega(V: WeightModule) -> WeightModule:
+    """V twisted by the Cartan involution omega: E_i <-> F_i, K_i -> K_i^{-1},
+    so E and F swap and every weight is negated."""
+    return WeightModule(V.datum, V.q, "omega", -V.base, -V.offsets, V.F, V.E,
+                        name=f"omega({V.name})")
+
+
+def _crossing(V: WeightModule, W: WeightModule, tol: float) -> np.ndarray:
+    """Unguarded kappa (1 + N) on V (x) W, by the first rule that applies.
+
+    1. A multi-slot V splits by the hexagon (Delta (x) id) R = R_13 R_23:
+       R_{V_1 (x) ... (x) V_k, W} is the product over j of R_{V_j, W}
+       placed on slot j and W's slots.
+    2. A Verma V: omega is an algebra automorphism that reverses the
+       coproduct, so (omega (x) omega) R = R_21 and R_{V,W} is the flip of
+       R_{W^omega, V^omega}.  That crossing reads V's E, which is exact at
+       every depth, where the F-equations on V itself would read its
+       truncated F.  W must then be a single slot.
+    3. Any other V solves N from the F-equations (`_nilpotent`); beside a
+       Verma W, N is memoized on the Verma's skeleton.
+    """
+    if len(V.slots) > 1:
+        T = tensor_module(V, W)
+        wslots = tuple(range(len(V.slots), len(T.slots)))
+        return np.linalg.multi_dot([embed_slots(T, _crossing(Vj, W, tol), (j,) + wslots)
+                                    for j, Vj in enumerate(V.slots)])
+    if isinstance(V, TruncatedVerma):
+        if len(W.slots) > 1:
+            raise ValueError("a Verma first slot needs a single-slot second slot, "
+                             f"got {len(W.slots)} slots")
+        p = flip_index(W, V)
+        return _crossing(_omega(W), _omega(V), tol)[np.ix_(p, p)]
+    kap = _kappa_diag(V, W)
+    if isinstance(W, TruncatedVerma):
+        # the Verma's datum, q and depth fix its skeleton, the only part read
+        key = (V, W.datum, W.q, W.depth, float(tol))
+        N = _VERMA_N_MEMO.get(key, lambda: _nilpotent(V, W, tol))
+    else:
+        N = _nilpotent(V, W, tol)
+    return kap[:, None] * (np.eye(kap.size) + N.toarray())
+
+
+def _nilpotent(V: WeightModule, W: WeightModule, tol: float) -> sp.csr_matrix:
+    """N of R = kappa (1 + N) on V (x) W, from the F-equations.
 
     Since kappa^{-1} Delta^op(F_i) kappa = K_i (x) F_i + F_i (x) 1, the
     F-intertwining of kappa (1 + N) reads, degree by degree in the first slot,
         [N_beta, F_i (x) 1] = (K_i (x) F_i) N_{beta - alpha_i}
                               - N_{beta - alpha_i} (K_i^{-1} (x) F_i),
-    with N_0 = 1.  Only V's F and K and the Verma skeleton's F enter.  The
-    left side acts on V alone, so each degree is one small system L_beta on
-    V's degree-beta matrices, solved for every pair (b', b) of Verma basis
-    vectors with content(b') = content(b) + beta at once.  L_beta is
-    injective when V is generated by its highest-weight vector under the
-    F_i, as every irreducible module is.  Every F these equations read maps
-    into depth <= M.depth, so N is exact up to the truncation.
+    with N_0 = 1.  Only V's F and K and W's F enter, so beside a truncated
+    Verma W, N is free of W's highest weight.  The left side acts on V
+    alone, so each degree is one small system L_beta on V's degree-beta
+    matrices, solved for every pair (b', b) of W basis vectors with
+    wt(b') = wt(b) - beta at once.  L_beta is injective when V is generated
+    by its highest-weight vector under the F_i, as every irreducible module
+    is.  Every F these equations read maps into depth <= W.depth, so beside
+    a Verma N is exact up to the truncation.
 
     Each column (b', b) is summed in one fixed order, so the N of a
     shallower Verma is bit-identical to the matching block of a deeper one.
     Returns a read-only canonical CSR matrix.
     """
-    dv, dm = V.dim, M.dim
-    n = dv * dm
+    dv, dw = V.dim, W.dim
+    n = dv * dw
     r = V.datum.rank
     units = np.eye(r, dtype=int)
-    A = [_kron_csr((np.diag(V.K[i]), M.F[i])) for i in range(r)]
-    B = [_kron_csr((np.diag(1.0 / V.K[i]), M.F[i])) for i in range(r)]
+    A = [_kron_csr((np.diag(V.K[i]), W.F[i])) for i in range(r)]
+    B = [_kron_csr((np.diag(1.0 / V.K[i]), W.F[i])) for i in range(r)]
     parts = {(0,) * r: sp.identity(n, dtype=complex, format="csr")}
-    for beta in betas:
+    for beta in _raising_shifts(V, W):
         bvec = np.array(beta)
         ut, us = _shift_pairs(V.offsets, bvec)
-        pt, ps = _shift_pairs(M.offsets, -bvec)
+        pt, ps = _shift_pairs(W.offsets, -bvec)
         if not pt.size:
             continue
         L, rhs = [], []
@@ -956,8 +995,8 @@ def _verma_nilpotent(V: WeightModule, M: TruncatedVerma, betas: dict,
                 rhs.append(np.zeros((et.size, pt.size), dtype=complex))
                 continue
             C = A[i] @ prev - prev @ B[i]
-            rows = (et[:, None] * dm + pt[None, :]).ravel()
-            cols = (es[:, None] * dm + ps[None, :]).ravel()
+            rows = (et[:, None] * dw + pt[None, :]).ravel()
+            cols = (es[:, None] * dw + ps[None, :]).ravel()
             rhs.append(np.asarray(C[rows, cols]).reshape(et.size, pt.size))
         rank = np.linalg.matrix_rank(np.vstack(L)) if L else 0
         if rank < ut.size:
@@ -979,118 +1018,13 @@ def _verma_nilpotent(V: WeightModule, M: TruncatedVerma, betas: dict,
         if np.max(full) > tol * scale:
             raise ValueError(
                 f"R solve inconsistent at shift {Weight(beta)}: {np.max(full):.2e}")
-        rows = (ut[:, None] * dm + pt[None, :]).ravel()
-        cols = (us[:, None] * dm + ps[None, :]).ravel()
+        rows = (ut[:, None] * dw + pt[None, :]).ravel()
+        cols = (us[:, None] * dw + ps[None, :]).ravel()
         parts[beta] = _csr(rows, cols, Y.ravel(), (n, n))
     del parts[(0,) * r]
     N = sum(parts.values(), sp.csr_matrix((n, n), dtype=complex))
     for arr in (N.data, N.indices, N.indptr):
         arr.flags.writeable = False
-    return N
-
-
-def _finite_nilpotent(V: WeightModule, W: WeightModule, kap: np.ndarray,
-                      betas: dict, tol: float) -> np.ndarray:
-    """N of R = kappa (1 + N) on V (x) W for a finite second slot.
-
-    Solved degree by degree from the E-generator intertwining of P R with
-    the coproduct.  Constraints flow both ways along raising chains
-    (raising dies at the top), so each slice is solved globally; all
-    entries are O(1)-scaled here and one equilibrated least squares is
-    accurate.  The generators (1 (x) E, E (x) K, kappa-scaled E (x) 1) act
-    as sparse matrices; N and each slice's residual stay dense n x n.
-    """
-    dv, dw = V.dim, W.dim
-    n = dv * dw
-    r = V.datum.rank
-    xv, xw = V.offsets, W.offsets
-    units = [tuple(int(i == j) for j in range(r)) for i in range(r)]
-
-    def positions(shift_v, shift_w):
-        """(rows, cols) where the V weight moves by shift_v and the W weight
-        by shift_w, sorted by column, then row."""
-        mv = (xv[None, :, :] == xv[:, None, :] + shift_v).all(axis=2)
-        mw = (xw[None, :, :] == xw[:, None, :] + shift_w).all(axis=2)
-        cols, rows = np.nonzero(np.kron(mv, mw))
-        return rows, cols
-
-    N = np.zeros((n, n), dtype=complex)
-    Nparts = {}
-    Iv, Iw = np.eye(dv), np.eye(dw)
-
-    ops = []
-    for i in range(r):
-        A0 = _kron_csr((Iv, W.E[i]))
-        A1 = _kron_csr((V.E[i], np.diag(W.K[i])))
-        B1 = _kron_csr((V.E[i], Iw))
-        rows = np.repeat(np.arange(n), np.diff(B1.indptr))
-        B1.data = (1.0 / kap)[rows] * B1.data * kap[B1.indices]
-        ops.append((A0, A1, B1, W.E[i]))
-
-    def a0_at(WE, rows, cols):
-        """Entries of A0 = 1 (x) WE at broadcast index arrays."""
-        return np.where(rows // dw == cols // dw, WE[rows % dw, cols % dw], 0)
-
-    for beta in betas:
-        bvec = np.array(beta)
-        ut, us = positions(bvec, -bvec)
-        if ut.size == 0:
-            continue
-        inhom = []
-        eqs = []
-        rows_all = []
-        rhs_all = []
-        for i, (A0, A1, B1, WE) in enumerate(ops):
-            et, es = eqs_i = positions(bvec, np.array(units[i]) - bvec)
-            eqs.append(eqs_i)
-            Nprev = Nparts.get(tuple(c - u for c, u in zip(beta, units[i])))
-            C = np.zeros((n, n), dtype=complex)
-            if beta == units[i]:
-                C += (B1 - A1).toarray()
-            if Nprev is not None:
-                C += B1 @ Nprev - Nprev @ A1
-            inhom.append(C)
-            if not et.size:
-                continue
-            # (A0 N - N A0)[t, s] over the unknowns (ut, us) of N
-            rows_all.append(np.where(us[None, :] == es[:, None],
-                                     a0_at(WE, et[:, None], ut[None, :]), 0)
-                            - np.where(ut[None, :] == et[:, None],
-                                       a0_at(WE, us[None, :], es[:, None]), 0))
-            rhs_all.append(-C[et, es])
-        if not rows_all:
-            continue
-        eq = np.vstack(rows_all)
-        rhs = np.concatenate(rhs_all)
-        rs = np.max(np.abs(eq), axis=1)
-        rs[rs == 0] = 1.0
-        eq = eq / rs[:, None]
-        rhs = rhs / rs
-        cs = np.max(np.abs(eq), axis=0)
-        cs[cs == 0] = 1.0
-        eq = eq / cs[None, :]
-        sol, _, rank, _ = scipy.linalg.lstsq(eq, rhs, lapack_driver="gelsy")
-        if rank < ut.size:
-            raise ValueError(
-                f"resonant weight data solving R at shift {Weight(beta)}: "
-                f"nullity {ut.size - rank}")
-        Nb = np.zeros((n, n), dtype=complex)
-        Nb[ut, us] = sol / cs
-        # slice consistency, including columns that carry no unknowns
-        for i, (A0, A1, B1, WE) in enumerate(ops):
-            left, right = A0 @ Nb, Nb @ A0
-            full = left - right + inhom[i]
-            scale = 1.0 + float(np.max(np.abs(np.abs(left) + np.abs(right)
-                                              + np.abs(inhom[i]))))
-            et, es = eqs[i]
-            bad = np.abs(full[et, es]) > tol * scale
-            if bad.any():
-                k = int(np.argmax(bad))
-                raise ValueError(
-                    f"R solve inconsistent at shift {Weight(beta)}: "
-                    f"{abs(full[et[k], es[k]]):.2e}")
-        Nparts[beta] = Nb
-        N += Nb
     return N
 
 

@@ -10,7 +10,7 @@ from dynq import qalgebra
 from dynq.cache import Memo
 from dynq.cartan import preset
 from dynq.qalgebra import (
-    GradedMap, WeightModule, _kappa_diag, _raising_shifts, build_irrep,
+    GradedMap, WeightModule, _kappa_diag, _omega, _raising_shifts, build_irrep,
     build_verma, casimir_ratio, character, check_q, dual_module, flip_index,
     left_dual_module, omega_tilde, partial_trace, qnum, r21_matrix, r_matrix,
     relation_residuals, slot_classes, tensor_many, tensor_module, trivial_module,
@@ -215,8 +215,11 @@ class TestTensorUtils:
 
 class TestRMatrix:
     def brute_force_r(self, V, W):
-        """Oracle: solve R Delta(x) = Delta^op(x) R for all generators plus
-        the kappa(1+N) normalization, as one global least-squares system."""
+        """Oracle: solve R Delta(x) = Delta^op(x) R for all generators as one
+        global least-squares system over the entries the kappa(1+N)
+        normalization leaves free (first-slot raising inside a weight
+        block); the diagonal is kappa and every other entry is zero.  The
+        free entries must be fixed uniquely."""
         T = tensor_module(V, W)
         n = T.dim
         dw = W.dim
@@ -229,28 +232,18 @@ class TestRMatrix:
         kap = np.array([V.q ** float(V.datum.pairing(V.weights[a], W.weights[b]))
                         for a in range(V.dim) for b in range(W.dim)])
         # intertwining rows: vec of (R D - Dop R) = 0 for each generator
-        blocks = [np.kron(np.eye(n), D.T) - np.kron(Dop, np.eye(n))
-                  for D, Dop in eqs]  # acts on vec(R) with R[t,s]=x[t*n+s]
-        extra_rows, extra_rhs = [], []
-        for t in range(n):
-            hv_t = V.weights[t // dw]
-            for s in range(n):
-                hv_s = V.weights[s // dw]
-                same_wt = T.weights[t] == T.weights[s]
-                row = np.zeros(n * n)
-                row[t * n + s] = 1.0
-                if t == s:
-                    extra_rows.append(row)
-                    extra_rhs.append(kap[t])
-                elif not (same_wt and (hv_t - hv_s).height() > 0):
-                    # everything except first-slot raising inside a block is 0
-                    extra_rows.append(row)
-                    extra_rhs.append(0.0)
-        A = np.vstack(blocks + [np.array(extra_rows)])
-        b = np.concatenate([np.zeros(len(blocks) * n * n), np.array(extra_rhs)])
-        sol, _, _, _ = scipy.linalg.lstsq(A, b, lapack_driver="gelsd")
-        assert np.linalg.norm(A @ sol - b) < 1e-8
-        return sol.reshape(n, n)
+        A = np.vstack([np.kron(np.eye(n), D.T) - np.kron(Dop, np.eye(n))
+                       for D, Dop in eqs])  # acts on vec(R) with R[t,s]=x[t*n+s]
+        free = [t * n + s for t in range(n) for s in range(n)
+                if T.weights[t] == T.weights[s]
+                and (V.weights[t // dw] - V.weights[s // dw]).height() > 0]
+        b = -A[:, np.arange(n) * (n + 1)] @ kap
+        sol, _, rank, _ = scipy.linalg.lstsq(A[:, free], b, lapack_driver="gelsd")
+        assert rank == len(free)
+        assert np.linalg.norm(A[:, free] @ sol - b) < 1e-8
+        R = np.diag(kap).astype(complex)
+        R.flat[free] = sol
+        return R
 
     def test_sl2_fundamental_example(self):
         V = build_irrep(A1, Q, A1.fundamental_weights[0])
@@ -291,13 +284,29 @@ class TestRMatrix:
         R12, R13, R23 = rr(0, 1), rr(0, 2), rr(1, 2)
         # YBE
         assert np.max(np.abs(R12 @ R13 @ R23 - R23 @ R13 @ R12)) < 1e-10
-        # hexagon: R_{V1 (x) V2, V3} = R13 R23; R_{V1, V2 (x) V3} = R13 R12
-        T12 = tensor_module(V1, V2)
-        R_12_3 = r_matrix(T12, V3)
-        assert np.max(np.abs(R_12_3.reshape(TT.dim, TT.dim) - R13 @ R23)) < 1e-10
-        T23 = tensor_module(V2, V3)
-        R_1_23 = r_matrix(V1, T23)
-        assert np.max(np.abs(R_1_23.reshape(TT.dim, TT.dim) - R13 @ R12)) < 1e-10
+        # tensor slots, split by the hexagon on the left, against the oracle
+        U1, U2 = (build_irrep(A2, Q, w) for w in A2.fundamental_weights)
+        for V, W in ((tensor_module(V1, V2), V3), (V1, tensor_module(V2, V3)),
+                     (tensor_module(V1, dual_module(V1)), tensor_module(V2, V3)),
+                     (tensor_module(U1, U2), dual_module(U1))):
+            assert np.max(np.abs(r_matrix(V, W) - self.brute_force_r(V, W))) < 1e-8
+
+    @pytest.mark.parametrize("datum", [A1, A2, B2], ids=["A1", "A2", "B2"])
+    def test_omega_flip_matches_direct_route(self, datum):
+        # (omega (x) omega) R = R_21: the crossing of the omega-twisted
+        # modules, flipped back, is the F-route crossing of V and W
+        fund = [build_irrep(datum, Q, om) for om in datum.fundamental_weights]
+        mods = fund + [dual_module(V) for V in fund]
+        for V in mods:
+            twice = _omega(_omega(V))
+            assert twice.base == V.base
+            assert np.array_equal(twice.offsets, V.offsets)
+            assert all(np.array_equal(x, y) for x, y in zip(twice.E + twice.F, V.E + V.F))
+            for W in mods:
+                p = flip_index(W, V)
+                got = r_matrix(_omega(W), _omega(V))[np.ix_(p, p)]
+                want = r_matrix(V, W)
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_r_on_verma_tensor_stable_in_depth(self):
         om = A1.fundamental_weights[0]
@@ -429,6 +438,12 @@ class TestVermaSlotRoute:
         M = build_verma(A2, Q, A2.from_fundamental(LAM_A2), 2)
         with pytest.raises(ValueError, match="finite first slot"):
             r_matrix(M, M)
+
+    def test_verma_first_slot_beside_tensor_raises(self):
+        V = build_irrep(A2, Q, A2.fundamental_weights[0])
+        M = build_verma(A2, Q, A2.from_fundamental(LAM_A2), 4)
+        with pytest.raises(ValueError, match="Verma first slot needs a single-slot"):
+            r_matrix(M, tensor_module(V, dual_module(V)))
 
 
 class TestLatticeOffsets:

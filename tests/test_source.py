@@ -96,6 +96,24 @@ def test_fusion_solves_only_in_transport():
     assert not found, f"np.linalg.solve outside dynamical._transport: {found}"
 
 
+def test_r_matrix_solves_only_in_its_route():
+    # qalgebra._nilpotent is the one solver for the nilpotent part of R, so
+    # the degrees it solves over (_raising_shifts) and its pivoted QR are
+    # called only along the route r_matrix -> _crossing -> _nilpotent
+    route = {"r_matrix", "_crossing", "_nilpotent"}
+    found, seen = [], set()
+    for node in _parse(SRC / "qalgebra.py").body:
+        if getattr(node, "name", None) in route:
+            seen.add(node.name)
+            continue
+        found += [f"qalgebra.py:{sub.lineno}" for sub in ast.walk(node)
+                  if isinstance(sub, ast.Call)
+                  and (getattr(sub.func, "attr", None) == "qr"
+                       or getattr(sub.func, "id", None) == "_raising_shifts")]
+    assert seen == route, f"missing from qalgebra: {route - seen}"
+    assert not found, f"R solver calls outside the r_matrix route: {found}"
+
+
 def test_every_top_level_definition_is_referenced():
     # a helper that a refactor leaves without callers shows up here; a
     # reference inside the definition itself (recursion) does not count
