@@ -400,13 +400,16 @@ def slot_classes(mods, groups) -> dict:
 
 def embed_slots(T: WeightModule, X: np.ndarray, slots) -> np.ndarray:
     """Extend an operator on the listed slots (in that order) by identity."""
-    dims, digits = slot_index_arrays(T)
+    return _embed([s.dim for s in T.slots], X, slots)
+
+
+def _embed(dims, X: np.ndarray, slots) -> np.ndarray:
+    """`embed_slots` on a tensor basis given by its slot dimensions."""
     rest = [j for j in range(len(dims)) if j not in slots]
     order = list(slots) + rest
     # n_of[old linear] = linear index in the reordered basis
-    n_of = np.zeros(T.dim, dtype=int)
-    for j in order:
-        n_of = n_of * dims[j] + digits[j]
+    n_of = np.arange(int(np.prod(dims))).reshape([dims[j] for j in order])
+    n_of = n_of.transpose(np.argsort(order)).ravel()
     K = np.kron(X, np.eye(int(np.prod([dims[j] for j in rest] or [1]))))
     return K[np.ix_(n_of, n_of)]
 
@@ -886,7 +889,8 @@ def r_matrix(V: WeightModule, W: WeightModule, tol: float = 1e-10) -> np.ndarray
     each Verma slot's truncation.  R is dense n x n; the coproduct
     generators act as sparse matrices.  Weights enter as integer lattice
     offsets from each module's first weight, so V and W must each lie in
-    one root-lattice coset.
+    one root-lattice coset.  A finite first slot may be reducible; a Verma
+    first slot needs a single-slot second slot.
     """
     if isinstance(V, TruncatedVerma) and isinstance(W, TruncatedVerma):
         raise ValueError("r_matrix needs a finite first slot beside a Verma")
@@ -928,9 +932,9 @@ def _crossing(V: WeightModule, W: WeightModule, tol: float) -> np.ndarray:
        Verma W, N is memoized on the Verma's skeleton.
     """
     if len(V.slots) > 1:
-        T = tensor_module(V, W)
-        wslots = tuple(range(len(V.slots), len(T.slots)))
-        return np.linalg.multi_dot([embed_slots(T, _crossing(Vj, W, tol), (j,) + wslots)
+        dims = [s.dim for s in V.slots + W.slots]
+        wslots = tuple(range(len(V.slots), len(dims)))
+        return np.linalg.multi_dot([_embed(dims, _crossing(Vj, W, tol), (j,) + wslots)
                                     for j, Vj in enumerate(V.slots)])
     if isinstance(V, TruncatedVerma):
         if len(W.slots) > 1:

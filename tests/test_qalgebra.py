@@ -261,7 +261,8 @@ class TestRMatrix:
     def test_oracle_various_modules(self):
         V = build_irrep(A1, Q, A1.fundamental_weights[0])
         W = build_irrep(A1, Q, 2 * A1.fundamental_weights[0])
-        for a, bmod in ((V, W), (W, V), (W, W)):
+        D = dual_module(tensor_module(V, W))  # one slot, two summands
+        for a, bmod in ((V, W), (W, V), (W, W), (D, V)):
             R = r_matrix(a, bmod)
             R0 = self.brute_force_r(a, bmod)
             assert np.max(np.abs(R - R0)) < 1e-7
@@ -284,6 +285,10 @@ class TestRMatrix:
         R12, R13, R23 = rr(0, 1), rr(0, 2), rr(1, 2)
         # YBE
         assert np.max(np.abs(R12 @ R13 @ R23 - R23 @ R13 @ R12)) < 1e-10
+        # hexagon R_{V1, V2 (x) V3} = R13 R12: the route solves the left side
+        # in one piece and the right side slot by slot
+        T23 = tensor_module(V2, V3)
+        assert np.max(np.abs(r_matrix(V1, T23) - R13 @ R12)) < 1e-10
         # tensor slots, split by the hexagon on the left, against the oracle
         U1, U2 = (build_irrep(A2, Q, w) for w in A2.fundamental_weights)
         for V, W in ((tensor_module(V1, V2), V3), (V1, tensor_module(V2, V3)),
