@@ -21,8 +21,10 @@ reads the offsets: q^xi (`qh`), the K_i (`K`), kappa and the R-matrix
 weight matching, tensor products, slot-group weight classes
 (`slot_classes`), and the rows a vertex-operator leg looks up.  Per-vector
 `weights` and `blocks` are views built on first read.  A truncated Verma's
-basis, F and offsets depend only on (datum, q, depth) and come from a
-memoized skeleton; its base is its highest weight.
+basis, F, offsets and lowering lift depend only on (datum, q, depth) and
+come from a memoized skeleton; its base is its highest weight.  The lift
+writes each basis vector as some F_j applied one depth up, and both the
+Verma's E and every vertex-operator leg are built through it.
 
 Conventions (fixed once, gated by the consistency suite):
     K_i = q^{d_i h_i},  Delta(E_i) = E_i (x) K_i + 1 (x) E_i,
@@ -189,8 +191,13 @@ class WeightModule:
 
 @dataclass(eq=False)
 class TruncatedVerma(WeightModule):
+    """Verma module truncated below `depth`, built by `build_verma`.  Its
+    F, `depths` and lowering `lift` (see `_VermaSkeleton`) are read-only and
+    shared by every Verma of one (datum, q, depth)."""
+
     depth: int = 0
     depths: np.ndarray = None
+    lift: tuple = None
 
     @property
     def hw(self) -> Weight:
@@ -549,24 +556,19 @@ def build_verma(datum: CartanDatum, q, hw: Weight, depth: int) -> TruncatedVerma
 
 @dataclass(eq=False)
 class _VermaSkeleton:
-    """The highest-weight-free part of a truncated Verma: basis and F."""
+    """The highest-weight-free part of a truncated Verma.
 
-    contents: list     # contents by height, in basis order
-    words: dict        # content -> ordered word list
-    widx: dict         # content -> word -> position
-    basis_loc: dict    # content -> positions of basis words
-    expand: dict       # content -> (n_words x n_basis) expansion of classes
-    ideal: dict        # content -> reduced spanning rows of the ideal slice
-    start: dict        # content -> global index of its first basis vector
-    pairs: dict        # content -> <beta, alpha_i> for each i, as ints
-    offsets: np.ndarray  # -content per basis vector: the Verma's offsets
+    `offsets` is -content per basis vector, ordered by depth; `F` drops F
+    out of the last depth.  `lift[h - 1][j]` is a pair (cols, U): the
+    depth-h basis vectors `cols`, those whose word begins with F_j, are
+    F_j applied to the depth-(h - 1) block times U.  Every array is
+    read-only and shared by the Vermas built on the skeleton.
+    """
+
+    offsets: np.ndarray
     depths: np.ndarray
     F: tuple
-
-    def span(self, content) -> slice:
-        """Global indices of the basis vectors of one content."""
-        return slice(self.start[content],
-                     self.start[content] + len(self.basis_loc[content]))
+    lift: tuple
 
 
 def _content_minus(content, i):
@@ -576,20 +578,20 @@ def _content_minus(content, i):
 
 
 def _verma_skeleton(datum: CartanDatum, q: float, depth: int) -> _VermaSkeleton:
-    """Basis classes and F matrices of a Verma truncated below `depth`.
+    """Basis classes, F matrices and lowering lift of a Verma truncated
+    below `depth`.
 
     Basis classes of words in the F_i are fixed degree by degree: the degree
     slice of the two-sided Serre ideal is row reduced (lexicographic word
     order) and the non-pivot words survive.  None of this depends on the
-    highest weight; the Serre rows depend on q.  F out of the last degree is
-    dropped.  The arrays are shared by every Verma built on the skeleton and
-    are read-only.
+    highest weight; the Serre rows depend on q.  A basis word (j,) + w is
+    F_j applied to the class of w, whose expansion in the basis one level
+    up is the lift.  The lift is checked by `_check_lift`.
     """
     r = datum.rank
     serre = _serre_generators(datum, q)
 
     zero_content = (0,) * r
-    contents = [zero_content]
     words = {zero_content: [()]}
     widx = {zero_content: {(): 0}}
     basis_loc = {zero_content: [0]}
@@ -598,7 +600,6 @@ def _verma_skeleton(datum: CartanDatum, q: float, depth: int) -> _VermaSkeleton:
 
     for h in range(1, depth + 1):
         for content in _compositions(h, r):
-            contents.append(content)
             wl = _words_of_content(content)
             wl.sort()
             wi = {w: t for t, w in enumerate(wl)}
@@ -606,11 +607,9 @@ def _verma_skeleton(datum: CartanDatum, q: float, depth: int) -> _VermaSkeleton:
             widx[content] = wi
             rows = []
             for i in range(r):
-                if content[i] == 0:
+                sub = _content_minus(content, i)
+                if sub is None:
                     continue
-                sub = list(content)
-                sub[i] -= 1
-                sub = tuple(sub)
                 subwords = words[sub]
                 for row in ideal[sub]:
                     pre = np.zeros(len(wl), dtype=complex)
@@ -638,47 +637,85 @@ def _verma_skeleton(datum: CartanDatum, q: float, depth: int) -> _VermaSkeleton:
             expand[content] = exp
 
     # global basis, ordered by (height, content, local word order)
-    B = datum.bilinear
-    start = {}
-    pairs = {}
-    offsets = []
-    for content in contents:
+    start, offsets = {}, []
+    for content, bl in basis_loc.items():
         start[content] = len(offsets)
-        pairs[content] = tuple(sum(c * B[j][i] for j, c in enumerate(content))
-                               for i in range(r))
-        offsets.extend([[-c for c in content]] * len(basis_loc[content]))
+        offsets.extend([[-c for c in content]] * len(bl))
     offsets = np.array(offsets, dtype=int)
     depths = -offsets.sum(axis=1)
-    sk = _VermaSkeleton(contents, words, widx, basis_loc, expand, ideal,
-                        start, pairs, offsets, depths, ())
+    top = np.searchsorted(depths, np.arange(depth + 1))  # first index per depth
 
-    # F_i into each content, read off the class expansion of F_i w
+    # F_i into each content, read off the class expansion of F_i w; the lift
+    # column of a basis word is the expansion of its tail, one level up
     Fmats = [np.zeros((len(depths),) * 2, dtype=complex) for _ in range(r)]
-    for content in contents[1:]:
+    lift = [[([], []) for _ in range(r)] for _ in range(depth)]
+    for content, bl in list(basis_loc.items())[1:]:
+        h = sum(content)
+        here = slice(start[content], start[content] + len(bl))
         for i in range(r):
             sub = _content_minus(content, i)
             if sub is None:
                 continue
             for s, t in enumerate(basis_loc[sub]):
-                w = words[sub][t]
-                Fmats[i][sk.span(content), start[sub] + s] = \
-                    expand[content][widx[content][(i,) + w]]
-    for arr in Fmats + [offsets, depths]:
+                Fmats[i][here, start[sub] + s] = \
+                    expand[content][widx[content][(i,) + words[sub][t]]]
+        for s, t in enumerate(bl):
+            w = words[content][t]
+            sub = _content_minus(content, w[0])
+            u = np.zeros(top[h] - top[h - 1], dtype=complex)
+            at = start[sub] - top[h - 1]
+            u[at:at + len(basis_loc[sub])] = expand[sub][widx[sub][w[1:]]]
+            cols, us = lift[h - 1][w[0]]
+            cols.append(start[content] + s)
+            us.append(u)
+    # every letter heads a basis word at every depth (F_j^h is one)
+    lift = tuple(tuple((np.array(cols), np.array(us).T) for cols, us in pairs)
+                 for pairs in lift)
+    for arr in Fmats + [offsets, depths] + [a for lv in lift for pair in lv for a in pair]:
         arr.flags.writeable = False
-    sk.F = tuple(Fmats)
+    sk = _VermaSkeleton(offsets, depths, tuple(Fmats), lift)
+    _check_lift(sk)
     return sk
+
+
+def _check_lift(sk: _VermaSkeleton) -> None:
+    """Raise unless the lift inverts the stacked lowering block G_h, the F_j
+    from depth h - 1 to depth h: max|G_h U_h - I| <= 1e-10 max(1, max|G_h|).
+
+    The truncation depth itself is left out.  Its lift builds only boundary
+    columns of E, and a leg reads it only from a source Verma, whose target
+    is deeper: the target's skeleton, built first, has checked those same
+    levels, since a skeleton's levels do not depend on its depth.
+    """
+    here = slice(0, 1)  # the depth h block; the basis is ordered by depth
+    for h, pairs in enumerate(sk.lift[:-1], 1):
+        up, here = here, slice(here.stop, here.stop + sum(c.size for c, _ in pairs))
+        GU = np.zeros((here.stop - here.start,) * 2, dtype=complex)
+        big = 1.0
+        for Fj, (cols, U) in zip(sk.F, pairs):
+            G = Fj[here, up]
+            GU[:, cols - here.start] = G @ U
+            big = max(big, float(np.max(np.abs(G))))
+        resid = float(np.max(np.abs(GU - np.eye(len(GU)))))
+        if resid > 1e-10 * big:
+            raise ValueError(f"lowering lift inconsistent at depth {h}: "
+                             f"{resid:.2e} against max|G| {big:.2e}")
 
 
 def _build_verma(datum: CartanDatum, q, hw: Weight, depth: int) -> TruncatedVerma:
     """Verma module with highest weight hw, truncated below depth `depth`.
 
-    The basis, F, the depths and the offsets (-content per basis vector)
-    come from `_verma_skeleton`, memoized on (datum, q, depth) since they do
-    not depend on hw; hw is the module's base weight.  Only E is built here.
-    Its constants need <hw - beta, alpha_i> per content beta: with hw's
-    coordinates over their common denominator D, each is one exact quotient
-    of Python ints by D, which rounds as float(Fraction) does.  E is exact
-    everywhere; F out of the last degree is dropped, which is what the
+    The basis, F, the depths, the offsets (-content per basis vector) and
+    the lowering lift come from `_verma_skeleton`, memoized on (datum, q,
+    depth) since they do not depend on hw; hw is the module's base weight.
+    Only E is built here, depth by depth and letter by letter through the
+    lift: a depth-h basis vector is F_j u for u at depth h - 1, so by
+    [E_i, F_j] = delta_ij (K_i - K_i^{-1})/(q_i - q_i^{-1}),
+        E_i[d_{h-1}, cols] = F_j E_i[d_{h-2}, d_{h-1}] U + delta_ij cst_i U.
+    cst_i needs <hw - beta, alpha_i> per content beta: with hw's coordinates
+    over their common denominator D, each is one exact quotient of Python
+    ints by D, which rounds as float(Fraction) does.  E is exact
+    everywhere; F out of the last depth is dropped, which is what the
     depth-margin contract of every downstream computation accounts for.
     All matrices are dense.
     """
@@ -687,42 +724,33 @@ def _build_verma(datum: CartanDatum, q, hw: Weight, depth: int) -> TruncatedVerm
     sk = _SKELETON_MEMO.get((datum, q, depth),
                             lambda: _verma_skeleton(datum, q, depth))
     r = datum.rank
-    span = sk.span
     N = len(sk.depths)
 
-    # E_i out of each content, built by the commutation
-    # [E_i, F_j] = delta_ij (K_i - K_i^{-1})/(q_i - q_i^{-1}); the block of
-    # E_i from `content` into content - e_i is a view into Emats[i]
-    # <hw, alpha_i> times the common denominator D of hw's coordinates
-    D, (h,) = _over_common_denominator(hw)
-    hw_pair = [sum(h[j] * datum.bilinear[j][i] for j in range(r)) for i in range(r)]
+    # (K_i - K_i^{-1})/(q_i - q_i^{-1}) per basis vector above the last depth
+    D, (hd,) = _over_common_denominator(hw)
+    B, qd = datum.bilinear, [q ** d for d in datum.d]
+    cst = []
+    for row in sk.offsets[sk.depths < depth].tolist():
+        # <hw - beta, alpha_i> at beta = -row, exact until this division
+        xs = (sum((hd[j] + D * row[j]) * B[j][i] for j in range(r)) / D for i in range(r))
+        cst.append([(q**x - q**(-x)) / (qi - 1.0 / qi) for x, qi in zip(xs, qd)])
+    cst = np.array(cst).T
+
     Emats = [np.zeros((N, N), dtype=complex) for _ in range(r)]
-    for content in sk.contents[1:]:
-        for i in range(r):
-            tgt = _content_minus(content, i)
-            if tgt is None:
-                continue
-            qi = q ** datum.d[i]
-            # <hw - beta, alpha_i> at beta = tgt, exact until this division
-            x = (hw_pair[i] - D * sk.pairs[tgt][i]) / D
-            cst = (q**x - q**(-x)) / (qi - 1.0 / qi)
-            blk = Emats[i][span(tgt), span(content)]
-            for s, t in enumerate(sk.basis_loc[content]):
-                w = sk.words[content][t]
-                j = w[0]
-                sub = _content_minus(content, j)
-                u = sk.expand[sub][sk.widx[sub][w[1:]]]
-                # F_j E_i u
-                subsub = _content_minus(sub, i)
-                if subsub is not None:
-                    eu = Emats[i][span(subsub), span(sub)] @ u
-                    blk[:, s] += sk.F[j][span(tgt), span(subsub)] @ eu
+    up2, up = slice(0, 0), slice(0, 1)  # the depth h - 2 and h - 1 blocks
+    for pairs in sk.lift:
+        for j, (cols, U) in enumerate(pairs):
+            Fj = sk.F[j][up, up2]
+            for i in range(r):
+                blk = Fj @ (Emats[i][up2, up] @ U)
                 if i == j:
-                    blk[:, s] += cst * u
+                    blk += cst[i][up, None] * U
+                Emats[i][up, cols] = blk
+        up2, up = up, slice(up.stop, up.stop + sum(c.size for c, _ in pairs))
 
     name = f"M[{','.join(str(float(c)) for c in hw.coords)}]"
     return TruncatedVerma(datum, q, "verma", hw, sk.offsets, tuple(Emats), sk.F,
-                          name=name, depth=depth, depths=sk.depths)
+                          name=name, depth=depth, depths=sk.depths, lift=sk.lift)
 
 
 # ---------------------------------------------------------------------------
@@ -901,9 +929,9 @@ def r_matrix(V: WeightModule, W: WeightModule, tol: float = 1e-10) -> np.ndarray
     margin = max(_raising_shifts(V, W).values(), default=0)
     mask = np.ones(n, dtype=bool)
     if isinstance(W, TruncatedVerma):
-        mask &= np.tile(W.depths, V.dim) + 2 * margin + 1 <= W.depth
+        mask &= np.tile(W.exact_mask(2 * margin + 1), V.dim)
     if isinstance(V, TruncatedVerma):
-        mask &= np.repeat(V.depths, W.dim) + 2 * margin + 1 <= V.depth
+        mask &= np.repeat(V.exact_mask(2 * margin + 1), W.dim)
     keep = np.flatnonzero(mask)
     if keep.size:
         _check_intertwines(V, W, R, keep, tol)
@@ -1133,17 +1161,13 @@ def relation_residuals(V: WeightModule, depth_margin: int = None) -> float:
     r = d.rank
     A = d.cartan_matrix
     n = V.dim
-    mask_for = None
-    if isinstance(V, TruncatedVerma):
-        mask_for = lambda m: V.depths <= V.depth - m
     worst = 0.0
 
     def acc(res, m, scale=1.0):
         # relative residual: float error grows with the entry magnitudes
         nonlocal worst
-        if mask_for is not None:
-            cols = mask_for(m)
-            res = res[:, cols]
+        if isinstance(V, TruncatedVerma):
+            res = res[:, V.exact_mask(m)]
         if res.size:
             worst = max(worst, float(np.max(np.abs(res))) / max(scale, 1.0))
 

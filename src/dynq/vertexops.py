@@ -3,9 +3,10 @@
 A primal operator of weight mu maps M_lam into M_{lam-mu} (x) F(S) and is
 pinned by its expectation value, the leading coefficient vector in F(S).
 Construction is a singular-vector solve at the top weight followed by
-extension down the Verma by lowering operators.  A leg applies the coproduct
-of E_i and F_i to (Verma, spin) arrays and never builds its tensor module;
-the lowering solves depend only on the Verma skeleton and are memoized.
+extension down the Verma by lowering operators: the skeleton's lift writes
+each basis vector as some F_j applied one level up, and the leg follows it
+under Delta(F_j), with no solve.  A leg applies the coproduct of E_i and F_i
+to (Verma, spin) arrays and never builds its tensor module.
 Legs are applied right to left along one chain, which `fusion` walks for all
 columns at once so that columns sharing their rightmost legs share them.
 Dual operators target F(S*) (x) M and are obtained by inverting the braiding
@@ -19,7 +20,6 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .cache import Memo
 from .cartan import CartanDatum, Weight
 from .qalgebra import (
     GradedMap, TruncatedVerma, WeightModule, build_verma, flip_index,
@@ -171,59 +171,33 @@ class Intertwiner:
                          self.source.datum.zero_weight(), self.matrix)
 
 
-_LOWERING_MEMO = Memo()
-
-
-def _lowering_solves(src: TruncatedVerma, tol: float) -> list:
-    """(depth-h columns, depth-(h-1) columns, solve) for h = 1, 2, ...
-
-    The solve expresses each depth-h basis vector through the F_i applied
-    one level up (stacked, columns i-major).  It reads only src's skeleton,
-    so it is memoized on (datum, q, depth, tol).
-    """
-    def make():
-        out = []
-        for h in range(1, src.depth + 1):
-            ch = np.where(src.depths == h)[0]
-            cp = np.where(src.depths == h - 1)[0]
-            if ch.size == 0:
-                break
-            G = np.hstack([F[np.ix_(ch, cp)] for F in src.F])
-            sol, _, rank, _ = scipy.linalg.lstsq(
-                G, np.eye(ch.size, dtype=complex), lapack_driver="gelsy")
-            if rank < ch.size:
-                raise ValueError(f"lowering operators do not span depth {h}")
-            if np.max(np.abs(G @ sol - np.eye(ch.size))) > tol * max(
-                    1.0, float(np.max(np.abs(G)))):
-                raise ValueError(f"column extension inconsistent at depth {h}")
-            out.append((ch, cp, sol))
-        return out
-
-    return _LOWERING_MEMO.get((src.datum, src.q, src.depth, float(tol)), make)
-
-
 def _extend_by_lowering(src: TruncatedVerma, tgt: TruncatedVerma,
-                        V: WeightModule, U: np.ndarray,
-                        tol: float) -> np.ndarray:
-    """All columns of the leg src -> tgt (x) V from its top column U.
+                        V: WeightModule, top: np.ndarray) -> np.ndarray:
+    """All columns of the leg src -> tgt (x) V from its top column `top`.
 
-    U is a (tgt.dim, V.dim) array.  Each deeper source basis vector is
-    expressed through lowering operators applied one level up, and the
-    operator follows along under Delta(F_i) = F_i (x) 1 + K_i^{-1} (x) F_i,
-    applied to (tgt.dim, V.dim, columns) arrays.  Returns the
-    (tgt.dim * V.dim, src.dim) matrix.
+    `top` is a (tgt.dim, V.dim) array.  Depth by depth, src's lift writes
+    the basis vectors `cols` as F_j applied to the columns one level up
+    times U, so the operator follows along as Delta(F_j) = F_j (x) 1 +
+    K_j^{-1} (x) F_j applied to (tgt.dim, V.dim, columns) arrays.  Returns
+    the (tgt.dim * V.dim, src.dim) matrix.  tgt must be deeper than src,
+    which is also what certifies src's deepest lift level (`_check_lift`).
     """
+    if tgt.depth <= src.depth:
+        raise ValueError(f"leg target depth {tgt.depth} does not exceed "
+                         f"its source depth {src.depth}")
     n, dv = tgt.dim, V.dim
     Kinv = 1.0 / tgt.K
     phi = np.zeros((n * dv, src.dim), dtype=complex)
-    phi[:, 0] = U.ravel()
-    for ch, cp, sol in _lowering_solves(src, tol):
-        P = phi[:, cp].reshape(n, dv, cp.size)
-        B = np.concatenate(
-            [(Ft @ P.reshape(n, -1)).reshape(P.shape)
-             + k[:, None, None] * np.matmul(Fv, P)
-             for Ft, Fv, k in zip(tgt.F, V.F, Kinv)], axis=2)
-        phi[:, ch] = B.reshape(n * dv, -1) @ sol
+    phi[:, 0] = top.ravel()
+    up = slice(0, 1)  # the depth h - 1 block; the basis is ordered by depth
+    for pairs in src.lift:
+        P = phi[:, up]
+        for (cols, U), Ft, Fv, k in zip(pairs, tgt.F, V.F, Kinv):
+            X = (P @ U).reshape(n, dv, -1)
+            B = (Ft @ X.reshape(n, -1)).reshape(X.shape) \
+                + k[:, None, None] * np.matmul(Fv, X)
+            phi[:, cols] = B.reshape(n * dv, -1)
+        up = slice(up.stop, up.stop + sum(c.size for c, _ in pairs))
     return phi
 
 
@@ -233,7 +207,7 @@ def _one_point(lam: Weight, V: WeightModule, v: np.ndarray, mu: Weight,
     M_{lam-mu} (x) V extended down src; no tensor module is built."""
     tgt = build_verma(V.datum, V.q, lam - mu, tgt_depth)
     U = _singular_in(tgt, V, v, mu, tol)
-    return _extend_by_lowering(src, tgt, V, U, tol), tgt
+    return _extend_by_lowering(src, tgt, V, U), tgt
 
 
 def vertex_operator(lam: Weight, S: tuple, vlist, depth: int,
@@ -344,12 +318,12 @@ def intertwiner_residual(phi: Intertwiner) -> float:
     """
     T, M = phi.target, phi.source
     df = phi.spin_dim
+    ok_verma = phi.target_verma.exact_mask(1)
     if phi.orientation == "primal":
-        vdepth = np.repeat(phi.target_verma.depths, df)
+        ok_rows = np.repeat(ok_verma, df)
     else:
-        vdepth = np.tile(phi.target_verma.depths, df)
-    ok_rows = vdepth <= phi.target_verma.depth - 1
-    ok_cols = M.depths <= M.depth - 1
+        ok_rows = np.tile(ok_verma, df)
+    ok_cols = M.exact_mask(1)
     worst = 0.0
     for i in range(M.datum.rank):
         for X, Y, needs_mask in ((M.E[i], T.E[i], False), (M.F[i], T.F[i], True)):

@@ -206,3 +206,37 @@ def r_matrix_backsub(V: WeightModule, M: TruncatedVerma) -> np.ndarray:
         parts[beta] = Nb
         N += Nb
     return kap[:, None] * (np.eye(n) + N)
+
+
+# ---------------------------------------------------------------------------
+# vertex-operator leg by least squares against the lowering blocks
+
+
+def extend_by_lstsq(src: TruncatedVerma, tgt: TruncatedVerma, V: WeightModule,
+                    top: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """The leg src -> tgt (x) V of `vertexops._extend_by_lowering`, with
+    each depth-h column block solved against the stacked lowering block
+    G_h (the F_i from depth h - 1 to depth h, columns i-major) by least
+    squares, behind a rank guard and a consistency guard."""
+    n, dv = tgt.dim, V.dim
+    Kinv = 1.0 / tgt.K
+    phi = np.zeros((n * dv, src.dim), dtype=complex)
+    phi[:, 0] = top.ravel()
+    for h in range(1, src.depth + 1):
+        ch = np.flatnonzero(src.depths == h)
+        cp = np.flatnonzero(src.depths == h - 1)
+        G = np.hstack([F[np.ix_(ch, cp)] for F in src.F])
+        sol, _, rank, _ = scipy.linalg.lstsq(
+            G, np.eye(ch.size, dtype=complex), lapack_driver="gelsy")
+        if rank < ch.size:
+            raise ValueError(f"lowering operators do not span depth {h}")
+        if np.max(np.abs(G @ sol - np.eye(ch.size))) > tol * max(
+                1.0, float(np.max(np.abs(G)))):
+            raise ValueError(f"column extension inconsistent at depth {h}")
+        P = phi[:, cp].reshape(n, dv, cp.size)
+        B = np.concatenate(
+            [(Ft @ P.reshape(n, -1)).reshape(P.shape)
+             + k[:, None, None] * np.matmul(Fv, P)
+             for Ft, Fv, k in zip(tgt.F, V.F, Kinv)], axis=2)
+        phi[:, ch] = B.reshape(n * dv, -1) @ sol
+    return phi

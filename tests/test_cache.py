@@ -1,10 +1,11 @@
+import dataclasses
 import sys
 import threading
 
 import numpy as np
 import pytest
 
-from dynq import cache, dynamical, qalgebra, vertexops
+from dynq import cache, dynamical, qalgebra
 from dynq.cache import Memo
 from dynq.cartan import preset
 from dynq.qalgebra import (
@@ -159,23 +160,8 @@ class TestKeys:
         V2 = build_irrep(A2, Q, O2)
         lam = -3.217 * O1 - 4.381 * O2
         fusion((V1, V2), lam)
-        with pytest.raises(ValueError, match="column extension inconsistent"):
+        with pytest.raises(ValueError, match="singular-vector solve inconsistent"):
             fusion((V1, V2), lam, tol=1e-16)
-
-    def test_lowering_key_carries_tol(self):
-        # the lowering solves are shared across weights, never across
-        # tolerances, so a cached entry cannot skip a stricter guard
-        V1 = build_irrep(A2, Q, O1)
-        V2 = build_irrep(A2, Q, O2)
-        memo = vertexops._LOWERING_MEMO
-        fusion((V1, V2), -3.617 * O1 - 4.181 * O2)
-        misses = memo.misses
-        lam = -2.383 * O1 - 3.719 * O2
-        fusion((V1, V2), lam)
-        assert memo.misses == misses  # another weight: every solve is a hit
-        with pytest.raises(ValueError, match="column extension inconsistent"):
-            fusion((V1, V2), lam, tol=1e-16)
-        assert memo.misses > misses
 
     def test_verma_key_holds_the_datum(self):
         hw = -2.5 * OM
@@ -199,6 +185,7 @@ class TestVermaSkeleton:
         assert (fresh.hits, fresh.misses, len(fresh)) == (1, 1, 1)
         assert all(a is b for a, b in zip(M1.F, M2.F))
         assert M1.depths is M2.depths
+        assert M1.lift is M2.lift
         assert not any(np.array_equal(a, b) for a, b in zip(M1.E, M2.E))
 
     def test_key_separates_q_and_depth(self, fresh):
@@ -211,6 +198,35 @@ class TestVermaSkeleton:
         assert M.F[0].shape == other_q.F[0].shape
         assert not all(np.array_equal(a, b) for a, b in zip(M.F, other_q.F))
         assert deeper.dim > M.dim
+
+    @pytest.mark.parametrize("datum,depth", [(A1, 8), (A2, 6), (B2, 6)])
+    def test_lift_inverts_the_lowering_blocks_exactly(self, datum, depth):
+        # at these depths every tail of a basis word is itself a basis word,
+        # so each U is a 0/1 selection and G_h U_h = I holds exactly
+        sk = qalgebra._verma_skeleton(datum, Q, depth)
+        assert len(sk.lift) == depth
+        for h, pairs in enumerate(sk.lift, 1):
+            here = np.flatnonzero(sk.depths == h)
+            up = np.flatnonzero(sk.depths == h - 1)
+            GU = np.zeros((here.size, here.size), dtype=complex)
+            for Fj, (cols, U) in zip(sk.F, pairs):
+                assert set(np.unique(U)) <= {0, 1}
+                GU[:, cols - here[0]] = Fj[np.ix_(here, up)] @ U
+            assert np.array_equal(GU, np.eye(here.size))
+
+    def test_corrupted_lift_trips_the_check(self):
+        sk = qalgebra._verma_skeleton(A2, Q, 4)
+
+        def corrupt(h):
+            lift = [list(pairs) for pairs in sk.lift]
+            cols, U = lift[h - 1][1]
+            lift[h - 1][1] = (cols, U * (1 + 1e-6))
+            return dataclasses.replace(sk, lift=tuple(map(tuple, lift)))
+
+        with pytest.raises(ValueError, match="lowering lift inconsistent at depth 3"):
+            qalgebra._check_lift(corrupt(3))
+        # the truncation depth is left to the skeletons of deeper leg targets
+        qalgebra._check_lift(corrupt(4))
 
     @pytest.mark.parametrize("datum,coeffs", [
         (A1, [(-7.31,), (2.5,)]),

@@ -158,3 +158,22 @@ def test_no_cached_property_assigned():
             found += [f"{name}:{node.lineno}" for t in targets
                       if isinstance(t, ast.Attribute) and t.attr in cached]
     assert not found, f"cached properties assigned: {found}"
+
+
+def test_verma_lift_readers_solve_nothing():
+    # the skeleton's lift already expresses each basis vector through the
+    # lowering operators, so building E and extending a leg solve nothing
+    readers = {("qalgebra.py", "_build_verma"), ("vertexops.py", "_extend_by_lowering")}
+    banned = {"lstsq", "solve", "inv", "pinv"}
+    found, seen = [], set()
+    for name, tree in _trees():
+        for node in tree.body:
+            if (name, getattr(node, "name", None)) not in readers:
+                continue
+            seen.add((name, node.name))
+            found += [f"{name}:{sub.lineno}" for sub in ast.walk(node)
+                      if isinstance(sub, ast.Call)
+                      and (getattr(sub.func, "attr", None) in banned
+                           or getattr(sub.func, "id", None) in banned)]
+    assert seen == readers, f"missing: {readers - seen}"
+    assert not found, f"solves in the lift readers: {found}"

@@ -10,6 +10,7 @@ from dynq.vertexops import (
     dual_vertex_operator, expectation, intertwiner_residual,
     singular_vector, vertex_operator, weight_of,
 )
+from oracles import extend_by_lstsq
 
 A1 = preset("A1")
 A2 = preset("A2")
@@ -142,9 +143,9 @@ class TestVertexOperator:
         # rightmost leg first: weight of lw is -om, so lam_1 = lam + om
         psi2, M1 = singular_vector(lam, V, lw_vec(V), D + 1)
         M0src = build_verma(A1, Q, lam, D)
-        mat2 = _extend_by_lowering(M0src, M1, V, psi2.reshape(M1.dim, V.dim), 1e-10)
+        mat2 = _extend_by_lowering(M0src, M1, V, psi2.reshape(M1.dim, V.dim))
         psi1, M0 = singular_vector(lam + OM, V, hw_vec(V), D + 2)
-        mat1 = _extend_by_lowering(M1, M0, V, psi1.reshape(M0.dim, V.dim), 1e-10)
+        mat1 = _extend_by_lowering(M1, M0, V, psi1.reshape(M0.dim, V.dim))
         want = np.kron(mat1, np.eye(V.dim)) @ mat2
         assert phi.matrix.shape == want.shape
         assert np.max(np.abs(phi.matrix - want)) < 1e-10 * max(
@@ -352,9 +353,9 @@ class TestLazyTarget:
         from dynq import vertexops
         legs = []
 
-        def counted(src, tgt, V, U, tol):
+        def counted(src, tgt, V, U):
             legs.append(src.hw)
-            return _extend_by_lowering(src, tgt, V, U, tol)
+            return _extend_by_lowering(src, tgt, V, U)
 
         monkeypatch.setattr(vertexops, "_extend_by_lowering", counted)
         V = build_irrep(A1, Q, OM)
@@ -451,6 +452,35 @@ class TestMatrixFreeLeg:
             U = _singular_in(tgt, V, v, mu, 1e-10)
             u = _dense_singular(T, tgt, V, v, mu)
             assert np.max(np.abs(U.ravel() - u)) <= 1e-13 * np.max(np.abs(u))
-            phi = _extend_by_lowering(src, tgt, V, U, 1e-10)
+            phi = _extend_by_lowering(src, tgt, V, U)
             want = _dense_extension(src, T, u)
             assert np.max(np.abs(phi - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+class TestLoweringLift:
+    """Legs through the skeleton's lift against the least-squares extension."""
+
+    @pytest.mark.parametrize("datum,hw,lam,depth", [
+        (A1, 2 * OM, -7.31 * OM, 30),
+        (A2, A2.fundamental_weights[0], TestMatrixFreeLeg.A2_LAM, 8),
+        (B2, B2.fundamental_weights[0], TestMatrixFreeLeg.B2_LAM, 8),
+    ])
+    def test_matches_lstsq_oracle(self, datum, hw, lam, depth):
+        V = build_irrep(datum, Q, hw)
+        src = build_verma(datum, Q, lam, depth)
+        for v in np.eye(V.dim):
+            mu = weight_of(V, v)
+            if max(_raises(V, mu), default=0) > 1:
+                continue  # the source's lift is under test; keep targets shallow
+            tgt = build_verma(datum, Q, lam - mu, depth + 1)
+            top = _singular_in(tgt, V, v, mu, 1e-10)
+            phi = _extend_by_lowering(src, tgt, V, top)
+            want = extend_by_lstsq(src, tgt, V, top)
+            assert np.max(np.abs(phi - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_target_must_be_deeper_than_source(self):
+        V = build_irrep(A1, Q, OM)
+        src = build_verma(A1, Q, -7.31 * OM, 4)
+        tgt = build_verma(A1, Q, -6.31 * OM, 4)
+        with pytest.raises(ValueError, match="does not exceed its source depth"):
+            _extend_by_lowering(src, tgt, V, np.zeros((tgt.dim, V.dim)))
