@@ -22,9 +22,13 @@ weight matching, tensor products, slot-group weight classes
 (`slot_classes`), and the rows a vertex-operator leg looks up.  Per-vector
 `weights` and `blocks` are views built on first read.  A truncated Verma's
 basis, F, offsets and lowering lift depend only on (datum, q, depth) and
-come from a memoized skeleton; its base is its highest weight.  The lift
-writes each basis vector as some F_j applied one depth up, and both the
-Verma's E and every vertex-operator leg are built through it.
+come from a memoized skeleton; its base is its highest weight.  The
+skeleton spans each depth by the F_j of the basis one depth up and keeps,
+per content, as many of these candidates as Kostant's partition function
+counts, chosen from their images under the highest-weight-free halves of
+E.  So every basis vector is some F_j applied to a basis vector one depth
+up (the lift), and both the Verma's E and every vertex-operator leg are
+built through it.
 
 Conventions (fixed once, gated by the consistency suite):
     K_i = q^{d_i h_i},  Delta(E_i) = E_i (x) K_i + 1 (x) E_i,
@@ -456,28 +460,6 @@ def dual_tuple(S):
 # ---------------------------------------------------------------------------
 # Verma modules
 
-def _words_of_content(content):
-    """Distinct words with letter i used content[i] times, lexicographic."""
-    out = []
-    counts = list(content)
-    word = []
-
-    def rec():
-        if not any(counts):
-            out.append(tuple(word))
-            return
-        for i, c in enumerate(counts):
-            if c:
-                counts[i] -= 1
-                word.append(i)
-                rec()
-                word.pop()
-                counts[i] += 1
-
-    rec()
-    return out
-
-
 def _rref(rows: np.ndarray, tol: float = PIVOT_TOL):
     """Reduced row echelon form; columns scanned left to right."""
     m = np.array(rows, dtype=complex)
@@ -503,31 +485,6 @@ def _rref(rows: np.ndarray, tol: float = PIVOT_TOL):
         pivots.append(c)
         r += 1
     return m[:r], pivots
-
-
-def _serre_generators(datum: CartanDatum, q: float):
-    """Serre elements in the free algebra on the F_i, as {content: rows}."""
-    gens = {}
-    A = datum.cartan_matrix
-    r = datum.rank
-    for i in range(r):
-        qi = q ** datum.d[i]
-        for j in range(r):
-            if i == j:
-                continue
-            m = 1 - int(A[i, j])
-            content = [0] * r
-            content[i] = m
-            content[j] = 1
-            content = tuple(content)
-            words = _words_of_content(content)
-            widx = {w: t for t, w in enumerate(words)}
-            row = np.zeros(len(words), dtype=complex)
-            for s in range(m + 1):
-                w = (i,) * s + (j,) + (i,) * (m - s)
-                row[widx[w]] += (-1) ** s * qbinom(qi, m, s)
-            gens.setdefault(content, []).append(row)
-    return gens
 
 
 def _compositions(total: int, parts: int):
@@ -558,11 +515,12 @@ def build_verma(datum: CartanDatum, q, hw: Weight, depth: int) -> TruncatedVerma
 class _VermaSkeleton:
     """The highest-weight-free part of a truncated Verma.
 
-    `offsets` is -content per basis vector, ordered by depth; `F` drops F
-    out of the last depth.  `lift[h - 1][j]` is a pair (cols, U): the
-    depth-h basis vectors `cols`, those whose word begins with F_j, are
-    F_j applied to the depth-(h - 1) block times U.  Every array is
-    read-only and shared by the Vermas built on the skeleton.
+    `offsets` is -content per basis vector, ordered by depth, then content;
+    `F` drops F out of the last depth.  `lift[h - 1][j]` is a pair
+    (cols, U): the depth-h basis vectors `cols`, those chosen as F_j of a
+    depth-(h - 1) basis vector, are F_j applied to the depth-(h - 1) block
+    times U, a 0/1 selection.  Every array is read-only and shared by the
+    Vermas built on the skeleton.
     """
 
     offsets: np.ndarray
@@ -571,106 +529,98 @@ class _VermaSkeleton:
     lift: tuple
 
 
-def _content_minus(content, i):
-    c = list(content)
-    c[i] -= 1
-    return tuple(c) if c[i] >= 0 else None
+def _kostant(datum: CartanDatum, depth: int) -> dict:
+    """dim U_q(n^-) per content of height <= depth: Kostant's partition
+    function, the number of ways to write a content as a sum of positive
+    roots."""
+    part = {c: int(h == 0) for h in range(depth + 1)
+            for c in _compositions(h, datum.rank)}
+    for a in datum.positive_roots:
+        a = [int(x) for x in a.coords]
+        for c in part:  # by height, so part[c - a] already counts root a
+            sub = tuple(x - y for x, y in zip(c, a))
+            if min(sub) >= 0:
+                part[c] += part[sub]
+    return part
 
 
 def _verma_skeleton(datum: CartanDatum, q: float, depth: int) -> _VermaSkeleton:
-    """Basis classes, F matrices and lowering lift of a Verma truncated
-    below `depth`.
+    """Basis, F matrices and lowering lift of a Verma truncated below `depth`.
 
-    Basis classes of words in the F_i are fixed degree by degree: the degree
-    slice of the two-sided Serre ideal is row reduced (lexicographic word
-    order) and the non-pivot words survive.  None of this depends on the
-    highest weight; the Serre rows depend on q.  A basis word (j,) + w is
-    F_j applied to the class of w, whose expansion in the basis one level
-    up is the lift.  The lift is checked by `_check_lift`.
+    On M(hw), E_i = (s_i A_i - B_i / s_i)/(q_i - q_i^{-1}) with
+    s_i = q^{(hw, alpha_i)} and A_i, B_i free of hw: for y of content beta,
+        A_i F_j y = F_j A_i y + delta_ij q^{-(beta, alpha_i)} y,
+        B_i F_j y = F_j B_i y + delta_ij q^{(beta, alpha_i)} y.
+    No element of U_q(n^-) of positive degree is killed by every A_i
+    (Lusztig, Introduction to Quantum Groups, 1.2.15).  So the candidates
+    F_j y, y a basis vector one depth up, span each depth, and their images
+    decide which are independent.  Per content, pivoted QR of the
+    column-normalized images keeps as many candidates as Kostant's
+    partition function counts, in candidate order (letter, then y).  Each
+    kept F_j y lifts by a 0/1 selection; F of every other candidate is its
+    least-squares fit in the kept ones, which must hold to 1e-10 of the
+    largest image.  Nothing here depends on hw; the images depend on q.
     """
     r = datum.rank
-    serre = _serre_generators(datum, q)
-
-    zero_content = (0,) * r
-    words = {zero_content: [()]}
-    widx = {zero_content: {(): 0}}
-    basis_loc = {zero_content: [0]}
-    expand = {zero_content: np.eye(1, dtype=complex)}
-    ideal = {zero_content: np.zeros((0, 1), dtype=complex)}
-
+    bil = np.array(datum.bilinear, dtype=float)
+    part = _kostant(datum, depth)
+    conts, Fblocks, lift = [np.zeros((1, r), dtype=int)], [], []
+    Fup = [np.zeros((1, 0))] * r  # F_j into the depth block
+    img = np.zeros((2 * r, 0, 1))  # A_i then B_i of the depth block
     for h in range(1, depth + 1):
-        for content in _compositions(h, r):
-            wl = _words_of_content(content)
-            wl.sort()
-            wi = {w: t for t, w in enumerate(wl)}
-            words[content] = wl
-            widx[content] = wi
-            rows = []
-            for i in range(r):
-                sub = _content_minus(content, i)
-                if sub is None:
-                    continue
-                subwords = words[sub]
-                for row in ideal[sub]:
-                    pre = np.zeros(len(wl), dtype=complex)
-                    post = np.zeros(len(wl), dtype=complex)
-                    for t, c in enumerate(row):
-                        if c != 0:
-                            pre[wi[(i,) + subwords[t]]] += c
-                            post[wi[subwords[t] + (i,)]] += c
-                    rows.append(pre)
-                    rows.append(post)
-            for g in serre.get(content, []):
-                rows.append(g.astype(complex))
-            rows = np.array(rows) if rows else np.zeros((0, len(wl)), dtype=complex)
-            red, pivots = _rref(rows)
-            ideal[content] = red
-            piv = set(pivots)
-            bl = [t for t in range(len(wl)) if t not in piv]
-            basis_loc[content] = bl
-            bpos = {t: s for s, t in enumerate(bl)}
-            exp = np.zeros((len(wl), len(bl)), dtype=complex)
-            for t in bl:
-                exp[t, bpos[t]] = 1.0
-            for rr, p in zip(red, pivots):
-                exp[p, :] = -rr[bl]
-            expand[content] = exp
+        cont, m = conts[-1], len(conts[-1])
+        qb = q ** (cont @ bil)  # q^{(beta_y, alpha_i)}, one row per y
+        cand = []  # images of F_j y, column j m + y
+        for j in range(r):
+            X = Fup[j] @ img
+            X[j] += np.diag(1.0 / qb[:, j])
+            X[r + j] += np.diag(qb[:, j])
+            cand.append(X)
+        cand = np.concatenate(cand, axis=2)
+        flat = cand.reshape(2 * r * m, r * m)
+        ccont = np.concatenate([cont + np.eye(r, dtype=int)[j] for j in range(r)])
+        keep = []
+        coef = np.zeros((sum(part[c] for c in _compositions(h, r)), r * m))
+        for c in _compositions(h, r):
+            idx = np.flatnonzero((ccont == c).all(axis=1))
+            X = flat[:, idx]
+            piv = scipy.linalg.qr(X / np.linalg.norm(X, axis=0), mode="r",
+                                  pivoting=True)[1]
+            kept = np.sort(piv[:part[c]])
+            rest = np.setdiff1d(np.arange(idx.size), kept)
+            rows = slice(len(keep), len(keep) + kept.size)
+            coef[rows, idx[kept]] = np.eye(kept.size)
+            if rest.size:
+                fit = np.linalg.lstsq(X[:, kept], X[:, rest], rcond=None)[0]
+                resid = float(np.max(np.abs(X[:, kept] @ fit - X[:, rest])))
+                big = float(np.max(np.abs(X)))
+                if resid > 1e-10 * big:
+                    raise ValueError(f"Verma basis inconsistent at content {c}: "
+                                     f"{resid:.2e} against max|images| {big:.2e}")
+                coef[rows, idx[rest]] = fit
+            keep.extend(idx[kept])
+        keep = np.array(keep)
+        Fup = [coef[:, j * m:(j + 1) * m] for j in range(r)]
+        Fblocks.append(Fup)
+        img = cand[:, :, keep]
+        top = sum(map(len, conts))  # first index of the depth-h block
+        conts.append(ccont[keep])
+        pairs = []
+        for j in range(r):
+            t = np.flatnonzero(keep // m == j)
+            U = np.zeros((m, t.size), dtype=complex)
+            U[keep[t] % m, np.arange(t.size)] = 1.0
+            pairs.append((top + t, U))
+        lift.append(tuple(pairs))
 
-    # global basis, ordered by (height, content, local word order)
-    start, offsets = {}, []
-    for content, bl in basis_loc.items():
-        start[content] = len(offsets)
-        offsets.extend([[-c for c in content]] * len(bl))
-    offsets = np.array(offsets, dtype=int)
+    offsets = -np.concatenate(conts)
     depths = -offsets.sum(axis=1)
-    top = np.searchsorted(depths, np.arange(depth + 1))  # first index per depth
-
-    # F_i into each content, read off the class expansion of F_i w; the lift
-    # column of a basis word is the expansion of its tail, one level up
-    Fmats = [np.zeros((len(depths),) * 2, dtype=complex) for _ in range(r)]
-    lift = [[([], []) for _ in range(r)] for _ in range(depth)]
-    for content, bl in list(basis_loc.items())[1:]:
-        h = sum(content)
-        here = slice(start[content], start[content] + len(bl))
-        for i in range(r):
-            sub = _content_minus(content, i)
-            if sub is None:
-                continue
-            for s, t in enumerate(basis_loc[sub]):
-                Fmats[i][here, start[sub] + s] = \
-                    expand[content][widx[content][(i,) + words[sub][t]]]
-        for s, t in enumerate(bl):
-            w = words[content][t]
-            sub = _content_minus(content, w[0])
-            u = np.zeros(top[h] - top[h - 1], dtype=complex)
-            at = start[sub] - top[h - 1]
-            u[at:at + len(basis_loc[sub])] = expand[sub][widx[sub][w[1:]]]
-            cols, us = lift[h - 1][w[0]]
-            cols.append(start[content] + s)
-            us.append(u)
-    # every letter heads a basis word at every depth (F_j^h is one)
-    lift = tuple(tuple((np.array(cols), np.array(us).T) for cols, us in pairs)
-                 for pairs in lift)
+    N, top = len(depths), np.searchsorted(depths, np.arange(depth + 1))
+    Fmats = [np.zeros((N, N), dtype=complex) for _ in range(r)]
+    for h, blocks in enumerate(Fblocks, 1):
+        for Fj, blk in zip(Fmats, blocks):
+            Fj[top[h]:top[h] + len(blk), top[h - 1]:top[h]] = blk
+    lift = tuple(lift)
     for arr in Fmats + [offsets, depths] + [a for lv in lift for pair in lv for a in pair]:
         arr.flags.writeable = False
     sk = _VermaSkeleton(offsets, depths, tuple(Fmats), lift)
@@ -1150,7 +1100,7 @@ def omega_tilde(W: WeightModule, M: TruncatedVerma):
 # ---------------------------------------------------------------------------
 # relation checks
 
-def relation_residuals(V: WeightModule, depth_margin: int = None) -> float:
+def relation_residuals(V: WeightModule) -> float:
     """Max residual over the defining relations on this module's matrices.
 
     For truncated Vermas the F-side relations are only read on rows deep

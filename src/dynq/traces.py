@@ -74,10 +74,8 @@ def weighted_trace(phi: Intertwiner, mu: Weight, xi: Weight, depth: int,
         raise ValueError("operator does not start at the stated Verma")
     if phi.target_verma.hw != mu:
         raise ValueError("legs carry nonzero total weight, trace undefined")
-    if depth > phi.exact_depth or depth > src.depth:
-        raise ValueError(
-            f"operator exact to depth {min(phi.exact_depth, src.depth)}, "
-            f"requested {depth}")
+    if depth > src.depth:
+        raise ValueError(f"operator exact to depth {src.depth}, requested {depth}")
     datum, q = src.datum, src.q
     check_cone(datum, xi, margin)
     dt = phi.target_verma.dim

@@ -14,7 +14,7 @@ on each leg.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -149,7 +149,6 @@ class Intertwiner:
     spin: tuple
     nus: tuple
     matrix: np.ndarray
-    exact_depth: int = field(default=0)
 
     @property
     def mu(self) -> Weight:
@@ -264,7 +263,7 @@ def _leg_chain(lam: Weight, S: tuple, vlist, depth: int, tol: float,
                 phi = (phi @ op.reshape(cur.dim, -1)).reshape(-1, src.dim)
             leg = legs[keys[j:]] = (phi, tgt)
         op, cur = leg
-    return Intertwiner("primal", src, cur, S, nus, op, exact_depth=depth)
+    return Intertwiner("primal", src, cur, S, nus, op)
 
 
 def dual_vertex_operator(lam: Weight, sstar: tuple, glist, depth: int,
@@ -297,7 +296,7 @@ def dual_vertex_operator(lam: Weight, sstar: tuple, glist, depth: int,
         op = psi if op is None else np.kron(np.eye(left_dim), psi) @ op
         left_dim *= W.dim
         cur = tgt
-    return Intertwiner("dual", src, cur, sstar, nus, op, exact_depth=depth)
+    return Intertwiner("dual", src, cur, sstar, nus, op)
 
 
 def expectation(phi: Intertwiner) -> np.ndarray:
@@ -308,28 +307,50 @@ def expectation(phi: Intertwiner) -> np.ndarray:
     return col[::phi.target_verma.dim].copy()
 
 
+def _coproduct(slots, i: int, raising: bool, P: np.ndarray) -> np.ndarray:
+    """Delta(E_i) (raising) or Delta(F_i) on the tensor product of `slots`,
+    applied to P of shape (*dims, columns): E_i on one slot and K_i on the
+    slots after it, or F_i on one slot and K_i^{-1} on the slots before it.
+    """
+    out = np.zeros(P.shape, dtype=complex)
+    for s, V in enumerate(slots):
+        X = V.E[i] if raising else V.F[i]
+        term = np.moveaxis(np.tensordot(X, P, axes=(1, s)), 0, s)
+        for t, W in enumerate(slots):
+            if (t > s) if raising else (t < s):
+                k = W.K[i] if raising else 1.0 / W.K[i]
+                term *= k.reshape((-1,) + (1,) * (P.ndim - 1 - t))
+        out += term
+    return out
+
+
 def intertwiner_residual(phi: Intertwiner) -> float:
     """Max relative commutation defect with every generator.
 
-    On the lowering side truncation genuinely drops terms at both
-    boundaries: source columns at the deepest level map to zero under F
-    even though the target image is nonzero, and rows at the target Verma
-    boundary can miss contributions.  Both are skipped.
+    The coproduct acts slot by slot on the reshaped matrix, so the target
+    tensor module is not built.  On the lowering side truncation genuinely
+    drops terms at both boundaries: source columns at the deepest level map
+    to zero under F even though the target image is nonzero, and rows at
+    the target Verma boundary can miss contributions.  Both are skipped.
     """
-    T, M = phi.target, phi.source
+    M = phi.source
     df = phi.spin_dim
     ok_verma = phi.target_verma.exact_mask(1)
     if phi.orientation == "primal":
+        slots = (phi.target_verma,) + phi.spin
         ok_rows = np.repeat(ok_verma, df)
     else:
+        slots = phi.spin + (phi.target_verma,)
         ok_rows = np.tile(ok_verma, df)
     ok_cols = M.exact_mask(1)
+    P = phi.matrix.reshape(*(V.dim for V in slots), M.dim)
     worst = 0.0
     for i in range(M.datum.rank):
-        for X, Y, needs_mask in ((M.E[i], T.E[i], False), (M.F[i], T.F[i], True)):
-            res = Y @ phi.matrix - phi.matrix @ X
-            scale = max(1.0, float(np.max(np.abs(Y @ phi.matrix))))
-            if needs_mask:
+        for X, raising in ((M.E[i], True), (M.F[i], False)):
+            YP = _coproduct(slots, i, raising, P).reshape(phi.matrix.shape)
+            res = YP - phi.matrix @ X
+            scale = max(1.0, float(np.max(np.abs(YP))))
+            if not raising:
                 res = res[np.ix_(ok_rows, ok_cols)]
             if res.size:
                 worst = max(worst, float(np.max(np.abs(res))) / scale)

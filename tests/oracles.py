@@ -4,12 +4,12 @@ second routes kept to cross-check the library's one route."""
 import numpy as np
 import scipy.linalg
 
-from dynq.cartan import Weight
+from dynq.cartan import CartanDatum, Weight
 from dynq.dynamical import _fused, embedded_shifted, exchange, fusion
 from dynq.qalgebra import (
-    GradedMap, TruncatedVerma, WeightModule, _kappa_diag, _kron_csr,
-    _raising_shifts, dual_module, flip_index, mirror_index, tensor_module,
-    trivial_module,
+    GradedMap, TruncatedVerma, WeightModule, _compositions, _kappa_diag,
+    _kron_csr, _raising_shifts, _rref, _VermaSkeleton, dual_module,
+    flip_index, mirror_index, qbinom, tensor_module, trivial_module,
 )
 
 _DECOMP_TOL = 1e-9
@@ -240,3 +240,145 @@ def extend_by_lstsq(src: TruncatedVerma, tgt: TruncatedVerma, V: WeightModule,
              for Ft, Fv, k in zip(tgt.F, V.F, Kinv)], axis=2)
         phi[:, ch] = B.reshape(n * dv, -1) @ sol
     return phi
+
+
+# ---------------------------------------------------------------------------
+# Verma skeleton from words in the F_i and the two-sided Serre ideal
+
+
+def _words_of_content(content):
+    """Distinct words with letter i used content[i] times, lexicographic."""
+    out = []
+    counts = list(content)
+    word = []
+
+    def rec():
+        if not any(counts):
+            out.append(tuple(word))
+            return
+        for i, c in enumerate(counts):
+            if c:
+                counts[i] -= 1
+                word.append(i)
+                rec()
+                word.pop()
+                counts[i] += 1
+
+    rec()
+    return out
+
+
+def _serre_generators(datum: CartanDatum, q: float):
+    """Serre elements in the free algebra on the F_i, as {content: rows}."""
+    gens = {}
+    A = datum.cartan_matrix
+    r = datum.rank
+    for i in range(r):
+        qi = q ** datum.d[i]
+        for j in range(r):
+            if i == j:
+                continue
+            m = 1 - int(A[i, j])
+            content = [0] * r
+            content[i] = m
+            content[j] = 1
+            content = tuple(content)
+            words = _words_of_content(content)
+            widx = {w: t for t, w in enumerate(words)}
+            row = np.zeros(len(words), dtype=complex)
+            for s in range(m + 1):
+                w = (i,) * s + (j,) + (i,) * (m - s)
+                row[widx[w]] += (-1) ** s * qbinom(qi, m, s)
+            gens.setdefault(content, []).append(row)
+    return gens
+
+
+def word_skeleton(datum: CartanDatum, q: float, depth: int) -> _VermaSkeleton:
+    """The skeleton of `qalgebra._verma_skeleton` in a basis of words.
+
+    Degree by degree, the slice of the two-sided Serre ideal is row reduced
+    (lexicographic word order) and the non-pivot words are the basis; F is
+    read off the class expansions, and a basis word (j,) + w lifts through
+    the expansion of w one level up.  It enumerates all 2^(depth + 1) - 1
+    words, so it is for shallow depths only.
+    """
+    r = datum.rank
+    serre = _serre_generators(datum, q)
+
+    def minus(content, i):
+        c = list(content)
+        c[i] -= 1
+        return tuple(c) if c[i] >= 0 else None
+
+    zero_content = (0,) * r
+    words = {zero_content: [()]}
+    widx = {zero_content: {(): 0}}
+    basis_loc = {zero_content: [0]}
+    expand = {zero_content: np.eye(1, dtype=complex)}
+    ideal = {zero_content: np.zeros((0, 1), dtype=complex)}
+
+    for h in range(1, depth + 1):
+        for content in _compositions(h, r):
+            wl = sorted(_words_of_content(content))
+            wi = {w: t for t, w in enumerate(wl)}
+            words[content] = wl
+            widx[content] = wi
+            rows = []
+            for i in range(r):
+                sub = minus(content, i)
+                if sub is None:
+                    continue
+                for row in ideal[sub]:
+                    pre = np.zeros(len(wl), dtype=complex)
+                    post = np.zeros(len(wl), dtype=complex)
+                    for t, c in enumerate(row):
+                        if c != 0:
+                            pre[wi[(i,) + words[sub][t]]] += c
+                            post[wi[words[sub][t] + (i,)]] += c
+                    rows.append(pre)
+                    rows.append(post)
+            rows += serre.get(content, [])
+            rows = np.array(rows) if rows else np.zeros((0, len(wl)), dtype=complex)
+            red, pivots = _rref(rows)
+            ideal[content] = red
+            bl = [t for t in range(len(wl)) if t not in set(pivots)]
+            basis_loc[content] = bl
+            exp = np.zeros((len(wl), len(bl)), dtype=complex)
+            exp[bl, np.arange(len(bl))] = 1.0
+            for rr, p in zip(red, pivots):
+                exp[p, :] = -rr[bl]
+            expand[content] = exp
+
+    # global basis, ordered by (height, content, local word order)
+    start, offsets = {}, []
+    for content, bl in basis_loc.items():
+        start[content] = len(offsets)
+        offsets.extend([[-c for c in content]] * len(bl))
+    offsets = np.array(offsets, dtype=int)
+    depths = -offsets.sum(axis=1)
+    top = np.searchsorted(depths, np.arange(depth + 1))
+
+    Fmats = [np.zeros((len(depths),) * 2, dtype=complex) for _ in range(r)]
+    lift = [[([], []) for _ in range(r)] for _ in range(depth)]
+    for content, bl in list(basis_loc.items())[1:]:
+        h = sum(content)
+        here = slice(start[content], start[content] + len(bl))
+        for i in range(r):
+            sub = minus(content, i)
+            if sub is None:
+                continue
+            for s, t in enumerate(basis_loc[sub]):
+                Fmats[i][here, start[sub] + s] = \
+                    expand[content][widx[content][(i,) + words[sub][t]]]
+        for s, t in enumerate(bl):
+            w = words[content][t]
+            sub = minus(content, w[0])
+            u = np.zeros(top[h] - top[h - 1], dtype=complex)
+            at = start[sub] - top[h - 1]
+            u[at:at + len(basis_loc[sub])] = expand[sub][widx[sub][w[1:]]]
+            cols, us = lift[h - 1][w[0]]
+            cols.append(start[content] + s)
+            us.append(u)
+    lift = tuple(tuple((np.array(cols), np.array(us).T) for cols, us in pairs)
+                 for pairs in lift)
+    return _VermaSkeleton(offsets, depths, tuple(Fmats), lift)

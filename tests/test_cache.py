@@ -194,15 +194,16 @@ class TestVermaSkeleton:
         other_q = qalgebra._build_verma(A2, 0.3, hw, 3)
         deeper = qalgebra._build_verma(A2, Q, hw, 4)
         assert (fresh.hits, fresh.misses) == (0, 3)
-        # the Serre rows carry [2]_q, so the class expansions, and F, move with q
+        # the candidates' images carry powers of q, so the least-squares
+        # coordinates of the candidates left out of the basis, and F, move with q
         assert M.F[0].shape == other_q.F[0].shape
         assert not all(np.array_equal(a, b) for a, b in zip(M.F, other_q.F))
         assert deeper.dim > M.dim
 
     @pytest.mark.parametrize("datum,depth", [(A1, 8), (A2, 6), (B2, 6)])
     def test_lift_inverts_the_lowering_blocks_exactly(self, datum, depth):
-        # at these depths every tail of a basis word is itself a basis word,
-        # so each U is a 0/1 selection and G_h U_h = I holds exactly
+        # every basis vector is F_j of a basis vector one depth up, so each
+        # U is a 0/1 selection and G_h U_h = I holds exactly
         sk = qalgebra._verma_skeleton(datum, Q, depth)
         assert len(sk.lift) == depth
         for h, pairs in enumerate(sk.lift, 1):
@@ -227,6 +228,18 @@ class TestVermaSkeleton:
             qalgebra._check_lift(corrupt(3))
         # the truncation depth is left to the skeletons of deeper leg targets
         qalgebra._check_lift(corrupt(4))
+
+    def test_undercounted_content_trips_the_fit_guard(self, monkeypatch):
+        # keep one of the two independent candidates F_1 F_2, F_2 F_1 of
+        # content (1, 1): the one left out has no fit in the kept one
+        count = qalgebra._kostant
+
+        def short(datum, depth):
+            return {c: n - (c == (1, 1)) for c, n in count(datum, depth).items()}
+
+        monkeypatch.setattr(qalgebra, "_kostant", short)
+        with pytest.raises(ValueError, match=r"Verma basis inconsistent at content \(1, 1\)"):
+            qalgebra._verma_skeleton(A2, Q, 3)
 
     @pytest.mark.parametrize("datum,coeffs", [
         (A1, [(-7.31,), (2.5,)]),

@@ -19,7 +19,7 @@ from dynq.vertexops import dual_vertex_operator
 
 from oracles import (
     coeval_map, coeval_twisted, eval_map, eval_twisted, flip_matrix,
-    r_matrix_backsub,
+    r_matrix_backsub, word_skeleton,
 )
 
 A1 = preset("A1")
@@ -84,6 +84,46 @@ class TestVerma:
         lam = A2.from_fundamental([-3.17, -2.41])
         M = build_verma(A2, Q, lam, 5)
         assert relation_residuals(M) < 1e-11
+
+    def test_relations_at_depth_14(self):
+        # past the reach of the word skeleton, which raised from depth 14 on
+        M = build_verma(A2, Q, A2.from_fundamental([-3.17, -2.41]), 14)
+        assert M.dim == 372
+        assert relation_residuals(M) < 1e-11
+
+    @pytest.mark.parametrize("datum,depth", [(A2, 8), (B2, 7)])
+    def test_matches_word_skeleton(self, monkeypatch, datum, depth):
+        # the change of basis P from the word basis, built through the new
+        # lift (P e_0 = e_0, P[:, cols] = F_j^old P[:, up] U), intertwines
+        # F and E; both bases are ordered by content, so P is block diagonal
+        new = qalgebra._verma_skeleton(datum, Q, depth)
+        old = word_skeleton(datum, Q, depth)
+        assert np.array_equal(new.offsets, old.offsets)
+        P = np.zeros((len(new.depths),) * 2, dtype=complex)
+        P[0, 0] = 1.0
+        up = slice(0, 1)
+        for pairs in new.lift:
+            for Fj, (cols, U) in zip(old.F, pairs):
+                P[:, cols] = Fj @ P[:, up] @ U
+            up = slice(up.stop, up.stop + sum(c.size for c, _ in pairs))
+        same = (new.offsets[:, None, :] == new.offsets[None, :, :]).all(axis=2)
+        assert not np.any(P[~same])
+        assert np.linalg.matrix_rank(P) == len(P)
+
+        def rel(a, b):
+            return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+        inner = new.depths < depth
+        for Fn, Fo in zip(new.F, old.F):
+            assert rel((P @ Fn)[:, inner], (Fo @ P)[:, inner]) < 1e-12
+        hw = datum.from_fundamental([-3.217, -4.381])
+        monkeypatch.setattr(qalgebra, "_SKELETON_MEMO", Memo())
+        Mn = qalgebra._build_verma(datum, Q, hw, depth)
+        monkeypatch.setattr(qalgebra, "_SKELETON_MEMO", Memo())
+        monkeypatch.setattr(qalgebra, "_verma_skeleton", word_skeleton)
+        Mo = qalgebra._build_verma(datum, Q, hw, depth)
+        for En, Eo in zip(Mn.E, Mo.E):
+            assert rel(P @ En, Eo @ P) < 1e-12
 
     def test_depth_stability(self):
         # deep blocks are independent of the truncation depth

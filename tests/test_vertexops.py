@@ -3,7 +3,7 @@ import pytest
 
 from dynq.cartan import preset
 from dynq.qalgebra import (
-    build_irrep, build_verma, qnum, tensor_many, tensor_module,
+    build_irrep, build_verma, dual_module, qnum, tensor_many, tensor_module,
 )
 from dynq.vertexops import (
     Intertwiner, _extend_by_lowering, _raises, _singular_in,
@@ -484,3 +484,21 @@ class TestLoweringLift:
         tgt = build_verma(A1, Q, -6.31 * OM, 4)
         with pytest.raises(ValueError, match="does not exceed its source depth"):
             _extend_by_lowering(src, tgt, V, np.zeros((tgt.dim, V.dim)))
+
+
+class TestDepthReach:
+    """Operators whose Vermas lie past the reach of the word skeleton."""
+
+    def test_a2_two_leg_operator_at_depth_10(self):
+        V = build_irrep(A2, Q, A2.fundamental_weights[0])
+        e0 = hw_vec(V)
+        lam = A2.from_fundamental([-3.217, -4.381])
+        phi = vertex_operator(lam, (V, dual_module(V)), [e0, e0], 10)
+        assert phi.target_verma.depth == 13
+        assert intertwiner_residual(phi) <= 1e-12
+
+    def test_b2_one_leg_operator_into_depth_12(self):
+        V = build_irrep(B2, Q, B2.fundamental_weights[0])
+        phi = vertex_operator(TestMatrixFreeLeg.B2_LAM, (V,), [lw_vec(V)], 8)
+        assert phi.target_verma.depth == 12
+        assert intertwiner_residual(phi) <= 1e-11
