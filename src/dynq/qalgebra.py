@@ -2,8 +2,8 @@
 
 Finite-dimensional irreps, truncated Verma modules, duals, tensor products,
 the non-dynamical R-matrix, characters, and the central-element action.
-Module matrices (E, F) and R-matrices are dense complex128; `r_matrix`
-applies the coproduct generators as sparse CSR matrices.
+Module matrices (E, F) are dense complex128; an R-matrix is kept as its
+factors (kappa, sparse CSR N) until `r_matrix` returns it dense.
 
 The R-matrix is kappa (1 + N), with kappa = q^{<wt, wt>} diagonal and N
 strictly raising the first slot.  It has one route: a multi-slot first
@@ -802,25 +802,20 @@ def _csr(rows, cols, vals, shape) -> sp.csr_matrix:
     return sp.csr_matrix((vals[order], cols[order], indptr), shape=shape)
 
 
-def _kron_csr(*pairs) -> sp.csr_matrix:
-    """Sum of A (x) B over pairs of dense factors, as a canonical CSR matrix.
-
-    Built by index arithmetic: on small modules scipy's own kron costs more
-    than every product the matrix then takes part in.
-    """
-    n = pairs[0][0].shape[0] * pairs[0][1].shape[0]
-    m = pairs[0][0].shape[1] * pairs[0][1].shape[1]
+def _kron_entries(pairs) -> list:
+    """(rows, cols, values, shape) of the sum of A (x) B over pairs of
+    factors, for `_csr`; a factor is a dense matrix, or a vector standing
+    for its diagonal.  Index arithmetic: on small modules scipy's own kron
+    costs more than every product the matrix then takes part in."""
     rows, cols, vals = [], [], []
     for A, B in pairs:
-        ai, aj = np.nonzero(A)
-        bk, bl = np.nonzero(B)
+        a, b = np.nonzero(A), np.nonzero(B)
+        (ai, aj), (bk, bl) = (x if len(x) == 2 else x * 2 for x in (a, b))
         rows.append((ai[:, None] * B.shape[0] + bk[None, :]).ravel())
-        cols.append((aj[:, None] * B.shape[1] + bl[None, :]).ravel())
-        vals.append((A[ai, aj][:, None] * B[bk, bl][None, :]).ravel())
-    rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
-    out = _csr(rows, cols, vals, (n, m))
-    out.sum_duplicates()
-    return out
+        cols.append((aj[:, None] * B.shape[-1] + bl[None, :]).ravel())
+        vals.append((A[a][:, None] * B[b][None, :]).ravel())
+    shape = (A.shape[0] * B.shape[0], A.shape[-1] * B.shape[-1])
+    return [np.concatenate(x) for x in (rows, cols, vals)] + [shape]
 
 
 def _shift_pairs(x: np.ndarray, shift) -> tuple:
@@ -853,39 +848,38 @@ def r_matrix(V: WeightModule, W: WeightModule, tol: float = 1e-10) -> np.ndarray
     """Matrix of the R-matrix endomorphism of V (x) W, normalized kappa (1 + N).
 
     kappa = q^{<wt, wt>} is diagonal and N strictly raises the first slot.
-    `_crossing` builds R by one route: a multi-slot V splits into one
-    crossing per slot (hexagon), a Verma first slot is the flipped crossing
-    of the omega-twisted modules, and every remaining crossing solves N from
-    the F-equations (`_nilpotent`).  Beside a truncated Verma second slot, N
-    does not depend on the Verma's highest weight: it is solved once per
-    (first slot, Verma skeleton, tol) and memoized, so kappa and the guard
-    are all that is formed per call.  A rank drop in any degree raises with
-    the nullity reported.
-
-    The final guard checks R Delta(x) = Delta^op(x) R for every generator,
-    on the rows and columns that keep 2 * (largest degree) + 1 away from
-    each Verma slot's truncation.  R is dense n x n; the coproduct
-    generators act as sparse matrices.  Weights enter as integer lattice
+    A multi-slot V splits by the hexagon (Delta (x) id) R = R_13 R_23 into
+    the dense product of one crossing per slot, placed on that slot and W's
+    slots; a single-slot V densifies its factors.  Either R passes the
+    intertwining guard (`_check_intertwines`) first.
+    Beside a truncated Verma second slot, N is free of the Verma's highest
+    weight and memoized per (first slot, Verma skeleton, tol), so kappa and
+    the guard are all that is formed per call.  A rank drop in any degree
+    raises with the nullity reported.  Weights enter as integer lattice
     offsets from each module's first weight, so V and W must each lie in
     one root-lattice coset.  A finite first slot may be reducible; a Verma
     first slot needs a single-slot second slot.
     """
     if isinstance(V, TruncatedVerma) and isinstance(W, TruncatedVerma):
         raise ValueError("r_matrix needs a finite first slot beside a Verma")
-    R = _crossing(V, W, tol)
-
-    # final guard: commutation with the full coproduct on safe rows/cols
-    n = V.dim * W.dim
-    margin = max(_raising_shifts(V, W).values(), default=0)
-    mask = np.ones(n, dtype=bool)
-    if isinstance(W, TruncatedVerma):
-        mask &= np.tile(W.exact_mask(2 * margin + 1), V.dim)
-    if isinstance(V, TruncatedVerma):
-        mask &= np.repeat(V.exact_mask(2 * margin + 1), W.dim)
-    keep = np.flatnonzero(mask)
-    if keep.size:
-        _check_intertwines(V, W, R, keep, tol)
+    if len(V.slots) == 1:
+        kap, N = _r_factors(V, W, tol)
+        return kap[:, None] * (np.eye(kap.size) + N.toarray())
+    dims = [s.dim for s in V.slots + W.slots]
+    wslots = tuple(range(len(V.slots), len(dims)))
+    R = np.linalg.multi_dot([
+        _embed(dims, kap[:, None] * (np.eye(kap.size) + N.toarray()), (j,) + wslots)
+        for j, (kap, N) in enumerate(_crossing(Vj, W, tol) for Vj in V.slots)])
+    _check_intertwines(V, W, sp.csr_matrix(R), tol)
     return R
+
+
+def _r_factors(V: WeightModule, W: WeightModule, tol: float = 1e-10) -> tuple:
+    """The guarded factors (kappa, N) of R = kappa (1 + N) on V (x) W for a
+    single-slot V: kappa at this call's weights, N sparse CSR."""
+    kap, N = _crossing(V, W, tol)
+    _check_intertwines(V, W, sp.diags(kap) @ (sp.identity(kap.size) + N), tol)
+    return kap, N
 
 
 def _omega(V: WeightModule) -> WeightModule:
@@ -895,39 +889,30 @@ def _omega(V: WeightModule) -> WeightModule:
                         name=f"omega({V.name})")
 
 
-def _crossing(V: WeightModule, W: WeightModule, tol: float) -> np.ndarray:
-    """Unguarded kappa (1 + N) on V (x) W, by the first rule that applies.
+def _crossing(V: WeightModule, W: WeightModule, tol: float) -> tuple:
+    """Unguarded (kappa, sparse N) on V (x) W for a single-slot V.
 
-    1. A multi-slot V splits by the hexagon (Delta (x) id) R = R_13 R_23:
-       R_{V_1 (x) ... (x) V_k, W} is the product over j of R_{V_j, W}
-       placed on slot j and W's slots.
-    2. A Verma V: omega is an algebra automorphism that reverses the
+    1. A Verma V: omega is an algebra automorphism that reverses the
        coproduct, so (omega (x) omega) R = R_21 and R_{V,W} is the flip of
-       R_{W^omega, V^omega}.  That crossing reads V's E, which is exact at
-       every depth, where the F-equations on V itself would read its
-       truncated F.  W must then be a single slot.
-    3. Any other V solves N from the F-equations (`_nilpotent`); beside a
+       R_{W^omega, V^omega}, which permutes both factors.  That crossing
+       reads V's E, which is exact at every depth, where the F-equations on
+       V itself would read its truncated F.  W must then be a single slot.
+    2. Any other V solves N from the F-equations (`_nilpotent`); beside a
        Verma W, N is memoized on the Verma's skeleton.
     """
-    if len(V.slots) > 1:
-        dims = [s.dim for s in V.slots + W.slots]
-        wslots = tuple(range(len(V.slots), len(dims)))
-        return np.linalg.multi_dot([_embed(dims, _crossing(Vj, W, tol), (j,) + wslots)
-                                    for j, Vj in enumerate(V.slots)])
     if isinstance(V, TruncatedVerma):
         if len(W.slots) > 1:
             raise ValueError("a Verma first slot needs a single-slot second slot, "
                              f"got {len(W.slots)} slots")
         p = flip_index(W, V)
-        return _crossing(_omega(W), _omega(V), tol)[np.ix_(p, p)]
+        kap, N = _crossing(_omega(W), _omega(V), tol)
+        return kap[p], N[p][:, p]
     kap = _kappa_diag(V, W)
     if isinstance(W, TruncatedVerma):
         # the Verma's datum, q and depth fix its skeleton, the only part read
         key = (V, W.datum, W.q, W.depth, float(tol))
-        N = _VERMA_N_MEMO.get(key, lambda: _nilpotent(V, W, tol))
-    else:
-        N = _nilpotent(V, W, tol)
-    return kap[:, None] * (np.eye(kap.size) + N.toarray())
+        return kap, _VERMA_N_MEMO.get(key, lambda: _nilpotent(V, W, tol))
+    return kap, _nilpotent(V, W, tol)
 
 
 def _nilpotent(V: WeightModule, W: WeightModule, tol: float) -> sp.csr_matrix:
@@ -954,8 +939,8 @@ def _nilpotent(V: WeightModule, W: WeightModule, tol: float) -> sp.csr_matrix:
     n = dv * dw
     r = V.datum.rank
     units = np.eye(r, dtype=int)
-    A = [_kron_csr((np.diag(V.K[i]), W.F[i])) for i in range(r)]
-    B = [_kron_csr((np.diag(1.0 / V.K[i]), W.F[i])) for i in range(r)]
+    A = [_csr(*_kron_entries([(V.K[i], W.F[i])])) for i in range(r)]
+    B = [_csr(*_kron_entries([(1.0 / V.K[i], W.F[i])])) for i in range(r)]
     parts = {(0,) * r: sp.identity(n, dtype=complex, format="csr")}
     for beta in _raising_shifts(V, W):
         bvec = np.array(beta)
@@ -1010,31 +995,54 @@ def _nilpotent(V: WeightModule, W: WeightModule, tol: float) -> sp.csr_matrix:
     return N
 
 
-def _check_intertwines(V: WeightModule, W: WeightModule, R: np.ndarray,
-                       keep: np.ndarray, tol: float) -> None:
-    """Raise unless R Delta(x) = Delta^op(x) R for every generator x, read on
-    the `keep` rows and columns and formed only there."""
-    Iv, Iw = np.eye(V.dim), np.eye(W.dim)
-    R_rows, R_cols = R[keep, :], R[:, keep]
-    absR_rows, absR_cols = np.abs(R_rows), np.abs(R_cols)
+def _check_intertwines(V: WeightModule, W: WeightModule, R: sp.csr_matrix,
+                       tol: float) -> None:
+    """Raise unless R Delta(x) = Delta^op(x) R for every generator x.  R is
+    sparse; all is read and formed only on the rows and columns that keep
+    2 * (largest degree of N) + 1 away from each Verma slot's truncation."""
+    margin = max(_raising_shifts(V, W).values(), default=0)
+    mask = np.ones(V.dim * W.dim, dtype=bool)
+    if isinstance(W, TruncatedVerma):
+        mask &= np.tile(W.exact_mask(2 * margin + 1), V.dim)
+    if isinstance(V, TruncatedVerma):
+        mask &= np.repeat(V.exact_mask(2 * margin + 1), W.dim)
+    keep, pos = np.flatnonzero(mask), np.cumsum(mask) - 1
+    n, k = mask.size, keep.size
+    if not k:
+        return
+
+    def stack(gens, flip):
+        # the matrices of gens (flip: transposed), cut to the kept columns
+        # and set side by side, so that each product below is formed once
+        parts = []
+        for g, pairs in enumerate(gens):
+            r, c, v, _ = _kron_entries(pairs)
+            r, c = (c, r) if flip else (r, c)
+            ok = mask[c]
+            parts.append((r[ok], pos[c[ok]] + g * k, v[ok]))
+        out = _csr(*(np.concatenate(x) for x in zip(*parts)), (n, len(gens) * k))
+        out.sum_duplicates()
+        return out
+
+    def beside(P):  # P's k x k blocks, stacked down, set side by side
+        P = P.tocoo()
+        return _csr(P.row % k, P.row - P.row % k + P.col, P.data, (k, P.shape[0]))
+
+    Iv, Iw = np.ones(V.dim), np.ones(W.dim)
+    cop, opp = [], []
     for i in range(V.datum.rank):
-        KV, KW = np.diag(V.K[i]), np.diag(W.K[i])
-        KVinv, KWinv = np.diag(1.0 / V.K[i]), np.diag(1.0 / W.K[i])
-        for DX, DOX in (
-            (_kron_csr((V.E[i], KW), (Iv, W.E[i])),
-             _kron_csr((KV, W.E[i]), (V.E[i], Iw))),
-            (_kron_csr((V.F[i], Iw), (KVinv, W.F[i])),
-             _kron_csr((Iv, W.F[i]), (V.F[i], KWinv))),
-        ):
-            sub = np.abs((R_rows @ DX)[:, keep] - (DOX @ R_cols)[keep])
-            # entrywise backward-error bound: entries span q^{+-depth}, so a
-            # single global scale would either mask shallow errors or reject
-            # harmless roundoff in the deep rows
-            bsub = (absR_rows @ abs(DX))[:, keep] + (abs(DOX) @ absR_cols)[keep]
-            if np.max(sub - 100 * tol * (bsub + 1.0)) > 0:
-                worst = float(np.max(sub / (bsub + 1.0)))
-                raise ValueError(
-                    f"R fails to intertwine the coproduct: {worst:.2e}")
+        cop += [((V.E[i], W.K[i]), (Iv, W.E[i])), ((V.F[i], Iw), (1 / V.K[i], W.F[i]))]
+        opp += [((V.K[i], W.E[i]), (V.E[i], Iw)), ((Iv, W.F[i]), (V.F[i], 1 / W.K[i]))]
+    DX, DOX = stack(cop, False), stack(opp, True).T
+    R_rows, R_cols = R[keep], R[:, keep]
+    sub = abs(R_rows @ DX - beside(DOX @ R_cols))
+    # entrywise backward-error bound: entries span q^{+-depth}, so a single
+    # global scale would either mask shallow errors or reject harmless
+    # roundoff in the deep rows.  Off the pattern of sub it holds with room.
+    bsub = abs(R_rows) @ abs(DX) + beside(abs(DOX) @ abs(R_cols))
+    if (sub - 100 * tol * bsub).max() > 100 * tol:
+        worst = float(np.max(sub.toarray() / (bsub.toarray() + 1.0)))
+        raise ValueError(f"R fails to intertwine the coproduct: {worst:.2e}")
 
 
 def r21_matrix(V: WeightModule, W: WeightModule) -> np.ndarray:
@@ -1057,15 +1065,14 @@ def casimir_ratio(datum: CartanDatum, q, lam1: Weight, lam2: Weight) -> float:
     return q ** float(datum.pairing(lam1 + lam2 + 2 * datum.rho, lam1 - lam2))
 
 
-def unitriangular_solve(R: np.ndarray, B: np.ndarray, cap: int) -> np.ndarray:
-    """Solve R X = B for R = diag(kappa)(1 + N) with N nilpotent, N^(cap+1) = 0.
+def unitriangular_solve(kap: np.ndarray, N: sp.csr_matrix, B: np.ndarray,
+                        cap: int) -> np.ndarray:
+    """Solve R X = B for R = diag(kappa)(1 + N) given as its factors, N
+    sparse with N^(cap+1) = 0 (as `_r_factors` returns them).
 
     The finite Neumann series keeps each row's error relative to its own
     scale; a dense LU would smear the deep rows' magnitude everywhere.
     """
-    kap = np.diag(R)
-    N = R / kap[:, None]
-    np.fill_diagonal(N, 0.0)
     Y = B / kap[:, None]
     term = Y
     for _ in range(cap):
@@ -1090,8 +1097,10 @@ def omega_tilde(W: WeightModule, M: TruncatedVerma):
         raise ValueError("Verma truncation too shallow for this W")
     T = tensor_module(M, W)
     q2rho = np.kron(np.eye(M.dim), np.diag(W.qh(2 * datum.rho)))
-    inner = unitriangular_solve(r21_matrix(M, W), q2rho, span)
-    X = unitriangular_solve(r_matrix(M, W), inner, span)
+    p = flip_index(W, M)  # R21 on M (x) W is R_{W,M} under p, and `_crossing` flips by p too
+    kap, N = _r_factors(W, M)
+    inner = unitriangular_solve(kap[p], N[p][:, p], q2rho, span)
+    X = unitriangular_solve(*_r_factors(M, W), inner, span)
     O = partial_trace(X, T, 1)
     scalar = character(W, -2 * (M.hw + datum.rho))
     return GradedMap(M, M, datum.zero_weight(), O), scalar

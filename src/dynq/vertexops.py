@@ -22,8 +22,8 @@ import scipy.linalg
 
 from .cartan import CartanDatum, Weight
 from .qalgebra import (
-    GradedMap, TruncatedVerma, WeightModule, build_verma, flip_index,
-    r_matrix, tensor_many, unitriangular_solve,
+    GradedMap, TruncatedVerma, WeightModule, _r_factors, build_verma,
+    flip_index, tensor_many, unitriangular_solve,
 )
 
 
@@ -292,7 +292,7 @@ def dual_vertex_operator(lam: Weight, sstar: tuple, glist, depth: int,
         span = W.height_span()
         phi, tgt = _one_point(cur.hw, W, glist[j], nus[j], cur,
                               cur.depth + 2 * max(span, 1), tol)
-        psi = unitriangular_solve(r_matrix(W, tgt), phi[flip_index(tgt, W)], span)
+        psi = unitriangular_solve(*_r_factors(W, tgt), phi[flip_index(tgt, W)], span)
         op = psi if op is None else np.kron(np.eye(left_dim), psi) @ op
         left_dim *= W.dim
         cur = tgt

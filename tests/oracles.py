@@ -8,7 +8,7 @@ from dynq.cartan import CartanDatum, Weight
 from dynq.dynamical import _fused, embedded_shifted, exchange, fusion
 from dynq.qalgebra import (
     GradedMap, TruncatedVerma, WeightModule, _compositions, _kappa_diag,
-    _kron_csr, _raising_shifts, _rref, _VermaSkeleton, dual_module,
+    _csr, _kron_entries, _raising_shifts, _rref, _VermaSkeleton, dual_module,
     flip_index, mirror_index, qbinom, tensor_module, trivial_module,
 )
 
@@ -154,8 +154,8 @@ def r_matrix_backsub(V: WeightModule, M: TruncatedVerma) -> np.ndarray:
     Iv, Iw = np.eye(dv), np.eye(dw)
     ops = []
     for i in range(r):
-        A1 = _kron_csr((V.E[i], np.diag(M.K[i])))
-        B1 = _kron_csr((V.E[i], Iw))
+        A1 = _csr(*_kron_entries([(V.E[i], M.K[i])]))
+        B1 = _csr(*_kron_entries([(V.E[i], Iw)]))
         rows = np.repeat(np.arange(n), np.diff(B1.indptr))
         B1.data = (1.0 / kap)[rows] * B1.data * kap[B1.indices]
         ops.append((A1, B1, M.E[i]))
@@ -206,6 +206,29 @@ def r_matrix_backsub(V: WeightModule, M: TruncatedVerma) -> np.ndarray:
         parts[beta] = Nb
         N += Nb
     return kap[:, None] * (np.eye(n) + N)
+
+
+# ---------------------------------------------------------------------------
+# unitriangular solve on a dense R-matrix
+
+
+def unitriangular_solve_dense(R: np.ndarray, B: np.ndarray, cap: int) -> np.ndarray:
+    """Solve R X = B for a dense R = diag(kappa)(1 + N), N^(cap+1) = 0.
+
+    kappa is read off the diagonal and divided out of R to get N back; the
+    finite Neumann series then takes dense products.
+    """
+    kap = np.diag(R)
+    N = R / kap[:, None]
+    np.fill_diagonal(N, 0.0)
+    Y = B / kap[:, None]
+    term = Y
+    for _ in range(cap):
+        term = -(N @ term)
+        Y = Y + term
+        if not np.any(term):
+            break
+    return Y
 
 
 # ---------------------------------------------------------------------------

@@ -479,6 +479,18 @@ class TestVermaSlotRoute:
         with pytest.raises(ValueError, match="fails to intertwine"):
             self._dual_op(D, (-2.513, -3.652))
 
+    def test_guard_reads_the_calls_kappa(self, monkeypatch):
+        # kappa at a shifted highest weight leaves the memoized N as it is,
+        # so only a guard that reads the kappa of this call can catch it
+        def shifted(V, W):
+            hw = W.base + A2.fundamental_weights[0]
+            return qalgebra._q_pairings(V.q, V.datum, V.base, V.offsets, hw, W.offsets).ravel()
+
+        D = dual_module(build_irrep(A2, Q, A2.fundamental_weights[0]))
+        monkeypatch.setattr(qalgebra, "_kappa_diag", shifted)
+        with pytest.raises(ValueError, match="fails to intertwine"):
+            self._dual_op(D, LAM_A2)
+
     def test_verma_in_both_slots_raises(self):
         M = build_verma(A2, Q, A2.from_fundamental(LAM_A2), 2)
         with pytest.raises(ValueError, match="finite first slot"):

@@ -10,7 +10,8 @@ from dynq.vertexops import (
     dual_vertex_operator, expectation, intertwiner_residual,
     singular_vector, vertex_operator, weight_of,
 )
-from oracles import extend_by_lstsq
+from dynq import vertexops
+from oracles import extend_by_lstsq, unitriangular_solve_dense
 
 A1 = preset("A1")
 A2 = preset("A2")
@@ -240,6 +241,26 @@ class TestDualVertexOperator:
         assert psi.orientation == "dual"
         assert psi.target_verma.hw == lam  # weights -om + om cancel
         assert intertwiner_residual(psi) < 1e-9
+
+    # no 2-leg B2 operator builds: its deeper targets fail the R guard or
+    # outrun the Verma skeleton (ROADMAP item 5)
+    @pytest.mark.parametrize("datum,coeffs,k,legs,depth", [
+        (A1, (-5.37,), 0, 1, 7), (A1, (-6.2,), 0, 2, 5),
+        (A2, (-3.217, -4.381), 0, 1, 6), (A2, (-3.217, -4.381), 1, 2, 4),
+        (B2, (-2.713, -3.119), 0, 1, 2), (B2, (-2.713, -3.119), 1, 1, 2),
+    ])
+    def test_matches_dense_solve_oracle(self, monkeypatch, datum, coeffs, k, legs, depth):
+        # the dense route solves on R as r_matrix returns it, after dividing
+        # kappa back out; the factored solve reads N directly and sums it in
+        # sparse order, so the two agree to rounding, not to the bit
+        D = dual_module(build_irrep(datum, Q, datum.fundamental_weights[k]))
+        lam = datum.from_fundamental(coeffs)
+        glist = [hw_vec(D), lw_vec(D)][:legs]
+        got = dual_vertex_operator(lam, (D,) * legs, glist, depth).matrix
+        monkeypatch.setattr(vertexops, "unitriangular_solve", lambda kap, N, B, cap: (
+            unitriangular_solve_dense(kap[:, None] * (np.eye(kap.size) + N.toarray()), B, cap)))
+        want = dual_vertex_operator(lam, (D,) * legs, glist, depth).matrix
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestPushThrough:
