@@ -20,15 +20,20 @@ exact `base` Weight (that of basis vector 0) and integer simple-root
 reads the offsets: q^xi (`qh`), the K_i (`K`), kappa and the R-matrix
 weight matching, tensor products, slot-group weight classes
 (`slot_classes`), and the rows a vertex-operator leg looks up.  Per-vector
-`weights` and `blocks` are views built on first read.  A truncated Verma's
-basis, F, offsets and lowering lift depend only on (datum, q, depth) and
-come from a memoized skeleton; its base is its highest weight.  The
-skeleton spans each depth by the F_j of the basis one depth up and keeps,
-per content, as many of these candidates as Kostant's partition function
-counts, chosen from their images under the highest-weight-free halves of
-E.  So every basis vector is some F_j applied to a basis vector one depth
-up (the lift), and both the Verma's E and every vertex-operator leg are
-built through it.
+`weights` and `blocks` are views built on first read.
+
+Irreps and truncated Vermas come from one lowering construction (`_span`):
+each depth is spanned by the F_j of the basis one depth up, and per content
+as many of these candidates are kept as the module's weight space holds,
+chosen from their images one depth up.  For an irrep V(hw) the images are
+under E and the count is Kostant's multiplicity formula; E is the kept
+images and F the fits of the rest.  For a Verma the images are under the
+highest-weight-free halves of E and the count is Kostant's partition
+function, so its basis, F, offsets and lowering lift depend only on (datum,
+q, depth) and come from a memoized skeleton; its base is its highest
+weight.  Every Verma basis vector is some F_j applied to a basis vector one
+depth up (the lift), and both the Verma's E and every vertex-operator leg
+are built through it.
 
 Conventions (fixed once, gated by the consistency suite):
     K_i = q^{d_i h_i},  Delta(E_i) = E_i (x) K_i + 1 (x) E_i,
@@ -51,8 +56,6 @@ import scipy.sparse as sp
 
 from .cache import Memo
 from .cartan import CartanDatum, Weight
-
-PIVOT_TOL = 1e-9
 
 
 def check_q(q) -> float:
@@ -458,34 +461,7 @@ def dual_tuple(S):
 
 
 # ---------------------------------------------------------------------------
-# Verma modules
-
-def _rref(rows: np.ndarray, tol: float = PIVOT_TOL):
-    """Reduced row echelon form; columns scanned left to right."""
-    m = np.array(rows, dtype=complex)
-    if m.size == 0:
-        return m.reshape(0, rows.shape[1] if rows.ndim == 2 else 0), []
-    # scale-normalize rows so the absolute pivot tolerance is meaningful
-    norms = np.max(np.abs(m), axis=1)
-    keep = norms > tol
-    m = m[keep] / norms[keep, None]
-    pivots = []
-    r = 0
-    for c in range(m.shape[1]):
-        if r == m.shape[0]:
-            break
-        p = r + int(np.argmax(np.abs(m[r:, c])))
-        if abs(m[p, c]) <= tol:
-            continue
-        m[[r, p]] = m[[p, r]]
-        m[r] = m[r] / m[r, c]
-        col = m[:, c].copy()
-        col[r] = 0.0
-        m -= np.outer(col, m[r])
-        pivots.append(c)
-        r += 1
-    return m[:r], pivots
-
+# the lowering span: truncated Vermas and irreducibles
 
 def _compositions(total: int, parts: int):
     if parts == 1:
@@ -494,6 +470,86 @@ def _compositions(total: int, parts: int):
     for first in range(total + 1):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
+
+
+def _span(datum: CartanDatum, depth: int, count: dict, terms, verma: bool) -> tuple:
+    """Basis, F and raising images of a module spanned depth by depth from
+    its highest-weight vector by the F_j.
+
+    The candidates at depth h are F_j y, y a basis vector at depth h - 1.
+    Their images under k = p r operators X, in the depth-(h - 1) block, are
+        X_{s r + i} F_j y = F_j X_{s r + i} y + delta_ij t[s, j, y] y,
+    with X y known from the depth above and t = terms(contents of the
+    depth-(h - 1) basis), an array (p, r, m).  Per content c, pivoted QR of
+    the images keeps count[c] candidates, in candidate order (letter, then
+    y).  In a Verma no candidate vanishes, so the images are first
+    column-normalized; in an irrep one can, and its normalized image would
+    be rounding error.  Each kept F_j y gets a unit F column; F of every
+    other candidate is its least-squares fit in the kept ones, which must
+    hold to 1e-10 of the content's largest image (the depth's if none kept).
+
+    Returns the offsets (-content per basis vector, by depth, then content),
+    the dense F_j (none out of the last depth) and, per depth h, the kept
+    candidates (j m + y) with their images (k, depth h - 1, depth h).
+    """
+    r = datum.rank
+    conts, Fblocks, levels = [np.zeros((1, r), dtype=int)], [], []
+    Fup = [np.zeros((1, 0))] * r  # F_j into the depth block
+    img = np.zeros((terms(conts[0]).size, 0, 1))  # the k images of the top: none
+    for h in range(1, depth + 1):
+        cont, m = conts[-1], len(conts[-1])
+        cand = np.concatenate([Fup[j] @ img for j in range(r)], axis=2)  # column j m + y
+        t = terms(cont)
+        s, col = np.arange(len(t))[:, None], np.arange(r * m)
+        cand[s * r + col // m, col % m, col] += t[s, col // m, col % m]
+        flat = cand.reshape(-1, r * m)
+        ccont = np.concatenate([cont + np.eye(r, dtype=int)[j] for j in range(r)])
+        keep = []
+        coef = np.zeros((sum(count[c] for c in _compositions(h, r)), r * m))
+        for c in _compositions(h, r):
+            idx = np.flatnonzero((ccont == c).all(axis=1))
+            if not idx.size:
+                continue
+            X = flat[:, idx]
+            scale = np.linalg.norm(X, axis=0) if verma else 1.0
+            kept = np.sort(scipy.linalg.qr(X / scale, mode="r", pivoting=True)[1][:count[c]])
+            rest = np.setdiff1d(np.arange(idx.size), kept)
+            rows = slice(len(keep), len(keep) + kept.size)
+            coef[rows, idx[kept]] = np.eye(kept.size)
+            if rest.size:
+                fit = np.linalg.lstsq(X[:, kept], X[:, rest], rcond=None)[0]
+                resid = float(np.max(np.abs(X[:, kept] @ fit - X[:, rest])))
+                big = float(np.max(np.abs(X if kept.size else flat)))
+                if resid > 1e-10 * big:
+                    raise ValueError(f"{'Verma' if verma else 'irrep'} basis inconsistent "
+                                     f"at content {c}: {resid:.2e} against max|images| {big:.2e}")
+                coef[rows, idx[rest]] = fit
+            keep.extend(idx[kept])
+        keep = np.array(keep, dtype=int)
+        Fup = [coef[:, j * m:(j + 1) * m] for j in range(r)]
+        Fblocks.append(Fup)
+        img = cand[:, :, keep]
+        conts.append(ccont[keep])
+        levels.append((keep, img))
+
+    offsets = -np.concatenate(conts)
+    N, top = len(offsets), np.cumsum([0] + [len(c) for c in conts])
+    Fmats = [np.zeros((N, N), dtype=complex) for _ in range(r)]
+    for h, blocks in enumerate(Fblocks, 1):
+        for Fj, blk in zip(Fmats, blocks):
+            Fj[top[h]:top[h + 1], top[h - 1]:top[h]] = blk
+    return offsets, tuple(Fmats), levels
+
+
+def _e_constants(datum: CartanDatum, q: float, hw: Weight, rows) -> np.ndarray:
+    """(K_i - K_i^{-1})/(q_i - q_i^{-1}) = [<hw - beta, alpha_i^vee>]_{q_i} on
+    weight hw - beta: one row per node i, one column per offset row -beta
+    in `rows`.  The K_i are exact `_q_pairings` with the simple roots."""
+    r, rows = datum.rank, np.asarray(rows).reshape(-1, datum.rank)
+    K, Kinv = (_q_pairings(q, datum, s * hw, s * rows, datum.zero_weight(),
+                           np.eye(r, dtype=int)).reshape(-1, r) for s in (1, -1))
+    qd = np.array([q ** d for d in datum.d])
+    return ((K - Kinv) / (qd - 1.0 / qd)).T
 
 
 _VERMA_MEMO = Memo()
@@ -544,6 +600,27 @@ def _kostant(datum: CartanDatum, depth: int) -> dict:
     return part
 
 
+def _multiplicities(datum: CartanDatum, hw: Weight, depth: int) -> dict:
+    """dim V(hw)[hw - beta] per content beta of height <= depth, for a
+    dominant integral hw: Kostant's multiplicity formula
+        sum over w in W of sign(w) P(beta - (hw + rho - w(hw + rho))),
+    P the partition function.  hw + rho is regular, so its W-orbit, walked
+    by simple reflections, meets each w once, and each step flips sign(w)."""
+    top = hw + datum.rho
+    sign, frontier = {top: 1}, [top]
+    while frontier:
+        mu = frontier.pop()
+        for a in datum.simple_roots:
+            nu = mu - datum.coroot_pairing(mu, a) * a
+            if nu not in sign:
+                sign[nu] = -sign[mu]
+                frontier.append(nu)
+    shifts = [(tuple(int(x) for x in (top - w).coords), s) for w, s in sign.items()]
+    part = _kostant(datum, depth)
+    return {c: sum(s * part.get(tuple(x - y for x, y in zip(c, sh)), 0)
+                   for sh, s in shifts) for c in part}
+
+
 def _verma_skeleton(datum: CartanDatum, q: float, depth: int) -> _VermaSkeleton:
     """Basis, F matrices and lowering lift of a Verma truncated below `depth`.
 
@@ -552,78 +629,33 @@ def _verma_skeleton(datum: CartanDatum, q: float, depth: int) -> _VermaSkeleton:
         A_i F_j y = F_j A_i y + delta_ij q^{-(beta, alpha_i)} y,
         B_i F_j y = F_j B_i y + delta_ij q^{(beta, alpha_i)} y.
     No element of U_q(n^-) of positive degree is killed by every A_i
-    (Lusztig, Introduction to Quantum Groups, 1.2.15).  So the candidates
-    F_j y, y a basis vector one depth up, span each depth, and their images
-    decide which are independent.  Per content, pivoted QR of the
-    column-normalized images keeps as many candidates as Kostant's
-    partition function counts, in candidate order (letter, then y).  Each
-    kept F_j y lifts by a 0/1 selection; F of every other candidate is its
-    least-squares fit in the kept ones, which must hold to 1e-10 of the
-    largest image.  Nothing here depends on hw; the images depend on q.
+    (Lusztig, Introduction to Quantum Groups, 1.2.15).  So `_span` on the
+    images under A and B, keeping per content as many candidates as
+    Kostant's partition function counts, spans each depth.  Each kept F_j y
+    lifts by a 0/1 selection.  Nothing here depends on hw; the images
+    depend on q.
     """
-    r = datum.rank
     bil = np.array(datum.bilinear, dtype=float)
-    part = _kostant(datum, depth)
-    conts, Fblocks, lift = [np.zeros((1, r), dtype=int)], [], []
-    Fup = [np.zeros((1, 0))] * r  # F_j into the depth block
-    img = np.zeros((2 * r, 0, 1))  # A_i then B_i of the depth block
-    for h in range(1, depth + 1):
-        cont, m = conts[-1], len(conts[-1])
-        qb = q ** (cont @ bil)  # q^{(beta_y, alpha_i)}, one row per y
-        cand = []  # images of F_j y, column j m + y
-        for j in range(r):
-            X = Fup[j] @ img
-            X[j] += np.diag(1.0 / qb[:, j])
-            X[r + j] += np.diag(qb[:, j])
-            cand.append(X)
-        cand = np.concatenate(cand, axis=2)
-        flat = cand.reshape(2 * r * m, r * m)
-        ccont = np.concatenate([cont + np.eye(r, dtype=int)[j] for j in range(r)])
-        keep = []
-        coef = np.zeros((sum(part[c] for c in _compositions(h, r)), r * m))
-        for c in _compositions(h, r):
-            idx = np.flatnonzero((ccont == c).all(axis=1))
-            X = flat[:, idx]
-            piv = scipy.linalg.qr(X / np.linalg.norm(X, axis=0), mode="r",
-                                  pivoting=True)[1]
-            kept = np.sort(piv[:part[c]])
-            rest = np.setdiff1d(np.arange(idx.size), kept)
-            rows = slice(len(keep), len(keep) + kept.size)
-            coef[rows, idx[kept]] = np.eye(kept.size)
-            if rest.size:
-                fit = np.linalg.lstsq(X[:, kept], X[:, rest], rcond=None)[0]
-                resid = float(np.max(np.abs(X[:, kept] @ fit - X[:, rest])))
-                big = float(np.max(np.abs(X)))
-                if resid > 1e-10 * big:
-                    raise ValueError(f"Verma basis inconsistent at content {c}: "
-                                     f"{resid:.2e} against max|images| {big:.2e}")
-                coef[rows, idx[rest]] = fit
-            keep.extend(idx[kept])
-        keep = np.array(keep)
-        Fup = [coef[:, j * m:(j + 1) * m] for j in range(r)]
-        Fblocks.append(Fup)
-        img = cand[:, :, keep]
-        top = sum(map(len, conts))  # first index of the depth-h block
-        conts.append(ccont[keep])
-        pairs = []
-        for j in range(r):
+
+    def terms(cont):  # q^{-(beta, alpha_j)} for A_j, q^{(beta, alpha_j)} for B_j
+        qb = (q ** (cont @ bil)).T
+        return np.stack([1.0 / qb, qb])
+
+    offsets, Fmats, levels = _span(datum, depth, _kostant(datum, depth), terms, True)
+    lift, top = [], 1  # top: first index of the depth-h block
+    for keep, img in levels:
+        m, pairs = img.shape[1], []
+        for j in range(datum.rank):
             t = np.flatnonzero(keep // m == j)
             U = np.zeros((m, t.size), dtype=complex)
             U[keep[t] % m, np.arange(t.size)] = 1.0
             pairs.append((top + t, U))
         lift.append(tuple(pairs))
-
-    offsets = -np.concatenate(conts)
+        top += keep.size
     depths = -offsets.sum(axis=1)
-    N, top = len(depths), np.searchsorted(depths, np.arange(depth + 1))
-    Fmats = [np.zeros((N, N), dtype=complex) for _ in range(r)]
-    for h, blocks in enumerate(Fblocks, 1):
-        for Fj, blk in zip(Fmats, blocks):
-            Fj[top[h]:top[h] + len(blk), top[h - 1]:top[h]] = blk
-    lift = tuple(lift)
-    for arr in Fmats + [offsets, depths] + [a for lv in lift for pair in lv for a in pair]:
+    for arr in Fmats + (offsets, depths) + tuple(a for lv in lift for pair in lv for a in pair):
         arr.flags.writeable = False
-    sk = _VermaSkeleton(offsets, depths, tuple(Fmats), lift)
+    sk = _VermaSkeleton(offsets, depths, Fmats, tuple(lift))
     _check_lift(sk)
     return sk
 
@@ -661,13 +693,10 @@ def _build_verma(datum: CartanDatum, q, hw: Weight, depth: int) -> TruncatedVerm
     Only E is built here, depth by depth and letter by letter through the
     lift: a depth-h basis vector is F_j u for u at depth h - 1, so by
     [E_i, F_j] = delta_ij (K_i - K_i^{-1})/(q_i - q_i^{-1}),
-        E_i[d_{h-1}, cols] = F_j E_i[d_{h-2}, d_{h-1}] U + delta_ij cst_i U.
-    cst_i needs <hw - beta, alpha_i> per content beta: with hw's coordinates
-    over their common denominator D, each is one exact quotient of Python
-    ints by D, which rounds as float(Fraction) does.  E is exact
-    everywhere; F out of the last depth is dropped, which is what the
-    depth-margin contract of every downstream computation accounts for.
-    All matrices are dense.
+        E_i[d_{h-1}, cols] = F_j E_i[d_{h-2}, d_{h-1}] U + delta_ij cst_i U,
+    with cst from `_e_constants`.  E is exact everywhere; F out of the last
+    depth is dropped, which is what the depth-margin contract of every
+    downstream computation accounts for.  All matrices are dense.
     """
     q = check_q(q)
     depth = int(depth)
@@ -675,16 +704,8 @@ def _build_verma(datum: CartanDatum, q, hw: Weight, depth: int) -> TruncatedVerm
                             lambda: _verma_skeleton(datum, q, depth))
     r = datum.rank
     N = len(sk.depths)
-
-    # (K_i - K_i^{-1})/(q_i - q_i^{-1}) per basis vector above the last depth
-    D, (hd,) = _over_common_denominator(hw)
-    B, qd = datum.bilinear, [q ** d for d in datum.d]
-    cst = []
-    for row in sk.offsets[sk.depths < depth].tolist():
-        # <hw - beta, alpha_i> at beta = -row, exact until this division
-        xs = (sum((hd[j] + D * row[j]) * B[j][i] for j in range(r)) / D for i in range(r))
-        cst.append([(q**x - q**(-x)) / (qi - 1.0 / qi) for x, qi in zip(xs, qd)])
-    cst = np.array(cst).T
+    # per basis vector above the last depth
+    cst = _e_constants(datum, q, hw, sk.offsets[sk.depths < depth])
 
     Emats = [np.zeros((N, N), dtype=complex) for _ in range(r)]
     up2, up = slice(0, 0), slice(0, 1)  # the depth h - 2 and h - 1 blocks
@@ -707,82 +728,35 @@ def _build_verma(datum: CartanDatum, q, hw: Weight, depth: int) -> TruncatedVerm
 # irreducibles
 
 def build_irrep(datum: CartanDatum, q, hw: Weight) -> WeightModule:
-    """Simple module V(hw) as the contravariant-form quotient of a Verma."""
+    """Simple module V(hw), spanned depth by depth as a Verma skeleton is.
+
+    In V(hw), for y of content beta,
+        E_i F_j y = F_j E_i y + delta_ij [<hw - beta, alpha_i^vee>]_{q_i} y,
+    and no vector below the top is killed by every E_i.  So `_span` on the
+    images under E, keeping per content as many candidates as Kostant's
+    multiplicity formula counts, spans each depth down to the lowest weight
+    w_0(hw), 2 <hw, rho^vee> below hw.  E is the kept candidates' images
+    and F the fit coefficients.  The module is returned only if its
+    relations hold to 1e-9 (`relation_residuals`).
+    """
     q = check_q(q)
     if not datum.is_dominant_integral(hw):
         raise ValueError(f"{hw} is not dominant integral")
-    # V(hw) reaches down to w_0(hw), at height 2<hw, rho^vee> below hw
     depth = int(sum(datum.coroot_pairing(hw, a) for a in datum.positive_roots))
-    M = build_verma(datum, q, hw, depth)
-
-    # contravariant form per weight block, built by C(F_i u, y) = C(u, E_i y);
-    # blocks are keyed by their offset rows x = wt - hw, shallowest first
-    contents = M.offset_blocks
-    order = sorted(contents, key=lambda x: (-sum(x), x))
-    Cblocks = {}
-    keep = {}
-    proj = {}
-    for x in order:
-        ix = contents[x]
-        n = len(ix)
-        if not any(x):
-            C = np.eye(1, dtype=complex)
-        else:
-            # C(F_i u, y) = C(u, E_i y); a block may need the F-images of
-            # several simple roots together, so solve the stacked system
-            Fcols, Gs = [], []
-            for i in range(datum.rank):
-                up = x[:i] + (x[i] + 1,) + x[i + 1:]
-                if up not in contents:
-                    continue
-                ixu = contents[up]
-                Fcols.append(M.F[i][np.ix_(ix, ixu)])
-                Gs.append(Cblocks[up] @ M.E[i][np.ix_(ixu, ix)])
-            Fall = np.hstack(Fcols)
-            G = np.vstack(Gs)
-            sol, _, _, _ = scipy.linalg.lstsq(Fall, np.eye(n, dtype=complex),
-                                              lapack_driver="gelsy")
-            if np.linalg.norm(Fall @ sol - np.eye(n)) > 1e-8:
-                raise RuntimeError(f"contravariant recursion stuck at {hw + Weight(x)}")
-            C = sol.T @ G
-        Cblocks[x] = C
-        red, pivots = _rref(C)
-        keep[x] = np.array(pivots, dtype=int)
-        # kernel basis from the RREF rows
-        npiv = [c for c in range(n) if c not in set(pivots)]
-        K = np.zeros((n, len(npiv)), dtype=complex)
-        for t, c in enumerate(npiv):
-            K[c, t] = 1.0
-            for rr, p in zip(red, pivots):
-                K[p, t] = -rr[c]
-        A = np.zeros((n, n), dtype=complex)
-        for t, p in enumerate(keep[x]):
-            A[p, t] = 1.0
-        A[:, len(keep[x]):] = K
-        proj[x] = np.linalg.inv(A)[: len(keep[x]), :]
-        # irreducibility of the quotient: restricted form stays full rank
-        sub = C[np.ix_(keep[x], keep[x])]
-        if len(keep[x]) and np.linalg.matrix_rank(sub, tol=PIVOT_TOL) < len(keep[x]):
-            raise RuntimeError("contravariant form degenerate on the quotient")
-
-    new_index = []
-    for x in order:
-        ix = contents[x]
-        for p in keep[x]:
-            new_index.append((x, ix[p]))
-    dim = len(new_index)
-    carrier = np.zeros((M.dim, dim), dtype=complex)   # quotient basis into M
-    for t, (x, gi) in enumerate(new_index):
-        carrier[gi, t] = 1.0
-    lift = np.zeros((dim, M.dim), dtype=complex)      # projection M -> quotient
-    for x in order:
-        rows = [s for s, (xs, _) in enumerate(new_index) if xs == x]
-        lift[np.ix_(rows, contents[x])] = proj[x]
-    E = tuple(lift @ M.E[i] @ carrier for i in range(datum.rank))
-    F = tuple(lift @ M.F[i] @ carrier for i in range(datum.rank))
+    offsets, F, levels = _span(datum, depth, _multiplicities(datum, hw, depth),
+                               lambda cont: _e_constants(datum, q, hw, -cont)[None], False)
+    N, top = len(offsets), 1  # top: first index of the depth-h block
+    E = [np.zeros((N, N), dtype=complex) for _ in range(datum.rank)]
+    for keep, img in levels:
+        for Ei, blk in zip(E, img):
+            Ei[top - blk.shape[0]:top, top:top + keep.size] = blk
+        top += keep.size
     name = "V(" + ",".join(str(datum.coroot_pairing(hw, a)) for a in datum.simple_roots) + ")"
-    offsets = np.array([x for x, _ in new_index], dtype=int)
-    return WeightModule(datum, q, "irrep", hw, offsets, E, F, name=name)
+    V = WeightModule(datum, q, "irrep", hw, offsets, tuple(E), F, name=name)
+    res = relation_residuals(V)
+    if res > 1e-9:
+        raise ValueError(f"{name} fails its relations at q = {q}: {res:.2e}")
+    return V
 
 
 # ---------------------------------------------------------------------------

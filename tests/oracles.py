@@ -8,11 +8,38 @@ from dynq.cartan import CartanDatum, Weight
 from dynq.dynamical import _fused, embedded_shifted, exchange, fusion
 from dynq.qalgebra import (
     GradedMap, TruncatedVerma, WeightModule, _compositions, _kappa_diag,
-    _csr, _kron_entries, _raising_shifts, _rref, _VermaSkeleton, dual_module,
+    _csr, _kron_entries, _raising_shifts, _VermaSkeleton, dual_module,
     flip_index, mirror_index, qbinom, tensor_module, trivial_module,
 )
 
 _DECOMP_TOL = 1e-9
+
+
+def _rref(rows: np.ndarray, tol: float = 1e-9):
+    """Reduced row echelon form; columns scanned left to right."""
+    m = np.array(rows, dtype=complex)
+    if m.size == 0:
+        return m.reshape(0, rows.shape[1] if rows.ndim == 2 else 0), []
+    # scale-normalize rows so the absolute pivot tolerance is meaningful
+    norms = np.max(np.abs(m), axis=1)
+    keep = norms > tol
+    m = m[keep] / norms[keep, None]
+    pivots = []
+    r = 0
+    for c in range(m.shape[1]):
+        if r == m.shape[0]:
+            break
+        p = r + int(np.argmax(np.abs(m[r:, c])))
+        if abs(m[p, c]) <= tol:
+            continue
+        m[[r, p]] = m[[p, r]]
+        m[r] = m[r] / m[r, c]
+        col = m[:, c].copy()
+        col[r] = 0.0
+        m -= np.outer(col, m[r])
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots
 
 
 def flip_matrix(V: WeightModule, W: WeightModule) -> np.ndarray:

@@ -135,7 +135,91 @@ class TestVerma:
             assert np.max(np.abs(np.asarray(X1) - np.asarray(X2)[:X1.shape[0], :X1.shape[1]])) < 1e-12
 
 
+def weyl_dimension(datum, hw):
+    """dim V(hw) by Weyl's formula: prod over positive roots alpha of
+    (hw + rho, alpha) / (rho, alpha)."""
+    out = Fraction(1)
+    for a in datum.positive_roots:
+        out *= datum.pairing(hw + datum.rho, a) / datum.pairing(datum.rho, a)
+    return out
+
+
+def lowest_depth(datum, hw):
+    """2 <hw, rho^vee>: the depth of the lowest weight of V(hw)."""
+    return int(sum(datum.coroot_pairing(hw, a) for a in datum.positive_roots))
+
+
+# (algebra, fundamental-weight labels) of the non-fundamental A2 and B2
+# irreps that the contravariant-form quotient of a Verma could not build
+QUOTIENT_FAILURES = [("B2", (2, 0)), ("B2", (1, 1)), ("B2", (1, 2)), ("B2", (3, 0)),
+                     ("A2", (2, 2)), ("A2", (3, 3)), ("A2", (4, 1))]
+IRREP_CASES = ([(name, Q, (a, b)) for name in ("A2", "B2") for a in range(4) for b in range(4 - a)]
+               + [(name, q, labels) for q in (0.3, 0.7) for name, labels in QUOTIENT_FAILURES])
+
+
 class TestIrrep:
+    @pytest.mark.parametrize("name,q,labels", IRREP_CASES,
+                             ids=[f"{n}-{a}{b}-q{q}" for n, q, (a, b) in IRREP_CASES])
+    def test_weyl_dimension_and_relations(self, name, q, labels):
+        # the worst relation residual over these cases measured 1.4e-14
+        # (B2 V(2w1) at q = 0.3); the bound leaves a factor of 70
+        datum = {"A2": A2, "B2": B2}[name]
+        hw = datum.from_fundamental(labels)
+        V = build_irrep(datum, q, hw)
+        assert V.dim == weyl_dimension(datum, hw)
+        assert relation_residuals(V) < 1e-12
+
+    def test_vanishing_candidates_do_not_pivot(self):
+        # at one weight of B2 V(2w1 + 2w2), a candidate's image of size 1e-3
+        # is what is left of a cancellation, beside one of size 43; pivoting
+        # on column-normalized images kept the small one, and the fit of the
+        # other in it failed the guard at q = 0.5
+        hw = B2.from_fundamental([2, 2])
+        for q in (0.3, 0.5):
+            V = build_irrep(B2, q, hw)
+            assert V.dim == weyl_dimension(B2, hw) == 81
+            assert relation_residuals(V) < 1e-12
+
+    def test_multiplicities_known_values(self):
+        # the zero weights of the A2 adjoint and of V(2w1 + 2w2)
+        for labels, content, want in (((1, 1), (1, 1), 2), ((2, 2), (2, 2), 3)):
+            hw = A2.from_fundamental(labels)
+            assert qalgebra._multiplicities(A2, hw, lowest_depth(A2, hw))[content] == want
+
+    @pytest.mark.parametrize("datum,labels", [
+        (A1, (4,)), (A2, (1, 1)), (A2, (3, 1)), (A2, (2, 2)),
+        (B2, (1, 1)), (B2, (0, 3)), (B2, (2, 1))])
+    def test_multiplicities_sum_to_weyl_dimension_and_are_w_invariant(self, datum, labels):
+        hw = datum.from_fundamental(labels)
+        mult = qalgebra._multiplicities(datum, hw, lowest_depth(datum, hw))
+        assert min(mult.values()) >= 0
+        assert sum(mult.values()) == weyl_dimension(datum, hw)
+        for content, m in mult.items():
+            mu = hw - datum.weight(content)
+            for a in datum.simple_roots:
+                image = hw - (mu - datum.coroot_pairing(mu, a) * a)
+                assert mult.get(tuple(int(c) for c in image.coords), 0) == m
+
+    def test_undercounted_multiplicity_trips_the_fit_guard(self, monkeypatch):
+        # keep one candidate at the adjoint's 2-dimensional zero weight: the
+        # other has no fit in it
+        count = qalgebra._multiplicities
+
+        def short(datum, hw, depth):
+            return {c: n - (c == (1, 1)) for c, n in count(datum, hw, depth).items()}
+
+        monkeypatch.setattr(qalgebra, "_multiplicities", short)
+        with pytest.raises(ValueError, match=r"irrep basis inconsistent at content \(1, 1\)"):
+            build_irrep(A2, Q, A2.from_fundamental([1, 1]))
+
+    def test_module_failing_its_relations_raises(self, monkeypatch):
+        # E off by 1% on every [E_i, F_i] constant: the span is consistent
+        # (A1 keeps every candidate), so only the relation check can catch it
+        cst = qalgebra._e_constants
+        monkeypatch.setattr(qalgebra, "_e_constants", lambda *a: 1.01 * cst(*a))
+        with pytest.raises(ValueError, match="fails its relations"):
+            build_irrep(A1, Q, 2 * A1.fundamental_weights[0])
+
     def test_sl2_matches_oracle(self):
         om = A1.fundamental_weights[0]
         for m in (1, 2, 3):
@@ -306,6 +390,16 @@ class TestRMatrix:
             R = r_matrix(a, bmod)
             R0 = self.brute_force_r(a, bmod)
             assert np.max(np.abs(R - R0)) < 1e-7
+
+    @pytest.mark.parametrize("datum,labels", [(B2, ((1, 1), (0, 1))),
+                                              (A2, ((2, 2), (1, 0)))], ids=["B2", "A2"])
+    def test_non_fundamental_irreps_pass_the_guard(self, datum, labels):
+        # r_matrix raises unless its R intertwines the coproduct; the
+        # brute-force oracle on B2 V(2w1) (x) V(w1) agrees to 1.9e-14 of
+        # max|R| but takes about 7 s, so only the guard runs here
+        V, W = (build_irrep(datum, Q, datum.from_fundamental(x)) for x in labels)
+        for X, Y in ((V, W), (W, V)):
+            assert r_matrix(X, Y).shape == (X.dim * Y.dim,) * 2
 
     def test_hexagons_and_ybe(self):
         om = A1.fundamental_weights[0]

@@ -103,10 +103,11 @@ def test_r_matrix_solves_only_in_its_route():
     # The route's one guard, _check_intertwines, reads them too: it keeps
     # 2 * (largest degree) + 1 away from a Verma's truncation, and it runs on
     # both the factors of a single-slot crossing and the hexagon's product.
-    # The one other pivoted QR, in _verma_skeleton, picks a Verma basis
-    # among candidate vectors and solves for no part of R.
+    # The one other pivoted QR, in _span, picks the basis of a Verma
+    # skeleton or an irrep among candidate vectors and solves for no part
+    # of R.
     route = {"r_matrix", "_crossing", "_nilpotent", "_check_intertwines"}
-    skeleton = "_verma_skeleton"
+    skeleton = "_span"
     found, seen = [], set()
     for node in _parse(SRC / "qalgebra.py").body:
         name = getattr(node, "name", None)
