@@ -104,7 +104,7 @@ def _slot_projector(T: WeightModule, slot: int, w: Weight) -> np.ndarray:
     return np.diag(hits[digits[slot]])
 
 
-def _pair_cache(depth: int, tol: float):
+def _pair_cache(tol: float):
     """Evaluation cache of one operator for its two-slot dynamical matrices.
 
     Kinds "R" and "R21" are R_{A,B}(z) and the flip of R_{B,A}(z) on
@@ -114,12 +114,12 @@ def _pair_cache(depth: int, tol: float):
 
     def make(kind: str, A: WeightModule, B: WeightModule, z: Weight):
         if kind == "R":
-            return exchange(A, B, z, depth, tol).matrix
+            return exchange(A, B, z, tol).matrix
         if kind == "Rinv":
-            return exchange_inverse(A, B, z, depth, tol).matrix
+            return exchange_inverse(A, B, z, tol).matrix
         if kind == "R21":
-            return exchange21(A, B, z, depth, tol).matrix
-        return np.linalg.inv(exchange21(A, B, z, depth, tol).matrix)
+            return exchange21(A, B, z, tol).matrix
+        return np.linalg.inv(exchange21(A, B, z, tol).matrix)
 
     def get(kind: str, A: WeightModule, B: WeightModule, z: Weight):
         return memo.get((kind, A, B, z), lambda: make(kind, A, B, z))
@@ -127,7 +127,7 @@ def _pair_cache(depth: int, tol: float):
     return get
 
 
-def _projected_product(S: tuple, a: int, args, depth: int, tol: float):
+def _projected_product(S: tuple, a: int, args, tol: float):
     """q-KZB coefficients on F(S), acting slot a (0-based).
 
     args(at, sigma) gives (left, w, right).  Right to left, the product
@@ -139,7 +139,7 @@ def _projected_product(S: tuple, a: int, args, depth: int, tol: float):
     """
     k = len(S)
     T = tensor_many(S)
-    pair = _pair_cache(depth, tol)
+    pair = _pair_cache(tol)
 
     def coefficient(at: Weight, sigma: Weight) -> np.ndarray:
         left, w, right = args(at, sigma)
@@ -158,8 +158,7 @@ def _projected_product(S: tuple, a: int, args, depth: int, tol: float):
     return coefficient
 
 
-def _traced_product(S: tuple, W: WeightModule, split: int, arg, depth: int,
-                    tol: float):
+def _traced_product(S: tuple, W: WeightModule, split: int, arg, tol: float):
     """Trace-family coefficients on F(S), auxiliary module W.
 
     On W* (x) F(S) the product carries inverse flipped exchange factors of
@@ -169,7 +168,7 @@ def _traced_product(S: tuple, W: WeightModule, split: int, arg, depth: int,
     """
     ws = dual_module(W)
     T = tensor_many((ws,) + S)
-    pair = _pair_cache(depth, tol)
+    pair = _pair_cache(tol)
     memo = Memo()
 
     def product(at: Weight) -> np.ndarray:
@@ -190,8 +189,7 @@ def _traced_product(S: tuple, W: WeightModule, split: int, arg, depth: int,
     return coefficient
 
 
-def qkzb_operator(S, i: int, depth: int = 2, tol: float = 1e-10
-                  ) -> DifferenceOperator:
+def qkzb_operator(S, i: int, tol: float = 1e-10) -> DifferenceOperator:
     """Shift family in the first weight argument, coefficients on F(S).
 
     The coefficient at shift sigma conjugates the slot-i projector by
@@ -209,11 +207,10 @@ def qkzb_operator(S, i: int, depth: int = 2, tol: float = 1e-10
 
     return DifferenceOperator(
         "qkzb", S, i, S, "lam", +1, S[i - 1].weight_set(),
-        _projected_product(S, i - 1, args, depth, tol))
+        _projected_product(S, i - 1, args, tol))
 
 
-def dual_qkzb_operator(S, i: int, depth: int = 2, tol: float = 1e-10
-                       ) -> DifferenceOperator:
+def dual_qkzb_operator(S, i: int, tol: float = 1e-10) -> DifferenceOperator:
     """Second-argument shift family with coefficients directly on F(S*).
 
     The q-KZB product on the mirrored word S*, acting on the dual of slot i
@@ -229,11 +226,11 @@ def dual_qkzb_operator(S, i: int, depth: int = 2, tol: float = 1e-10
     sstar = dual_tuple(S)
     return DifferenceOperator(
         "dual-qkzb", S, i, sstar, "mu", +1, S[i - 1].weight_set(),
-        _projected_product(sstar, k - i, lambda mu, s: (mu + s, -1 * s, mu),
-                           depth, tol))
+        _projected_product(sstar, k - i,
+                           lambda mu, s: (mu + s, -1 * s, mu), tol))
 
 
-def coord_mr_operator(S, W: WeightModule, i: int, depth: int = 2,
+def coord_mr_operator(S, W: WeightModule, i: int,
                       tol: float = 1e-10) -> DifferenceOperator:
     """Trace family in the first argument: coefficients on F(S).
 
@@ -248,11 +245,11 @@ def coord_mr_operator(S, W: WeightModule, i: int, depth: int = 2,
     rho2 = 2 * S[0].datum.rho
     return DifferenceOperator(
         "coord-mr", S, i, S, "lam", +1, W.weight_set(),
-        _traced_product(S, W, i, lambda lam: -1 * lam - rho2, depth, tol),
+        _traced_product(S, W, i, lambda lam: -1 * lam - rho2, tol),
         aux=W)
 
 
-def dual_coord_mr_operator(S, W: WeightModule, i: int, depth: int = 2,
+def dual_coord_mr_operator(S, W: WeightModule, i: int,
                            tol: float = 1e-10) -> DifferenceOperator:
     """Trace family in the second argument: coefficients on F(S*).
 
@@ -266,25 +263,25 @@ def dual_coord_mr_operator(S, W: WeightModule, i: int, depth: int = 2,
     _check_index(i, 0, k)
     return DifferenceOperator(
         "dual-coord-mr", S, i, dual_tuple(S), "mu", -1, W.weight_set(),
-        _traced_product(dual_tuple(S), W, k - i, lambda mu: mu, depth, tol),
+        _traced_product(dual_tuple(S), W, k - i, lambda mu: mu, tol),
         aux=W)
 
 
-def operator(family: str, S, i: int, W: WeightModule = None, depth: int = 2,
+def operator(family: str, S, i: int, W: WeightModule = None,
              tol: float = 1e-10) -> DifferenceOperator:
     """Uniform constructor over the four families."""
     if family == "qkzb":
-        return qkzb_operator(S, i, depth, tol)
+        return qkzb_operator(S, i, tol)
     if family == "dual-qkzb":
-        return dual_qkzb_operator(S, i, depth, tol)
+        return dual_qkzb_operator(S, i, tol)
     if family == "coord-mr":
         if W is None:
             raise ValueError("coord-mr needs the auxiliary module W")
-        return coord_mr_operator(S, W, i, depth, tol)
+        return coord_mr_operator(S, W, i, tol)
     if family == "dual-coord-mr":
         if W is None:
             raise ValueError("dual-coord-mr needs the auxiliary module W")
-        return dual_coord_mr_operator(S, W, i, depth, tol)
+        return dual_coord_mr_operator(S, W, i, tol)
     raise ValueError(f"unknown family {family!r}; known: {FAMILIES}")
 
 
@@ -340,7 +337,7 @@ def multiplier(family: str, S, i: int, at: Weight,
 
 
 def fusion_mr_residual(S, W: WeightModule, i: int, lam: Weight,
-                       depth: int = 2, tol: float = 1e-10) -> float:
+                       tol: float = 1e-10) -> float:
     """Push the diagonal trace multiplier through the fusion operator.
 
     Left side: the fusion operator times the diagonal whose entry is the
@@ -354,7 +351,7 @@ def fusion_mr_residual(S, W: WeightModule, i: int, lam: Weight,
     _check_index(i, 0, k)
     datum, q = S[0].datum, S[0].q
     TW = tensor_many((W,) + S)
-    jmat = fusion(S, lam, depth, tol).matrix
+    jmat = fusion(S, lam, tol).matrix
     xi = 2 * (lam + datum.rho)
 
     dvals = np.zeros(jmat.shape[0])
@@ -379,8 +376,7 @@ def fusion_mr_residual(S, W: WeightModule, i: int, lam: Weight,
     return float(np.max(np.abs(lhs - rhs))) / scale
 
 
-def fusion_qkz_residual(S, i: int, lam: Weight, depth: int = 2,
-                        tol: float = 1e-10) -> float:
+def fusion_qkz_residual(S, i: int, lam: Weight, tol: float = 1e-10) -> float:
     """Closed braid equation for the inverse fusion operator on F(S).
 
     The inverse fusion at -lam-2rho is reproduced by framing it with the
@@ -394,7 +390,7 @@ def fusion_qkz_residual(S, i: int, lam: Weight, depth: int = 2,
     datum, q = S[0].datum, S[0].q
     base = -1 * lam - 2 * datum.rho
     T = tensor_many(S)
-    jhat = np.linalg.inv(fusion(S, base, depth, tol).matrix)
+    jhat = np.linalg.inv(fusion(S, base, tol).matrix)
 
     dt = np.zeros(T.dim, dtype=complex)
     ups = np.zeros(T.dim, dtype=complex)

@@ -179,8 +179,7 @@ def t_component(tv, S, vlist, flist) -> complex:
                    @ reduce(np.kron, vlist)[mirror_index(S[::-1])])
 
 
-def x_operator(mu: Weight, sstar, depth: int = 2,
-               tol: float = 1e-10) -> GradedMap:
+def x_operator(mu: Weight, sstar, tol: float = 1e-10) -> GradedMap:
     """Shifted Q-inverse cascade on F(S*).
 
     Slot j carries the Q-inverse of its module evaluated at mu plus the
@@ -192,7 +191,7 @@ def x_operator(mu: Weight, sstar, depth: int = 2,
     out = np.eye(T.dim, dtype=complex)
     for j, V in enumerate(mods):
         def fn(z, V=V):
-            return q_operator_inverse(V, z, depth, tol).matrix
+            return q_operator_inverse(V, z, tol).matrix
         out = embedded_shifted(T, fn, (j,), tuple(range(j)), mu, sign=+1) @ out
     return GradedMap(T, T, T.datum.zero_weight(), out)
 

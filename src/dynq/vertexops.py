@@ -241,7 +241,10 @@ def _leg_chain(lam: Weight, S: tuple, vlist, depth: int, tol: float,
     of legs j..k, so operators that share one table and agree on the keys
     of their rightmost legs share those legs.  Calls sharing a table must
     agree on lam, S, depth and tol, and the keys must name the vectors:
-    `fusion` keys each leg by its basis index.
+    `fusion` keys each leg by its basis index and passes depth 0, since it
+    reads only column 0: a target cur.depth + max(up, 1) deep holds every
+    column of the depth the raises of its leg and the legs right of it
+    reach, which is all the next leg reads of it.
     """
     S = tuple(S)
     k = len(S)

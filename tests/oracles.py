@@ -11,6 +11,7 @@ from dynq.qalgebra import (
     _csr, _kron_entries, _raising_shifts, _VermaSkeleton, dual_module,
     flip_index, mirror_index, qbinom, tensor_module, trivial_module,
 )
+from dynq.vertexops import expectation, vertex_operator
 
 _DECOMP_TOL = 1e-9
 
@@ -132,15 +133,27 @@ def pair_second_shifted(A_mat: np.ndarray, fnB, V: WeightModule, W: WeightModule
     return _both_orders(lead, np.kron(A_mat, np.eye(W.dim)))
 
 
-def dressed_exchange(S, T, lam, depth: int = 2, tol: float = 1e-10) -> np.ndarray:
+def fusion_by_legs(S, lam, depth: int, tol: float = 1e-10) -> np.ndarray:
+    """j_S(lam) column by column from the public vertex operator on a
+    source Verma padded to `depth`: column n is the expectation value of
+    the composite operator whose legs carry the n-th basis vectors."""
+    dims = tuple(V.dim for V in S)
+    cols = []
+    for digits in np.ndindex(*dims):
+        vlist = [np.eye(V.dim, dtype=complex)[d] for V, d in zip(S, digits)]
+        cols.append(expectation(vertex_operator(lam, S, vlist, depth, tol)))
+    return np.column_stack(cols)
+
+
+def dressed_exchange(S, T, lam, tol: float = 1e-10) -> np.ndarray:
     """R_{S,T}(lam) of two words by the fusion cocycle: the exchange of the
     fused pair (F(S), F(T)) framed by each word's fusion at shifted weights,
     (j_S^{-1} (x) j_T(lam - h^(1))^{-1}) R_{F(S),F(T)} (j_S(lam - h^(2)) (x) j_T).
     """
     FS, FT = _fused(S), _fused(T)
-    core = exchange((FS,), (FT,), lam, depth, tol).matrix
-    jS = lambda mu: fusion(S, mu, depth, tol).matrix
-    jT = lambda mu: fusion(T, mu, depth, tol).matrix
+    core = exchange((FS,), (FT,), lam, tol).matrix
+    jS = lambda mu: fusion(S, mu, tol).matrix
+    jT = lambda mu: fusion(T, mu, tol).matrix
     pre = pair_first_shifted(jS, jT(lam), FS, FT, lam)
     post = pair_second_shifted(
         np.linalg.inv(jS(lam)), lambda mu: np.linalg.inv(jT(mu)), FS, FT, lam)

@@ -82,7 +82,7 @@ def rel_gap(lhs, rhs):
 # family carried to F(S*) by the dual-basis transpose.
 
 
-def dual_qkzb_kernel(S, i, mu, sigma, depth=2, tol=1e-10):
+def dual_qkzb_kernel(S, i, mu, sigma, tol=1e-10):
     """Second-argument shift kernel on F(S), the transpose source.
 
     Flipped exchange factors against the later slots (argument mu + sigma
@@ -94,7 +94,7 @@ def dual_qkzb_kernel(S, i, mu, sigma, depth=2, tol=1e-10):
     k = len(S)
     _check_index(i, 1, k)
     T = tensor_many(S)
-    pair = _pair_cache(depth, tol)
+    pair = _pair_cache(tol)
     out = np.eye(T.dim, dtype=complex)
     for j in range(i - 1, 0, -1):
         spect = tuple(range(j, i - 1)) + tuple(range(i, k))
@@ -109,13 +109,13 @@ def dual_qkzb_kernel(S, i, mu, sigma, depth=2, tol=1e-10):
     return out
 
 
-def dual_qkzb_transposed(S, i, depth=2, tol=1e-10):
+def dual_qkzb_transposed(S, i, tol=1e-10):
     """The kernel family carried to F(S*) by the dual-basis transpose."""
     S = tuple(S)
     _check_index(i, 1, len(S))
 
     def coefficient(mu, sigma):
-        return transpose(dual_qkzb_kernel(S, i, mu, sigma, depth, tol), S)
+        return transpose(dual_qkzb_kernel(S, i, mu, sigma, tol), S)
 
     return DifferenceOperator("dual-qkzb", S, i, dual_tuple(S), "mu", +1,
                               S[i - 1].weight_set(), coefficient)

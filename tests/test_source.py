@@ -186,3 +186,28 @@ def test_verma_lift_readers_solve_nothing():
                            or getattr(sub.func, "id", None) in banned)]
     assert seen == readers, f"missing: {readers - seen}"
     assert not found, f"solves in the lift readers: {found}"
+
+
+def test_depth_only_where_verma_columns_are_read():
+    # fusion reads only column 0 of its leg chain and starts it at the
+    # depth-0 source Verma, so no function of the fusion layer or of the
+    # operators built on it takes a truncation depth; functions whose
+    # Verma columns are read keep theirs
+    def params(tree):
+        return {node.name: {a.arg for a in node.args.posonlyargs
+                            + node.args.args + node.args.kwonlyargs}
+                for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+    found = []
+    for name, tree in _trees():
+        for fn, args in params(tree).items():
+            if "depth" in args and (name in ("dynamical.py", "diffops.py")
+                                    or (name, fn) == ("traces.py", "x_operator")):
+                found.append(f"{name}:{fn}")
+    assert not found, f"depth parameter on a fusion route: {found}"
+    keep = {("vertexops.py", "vertex_operator"), ("vertexops.py", "dual_vertex_operator"),
+            ("traces.py", "universal_t"), ("traces.py", "universal_f"),
+            ("traces.py", "weighted_trace")}
+    have = {(name, fn) for name, tree in _trees()
+            for fn, args in params(tree).items() if "depth" in args}
+    assert keep <= have, f"depth parameter missing on {sorted(keep - have)}"

@@ -248,16 +248,16 @@ class TestUniversalT:
 class TestXOperator:
     def test_single_slot_is_plain_q_inverse(self):
         X = x_operator(MU, (WS,))
-        want = q_operator_inverse(WS, MU, 2, 1e-10).matrix
+        want = q_operator_inverse(WS, MU, 1e-10).matrix
         assert np.array_equal(X.matrix, want)
 
     def test_cascade_matches_hand_product(self):
         sstar = dual_tuple((V, W))  # (W*, V*)
         X = x_operator(MU, sstar)
-        m0 = np.kron(q_operator_inverse(WS, MU, 2, 1e-10).matrix, np.eye(2))
+        m0 = np.kron(q_operator_inverse(WS, MU, 1e-10).matrix, np.eye(2))
         m1 = np.zeros((6, 6), dtype=complex)
         for n, w in enumerate(WS.weights):
-            block = q_operator_inverse(VS, MU + w, 2, 1e-10).matrix
+            block = q_operator_inverse(VS, MU + w, 1e-10).matrix
             P = np.zeros((3, 3))
             P[n, n] = 1.0
             m1 += np.kron(P, block)
