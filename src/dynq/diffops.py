@@ -104,7 +104,7 @@ def _slot_projector(T: WeightModule, slot: int, w: Weight) -> np.ndarray:
     return np.diag(hits[digits[slot]])
 
 
-def _pair_cache(tol: float):
+def _pair_cache():
     """Evaluation cache of one operator for its two-slot dynamical matrices.
 
     Kinds "R" and "R21" are R_{A,B}(z) and the flip of R_{B,A}(z) on
@@ -114,12 +114,12 @@ def _pair_cache(tol: float):
 
     def make(kind: str, A: WeightModule, B: WeightModule, z: Weight):
         if kind == "R":
-            return exchange(A, B, z, tol).matrix
+            return exchange(A, B, z).matrix
         if kind == "Rinv":
-            return exchange_inverse(A, B, z, tol).matrix
+            return exchange_inverse(A, B, z).matrix
         if kind == "R21":
-            return exchange21(A, B, z, tol).matrix
-        return np.linalg.inv(exchange21(A, B, z, tol).matrix)
+            return exchange21(A, B, z).matrix
+        return np.linalg.inv(exchange21(A, B, z).matrix)
 
     def get(kind: str, A: WeightModule, B: WeightModule, z: Weight):
         return memo.get((kind, A, B, z), lambda: make(kind, A, B, z))
@@ -127,7 +127,7 @@ def _pair_cache(tol: float):
     return get
 
 
-def _projected_product(S: tuple, a: int, args, tol: float):
+def _projected_product(S: tuple, a: int, args):
     """q-KZB coefficients on F(S), acting slot a (0-based).
 
     args(at, sigma) gives (left, w, right).  Right to left, the product
@@ -139,7 +139,7 @@ def _projected_product(S: tuple, a: int, args, tol: float):
     """
     k = len(S)
     T = tensor_many(S)
-    pair = _pair_cache(tol)
+    pair = _pair_cache()
 
     def coefficient(at: Weight, sigma: Weight) -> np.ndarray:
         left, w, right = args(at, sigma)
@@ -158,7 +158,7 @@ def _projected_product(S: tuple, a: int, args, tol: float):
     return coefficient
 
 
-def _traced_product(S: tuple, W: WeightModule, split: int, arg, tol: float):
+def _traced_product(S: tuple, W: WeightModule, split: int, arg):
     """Trace-family coefficients on F(S), auxiliary module W.
 
     On W* (x) F(S) the product carries inverse flipped exchange factors of
@@ -168,7 +168,7 @@ def _traced_product(S: tuple, W: WeightModule, split: int, arg, tol: float):
     """
     ws = dual_module(W)
     T = tensor_many((ws,) + S)
-    pair = _pair_cache(tol)
+    pair = _pair_cache()
     memo = Memo()
 
     def product(at: Weight) -> np.ndarray:
@@ -189,7 +189,7 @@ def _traced_product(S: tuple, W: WeightModule, split: int, arg, tol: float):
     return coefficient
 
 
-def qkzb_operator(S, i: int, tol: float = 1e-10) -> DifferenceOperator:
+def qkzb_operator(S, i: int) -> DifferenceOperator:
     """Shift family in the first weight argument, coefficients on F(S).
 
     The coefficient at shift sigma conjugates the slot-i projector by
@@ -207,10 +207,10 @@ def qkzb_operator(S, i: int, tol: float = 1e-10) -> DifferenceOperator:
 
     return DifferenceOperator(
         "qkzb", S, i, S, "lam", +1, S[i - 1].weight_set(),
-        _projected_product(S, i - 1, args, tol))
+        _projected_product(S, i - 1, args))
 
 
-def dual_qkzb_operator(S, i: int, tol: float = 1e-10) -> DifferenceOperator:
+def dual_qkzb_operator(S, i: int) -> DifferenceOperator:
     """Second-argument shift family with coefficients directly on F(S*).
 
     The q-KZB product on the mirrored word S*, acting on the dual of slot i
@@ -226,12 +226,10 @@ def dual_qkzb_operator(S, i: int, tol: float = 1e-10) -> DifferenceOperator:
     sstar = dual_tuple(S)
     return DifferenceOperator(
         "dual-qkzb", S, i, sstar, "mu", +1, S[i - 1].weight_set(),
-        _projected_product(sstar, k - i,
-                           lambda mu, s: (mu + s, -1 * s, mu), tol))
+        _projected_product(sstar, k - i, lambda mu, s: (mu + s, -1 * s, mu)))
 
 
-def coord_mr_operator(S, W: WeightModule, i: int,
-                      tol: float = 1e-10) -> DifferenceOperator:
+def coord_mr_operator(S, W: WeightModule, i: int) -> DifferenceOperator:
     """Trace family in the first argument: coefficients on F(S).
 
     The product over the auxiliary dual slot carries inverse flipped
@@ -245,12 +243,11 @@ def coord_mr_operator(S, W: WeightModule, i: int,
     rho2 = 2 * S[0].datum.rho
     return DifferenceOperator(
         "coord-mr", S, i, S, "lam", +1, W.weight_set(),
-        _traced_product(S, W, i, lambda lam: -1 * lam - rho2, tol),
+        _traced_product(S, W, i, lambda lam: -1 * lam - rho2),
         aux=W)
 
 
-def dual_coord_mr_operator(S, W: WeightModule, i: int,
-                           tol: float = 1e-10) -> DifferenceOperator:
+def dual_coord_mr_operator(S, W: WeightModule, i: int) -> DifferenceOperator:
     """Trace family in the second argument: coefficients on F(S*).
 
     The trace product on the mirrored word S*, split k - i, at mu: plain
@@ -263,25 +260,24 @@ def dual_coord_mr_operator(S, W: WeightModule, i: int,
     _check_index(i, 0, k)
     return DifferenceOperator(
         "dual-coord-mr", S, i, dual_tuple(S), "mu", -1, W.weight_set(),
-        _traced_product(dual_tuple(S), W, k - i, lambda mu: mu, tol),
+        _traced_product(dual_tuple(S), W, k - i, lambda mu: mu),
         aux=W)
 
 
-def operator(family: str, S, i: int, W: WeightModule = None,
-             tol: float = 1e-10) -> DifferenceOperator:
+def operator(family: str, S, i: int, W: WeightModule = None) -> DifferenceOperator:
     """Uniform constructor over the four families."""
     if family == "qkzb":
-        return qkzb_operator(S, i, tol)
+        return qkzb_operator(S, i)
     if family == "dual-qkzb":
-        return dual_qkzb_operator(S, i, tol)
+        return dual_qkzb_operator(S, i)
     if family == "coord-mr":
         if W is None:
             raise ValueError("coord-mr needs the auxiliary module W")
-        return coord_mr_operator(S, W, i, tol)
+        return coord_mr_operator(S, W, i)
     if family == "dual-coord-mr":
         if W is None:
             raise ValueError("dual-coord-mr needs the auxiliary module W")
-        return dual_coord_mr_operator(S, W, i, tol)
+        return dual_coord_mr_operator(S, W, i)
     raise ValueError(f"unknown family {family!r}; known: {FAMILIES}")
 
 
@@ -336,8 +332,7 @@ def multiplier(family: str, S, i: int, at: Weight,
 # fused-operator identities of the non-dynamical layer
 
 
-def fusion_mr_residual(S, W: WeightModule, i: int, lam: Weight,
-                       tol: float = 1e-10) -> float:
+def fusion_mr_residual(S, W: WeightModule, i: int, lam: Weight) -> float:
     """Push the diagonal trace multiplier through the fusion operator.
 
     Left side: the fusion operator times the diagonal whose entry is the
@@ -351,7 +346,7 @@ def fusion_mr_residual(S, W: WeightModule, i: int, lam: Weight,
     _check_index(i, 0, k)
     datum, q = S[0].datum, S[0].q
     TW = tensor_many((W,) + S)
-    jmat = fusion(S, lam, tol).matrix
+    jmat = fusion(S, lam).matrix
     xi = 2 * (lam + datum.rho)
 
     dvals = np.zeros(jmat.shape[0])
@@ -376,7 +371,7 @@ def fusion_mr_residual(S, W: WeightModule, i: int, lam: Weight,
     return float(np.max(np.abs(lhs - rhs))) / scale
 
 
-def fusion_qkz_residual(S, i: int, lam: Weight, tol: float = 1e-10) -> float:
+def fusion_qkz_residual(S, i: int, lam: Weight) -> float:
     """Closed braid equation for the inverse fusion operator on F(S).
 
     The inverse fusion at -lam-2rho is reproduced by framing it with the
@@ -390,7 +385,7 @@ def fusion_qkz_residual(S, i: int, lam: Weight, tol: float = 1e-10) -> float:
     datum, q = S[0].datum, S[0].q
     base = -1 * lam - 2 * datum.rho
     T = tensor_many(S)
-    jhat = np.linalg.inv(fusion(S, base, tol).matrix)
+    jhat = np.linalg.inv(fusion(S, base).matrix)
 
     dt = np.zeros(T.dim, dtype=complex)
     ups = np.zeros(T.dim, dtype=complex)

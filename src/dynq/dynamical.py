@@ -117,8 +117,8 @@ def embedded_shifted(T: WeightModule, fn, act, shift, lam: Weight,
 # fusion
 
 
-def fusion(S, lam: Weight, tol: float = 1e-10,
-           datum: CartanDatum = None, q: float = None) -> EvaluatedOperator:
+def fusion(S, lam: Weight, datum: CartanDatum = None,
+           q: float = None) -> EvaluatedOperator:
     """Fusion operator j_S(lam) on the tensor product of the modules in S.
 
     Column n is the expectation value of the composite vertex operator whose
@@ -153,18 +153,18 @@ def fusion(S, lam: Weight, tol: float = 1e-10,
         for n in range(T.dim):
             digits = tuple(int(d) for d in np.unravel_index(n, dims))
             vlist = [_basis_vector(V, d) for V, d in zip(S, digits)]
-            phi = _leg_chain(lam, S, vlist, 0, tol, legs, digits)
+            phi = _leg_chain(lam, S, vlist, 0, legs, digits)
             cols[:, n] = expectation(phi)
         return EvaluatedOperator(GradedMap(T, T, dz, cols), lam, "fusion")
 
-    return _FUSION_MEMO.get((S, lam, float(tol)), make)
+    return _FUSION_MEMO.get((S, lam), make)
 
 
 # ---------------------------------------------------------------------------
 # dynamical twist of a module map
 
 
-def _transport(A, S, T, lam: Weight, tol: float) -> GradedMap:
+def _transport(A, S, T, lam: Weight) -> GradedMap:
     """j_T(lam)^{-1} o A o j_S(lam), a GradedMap F(S) -> F(T).
 
     A is a GradedMap or a plain matrix F(S) -> F(T); an empty word is the
@@ -173,8 +173,8 @@ def _transport(A, S, T, lam: Weight, tol: float) -> GradedMap:
     S, T = tuple(S), tuple(T)
     A_mat = A.matrix if isinstance(A, GradedMap) else np.asarray(A, dtype=complex)
     ref = (S + T)[0]
-    jS = fusion(S, lam, tol, ref.datum, ref.q)
-    jT = fusion(T, lam, tol, ref.datum, ref.q)
+    jS = fusion(S, lam, ref.datum, ref.q)
+    jT = fusion(T, lam, ref.datum, ref.q)
     cond = np.linalg.cond(jT.matrix)
     if not np.isfinite(cond) or cond > 1e12:
         raise np.linalg.LinAlgError(
@@ -183,13 +183,13 @@ def _transport(A, S, T, lam: Weight, tol: float) -> GradedMap:
     return GradedMap(jS.source, jT.source, ref.datum.zero_weight(), mat)
 
 
-def dynamical_twist(A, S, T, lam: Weight, tol: float = 1e-10) -> EvaluatedOperator:
+def dynamical_twist(A, S, T, lam: Weight) -> EvaluatedOperator:
     """Conjugate a module map F(S) -> F(T) into the dynamical category.
 
     A may be a GradedMap or a plain matrix; the result is
     j_T(lam)^{-1} o A o j_S(lam).  For length-1 tuples this is A itself.
     """
-    return EvaluatedOperator(_transport(A, S, T, lam, tol), lam, "generic")
+    return EvaluatedOperator(_transport(A, S, T, lam), lam, "generic")
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +207,7 @@ def _plain_r(V: WeightModule, W: WeightModule) -> np.ndarray:
     return _RMAT_MEMO.get((V, W), lambda: r_matrix(V, W))
 
 
-def exchange(S, T, lam: Weight, tol: float = 1e-10) -> EvaluatedOperator:
+def exchange(S, T, lam: Weight) -> EvaluatedOperator:
     """Exchange operator R_{S,T}(lam) on F(S) (x) F(T).
 
     The braiding F(S) (x) F(T) -> F(T) (x) F(S) transported from the word
@@ -217,18 +217,18 @@ def exchange(S, T, lam: Weight, tol: float = 1e-10) -> EvaluatedOperator:
     T = (T,) if isinstance(T, WeightModule) else tuple(T)
     FS, FT = _fused(S), _fused(T)
     braid = _plain_r(FS, FT)[flip_index(FS, FT)]
-    mat = _transport(braid, S + T, T + S, lam, tol).matrix
+    mat = _transport(braid, S + T, T + S, lam).matrix
     pair = _fused((FS, FT))
     gm = GradedMap(pair, pair, FS.datum.zero_weight(), mat[flip_index(FT, FS)])
     return EvaluatedOperator(gm, lam, "exchange")
 
 
-def exchange21(S, T, lam: Weight, tol: float = 1e-10) -> EvaluatedOperator:
+def exchange21(S, T, lam: Weight) -> EvaluatedOperator:
     """R^{21}_{S,T}(lam) = P o R_{T,S}(lam) o P, an operator on F(S) (x) F(T)."""
     S = (S,) if isinstance(S, WeightModule) else tuple(S)
     T = (T,) if isinstance(T, WeightModule) else tuple(T)
     FS, FT = _fused(S), _fused(T)
-    R = exchange(T, S, lam, tol)
+    R = exchange(T, S, lam)
     p = flip_index(FT, FS)
     mat = R.matrix[np.ix_(p, p)]
     pair = _fused((FS, FT))
@@ -236,8 +236,8 @@ def exchange21(S, T, lam: Weight, tol: float = 1e-10) -> EvaluatedOperator:
     return EvaluatedOperator(gm, lam, "exchange")
 
 
-def exchange_inverse(S, T, lam: Weight, tol: float = 1e-10) -> EvaluatedOperator:
-    R = exchange(S, T, lam, tol)
+def exchange_inverse(S, T, lam: Weight) -> EvaluatedOperator:
+    R = exchange(S, T, lam)
     gm = GradedMap(R.source, R.source, R.source.datum.zero_weight(),
                    np.linalg.inv(R.matrix))
     return EvaluatedOperator(gm, lam, "exchange")
@@ -247,11 +247,10 @@ def exchange_inverse(S, T, lam: Weight, tol: float = 1e-10) -> EvaluatedOperator
 # Q-operators
 
 
-def q_operator(V: WeightModule, lam: Weight,
-               tol: float = 1e-10) -> EvaluatedOperator:
+def q_operator(V: WeightModule, lam: Weight) -> EvaluatedOperator:
     """Q_V(lam), read off the dressed twisted evaluation of V: its entry at
     (v (x) f) is f(q^{2rho} Q_V(lam) v)."""
-    r = dyn_structure("r-eval", (V,), lam, tol).matrix
+    r = dyn_structure("r-eval", (V,), lam).matrix
     mat = r.reshape(V.dim, V.dim).T / V.qh(2 * V.datum.rho)[:, None]
     gm = GradedMap(V, V, V.datum.zero_weight(), mat)
     if not gm.graded_residual() < 1e-8:
@@ -259,25 +258,25 @@ def q_operator(V: WeightModule, lam: Weight,
     return EvaluatedOperator(gm, lam, "Q")
 
 
-def q_operator_inverse(V: WeightModule, lam: Weight,
-                       tol: float = 1e-10) -> EvaluatedOperator:
+def q_operator_inverse(V: WeightModule, lam: Weight) -> EvaluatedOperator:
     """Q_V(lam)^{-1} by the weight-blockwise contraction of the inverted
     fusion operator of (*V, V); cross-checked against direct inversion.
 
     On the block V[nu] the operator is b -> sum_c M[(b,a),(c,c)] with
     M = j_{(*V,V)}(lam+nu)^{-1}.  Disagreement with the numerically inverted
-    q_operator signals a convention fault somewhere upstream, so it raises.
+    q_operator beyond 1e-10 of its scale signals a convention fault somewhere
+    upstream, so it raises.
     """
-    direct = np.linalg.inv(q_operator(V, lam, tol).matrix)
+    direct = np.linalg.inv(q_operator(V, lam).matrix)
     lV = left_dual_module(V)
     d = V.dim
     out = np.zeros((d, d), dtype=complex)
     for nu, cols in V.blocks.items():
-        M = np.linalg.inv(fusion((lV, V), lam + nu, tol).matrix)
+        M = np.linalg.inv(fusion((lV, V), lam + nu).matrix)
         op = np.einsum("bacc->ab", M.reshape(d, d, d, d))
         out[:, cols] = op[:, cols]
     scale = max(1.0, float(np.max(np.abs(direct))))
-    if np.max(np.abs(out - direct)) > tol * scale:
+    if np.max(np.abs(out - direct)) > 1e-10 * scale:
         raise ArithmeticError(
             "Q inverse routes disagree beyond tolerance (convention fault)")
     gm = GradedMap(V, V, V.datum.zero_weight(), out)
@@ -308,7 +307,7 @@ def _ribbon_matrix(V: WeightModule) -> np.ndarray:
     return np.kron(thA, thB) @ dbl
 
 
-def dyn_structure(tag: str, S, lam: Weight, tol: float = 1e-10) -> EvaluatedOperator:
+def dyn_structure(tag: str, S, lam: Weight) -> EvaluatedOperator:
     """Dressed duality data of the tuple S: the plain map, transported.
 
     tag: 'eval'     e_S o j_{S* x S}(lam)          F(S*) (x) F(S) -> unit
@@ -341,5 +340,4 @@ def dyn_structure(tag: str, S, lam: Weight, tol: float = 1e-10) -> EvaluatedOper
     if tag not in entries:
         raise ValueError(f"unknown structure tag {tag!r}")
     src, tgt, plain, family = entries[tag]()
-    return EvaluatedOperator(_transport(plain, src, tgt, lam, tol),
-                             lam, family)
+    return EvaluatedOperator(_transport(plain, src, tgt, lam), lam, family)

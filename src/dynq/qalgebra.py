@@ -818,7 +818,7 @@ def _raising_shifts(V: WeightModule, W: WeightModule) -> dict:
 _VERMA_N_MEMO = Memo()
 
 
-def r_matrix(V: WeightModule, W: WeightModule, tol: float = 1e-10) -> np.ndarray:
+def r_matrix(V: WeightModule, W: WeightModule) -> np.ndarray:
     """Matrix of the R-matrix endomorphism of V (x) W, normalized kappa (1 + N).
 
     kappa = q^{<wt, wt>} is diagonal and N strictly raises the first slot.
@@ -827,7 +827,7 @@ def r_matrix(V: WeightModule, W: WeightModule, tol: float = 1e-10) -> np.ndarray
     slots; a single-slot V densifies its factors.  Either R passes the
     intertwining guard (`_check_intertwines`) first.
     Beside a truncated Verma second slot, N is free of the Verma's highest
-    weight and memoized per (first slot, Verma skeleton, tol), so kappa and
+    weight and memoized per (first slot, Verma skeleton), so kappa and
     the guard are all that is formed per call.  A rank drop in any degree
     raises with the nullity reported.  Weights enter as integer lattice
     offsets from each module's first weight, so V and W must each lie in
@@ -837,22 +837,22 @@ def r_matrix(V: WeightModule, W: WeightModule, tol: float = 1e-10) -> np.ndarray
     if isinstance(V, TruncatedVerma) and isinstance(W, TruncatedVerma):
         raise ValueError("r_matrix needs a finite first slot beside a Verma")
     if len(V.slots) == 1:
-        kap, N = _r_factors(V, W, tol)
+        kap, N = _r_factors(V, W)
         return kap[:, None] * (np.eye(kap.size) + N.toarray())
     dims = [s.dim for s in V.slots + W.slots]
     wslots = tuple(range(len(V.slots), len(dims)))
     R = np.linalg.multi_dot([
         _embed(dims, kap[:, None] * (np.eye(kap.size) + N.toarray()), (j,) + wslots)
-        for j, (kap, N) in enumerate(_crossing(Vj, W, tol) for Vj in V.slots)])
-    _check_intertwines(V, W, sp.csr_matrix(R), tol)
+        for j, (kap, N) in enumerate(_crossing(Vj, W) for Vj in V.slots)])
+    _check_intertwines(V, W, sp.csr_matrix(R))
     return R
 
 
-def _r_factors(V: WeightModule, W: WeightModule, tol: float = 1e-10) -> tuple:
+def _r_factors(V: WeightModule, W: WeightModule) -> tuple:
     """The guarded factors (kappa, N) of R = kappa (1 + N) on V (x) W for a
     single-slot V: kappa at this call's weights, N sparse CSR."""
-    kap, N = _crossing(V, W, tol)
-    _check_intertwines(V, W, sp.diags(kap) @ (sp.identity(kap.size) + N), tol)
+    kap, N = _crossing(V, W)
+    _check_intertwines(V, W, sp.diags(kap) @ (sp.identity(kap.size) + N))
     return kap, N
 
 
@@ -863,7 +863,7 @@ def _omega(V: WeightModule) -> WeightModule:
                         name=f"omega({V.name})")
 
 
-def _crossing(V: WeightModule, W: WeightModule, tol: float) -> tuple:
+def _crossing(V: WeightModule, W: WeightModule) -> tuple:
     """Unguarded (kappa, sparse N) on V (x) W for a single-slot V.
 
     1. A Verma V: omega is an algebra automorphism that reverses the
@@ -879,17 +879,17 @@ def _crossing(V: WeightModule, W: WeightModule, tol: float) -> tuple:
             raise ValueError("a Verma first slot needs a single-slot second slot, "
                              f"got {len(W.slots)} slots")
         p = flip_index(W, V)
-        kap, N = _crossing(_omega(W), _omega(V), tol)
+        kap, N = _crossing(_omega(W), _omega(V))
         return kap[p], N[p][:, p]
     kap = _kappa_diag(V, W)
     if isinstance(W, TruncatedVerma):
         # the Verma's datum, q and depth fix its skeleton, the only part read
-        key = (V, W.datum, W.q, W.depth, float(tol))
-        return kap, _VERMA_N_MEMO.get(key, lambda: _nilpotent(V, W, tol))
-    return kap, _nilpotent(V, W, tol)
+        key = (V, W.datum, W.q, W.depth)
+        return kap, _VERMA_N_MEMO.get(key, lambda: _nilpotent(V, W))
+    return kap, _nilpotent(V, W)
 
 
-def _nilpotent(V: WeightModule, W: WeightModule, tol: float) -> sp.csr_matrix:
+def _nilpotent(V: WeightModule, W: WeightModule) -> sp.csr_matrix:
     """N of R = kappa (1 + N) on V (x) W, from the F-equations.
 
     Since kappa^{-1} Delta^op(F_i) kappa = K_i (x) F_i + F_i (x) 1, the
@@ -956,7 +956,7 @@ def _nilpotent(V: WeightModule, W: WeightModule, tol: float) -> sp.csr_matrix:
             Y += inv[:, k, None] * rhs[row]
         full = np.abs(L @ Y - rhs)
         scale = 1.0 + float(np.max(np.abs(L) @ np.abs(Y) + np.abs(rhs)))
-        if np.max(full) > tol * scale:
+        if np.max(full) > 1e-10 * scale:
             raise ValueError(
                 f"R solve inconsistent at shift {Weight(beta)}: {np.max(full):.2e}")
         rows = (ut[:, None] * dw + pt[None, :]).ravel()
@@ -969,8 +969,7 @@ def _nilpotent(V: WeightModule, W: WeightModule, tol: float) -> sp.csr_matrix:
     return N
 
 
-def _check_intertwines(V: WeightModule, W: WeightModule, R: sp.csr_matrix,
-                       tol: float) -> None:
+def _check_intertwines(V: WeightModule, W: WeightModule, R: sp.csr_matrix) -> None:
     """Raise unless R Delta(x) = Delta^op(x) R for every generator x.  R is
     sparse; all is read and formed only on the rows and columns that keep
     2 * (largest degree of N) + 1 away from each Verma slot's truncation."""
@@ -1014,7 +1013,7 @@ def _check_intertwines(V: WeightModule, W: WeightModule, R: sp.csr_matrix,
     # global scale would either mask shallow errors or reject harmless
     # roundoff in the deep rows.  Off the pattern of sub it holds with room.
     bsub = abs(R_rows) @ abs(DX) + beside(abs(DOX) @ abs(R_cols))
-    if (sub - 100 * tol * bsub).max() > 100 * tol:
+    if (sub - 100 * 1e-10 * bsub).max() > 100 * 1e-10:
         worst = float(np.max(sub.toarray() / (bsub.toarray() + 1.0)))
         raise ValueError(f"R fails to intertwine the coproduct: {worst:.2e}")
 

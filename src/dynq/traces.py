@@ -39,33 +39,33 @@ def _dims(S) -> list:
     return [V.dim for V in S]
 
 
-def check_cone(datum, xi: Weight, margin: float = 1.0) -> None:
-    """Reject xi unless <xi, alpha_i> <= -margin for every simple root."""
+def check_cone(datum, xi: Weight) -> None:
+    """Reject xi unless <xi, alpha_i> <= -1 for every simple root."""
     for alpha in datum.simple_roots:
         p = float(datum.pairing(xi, alpha))
-        if p > -margin:
+        if p > -1.0:
             raise ValueError(
                 f"xi outside the convergence cone: <xi, {alpha}> = {p:.4g} "
-                f"> {-margin:.4g}")
+                "> -1")
 
 
-def _tail_fit(increments: np.ndarray, q: float, c: float, depth: int) -> float:
-    # A q^{c d} envelope fitted to the last three depth increments
+def _tail_fit(increments: np.ndarray, q: float, depth: int) -> float:
+    # A q^d envelope fitted to the last three depth increments
     lo = max(0, depth - 2)
     A = 0.0
     for d in range(lo, depth + 1):
-        A = max(A, float(increments[d]) / q ** (c * d))
-    return A * q ** (c * depth)
+        A = max(A, float(increments[d]) / q ** d)
+    return A * q ** depth
 
 
-def weighted_trace(phi: Intertwiner, mu: Weight, xi: Weight, depth: int,
-                   margin: float = 1.0) -> TraceValue:
+def weighted_trace(phi: Intertwiner, mu: Weight, xi: Weight,
+                   depth: int) -> TraceValue:
     """Vector sum_beta Tr_{M_mu[mu-beta]}(Phi) q^{<mu-beta,xi>} in F(S).
 
     Reads the diagonal Verma blocks of Phi down to the given depth; the
     truncated Verma bases at different depths agree on their common prefix,
     so source index n meets target row n.  tail_estimate is the fitted
-    geometric envelope A q^{margin*depth}.
+    geometric envelope A q^depth, the decay the cone check guarantees.
     """
     if phi.orientation != "primal":
         raise ValueError("weighted traces read Verma (x) spin targets")
@@ -77,7 +77,7 @@ def weighted_trace(phi: Intertwiner, mu: Weight, xi: Weight, depth: int,
     if depth > src.depth:
         raise ValueError(f"operator exact to depth {src.depth}, requested {depth}")
     datum, q = src.datum, src.q
-    check_cone(datum, xi, margin)
+    check_cone(datum, xi)
     dt = phi.target_verma.dim
     df = phi.spin_dim
     cube = phi.matrix.reshape(dt, df, src.dim)
@@ -91,12 +91,11 @@ def weighted_trace(phi: Intertwiner, mu: Weight, xi: Weight, depth: int,
         term = weights[n] * cube[n, :, n]
         value += term
         inc[d] = max(inc[d], float(np.max(np.abs(term))))
-    return TraceValue(value, depth, _tail_fit(inc, q, margin, depth))
+    return TraceValue(value, depth, _tail_fit(inc, q, depth))
 
 
 def spin_component(phi: Intertwiner, psi: Intertwiner, lam: Weight,
-                   mu: Weight, xi: Weight, depth: int,
-                   margin: float = 1.0) -> complex:
+                   mu: Weight, xi: Weight, depth: int) -> complex:
     """Pair the weighted trace of Phi with the expectation value of Psi.
 
     Psi must be a dual-orientation operator out of M_lam whose legs mirror
@@ -111,13 +110,12 @@ def spin_component(phi: Intertwiner, psi: Intertwiner, lam: Weight,
         raise ValueError("dual legs carry nonzero total weight")
     if _dims(psi.spin) != _dims(phi.spin)[::-1]:
         raise ValueError("leg words are not dual to each other")
-    H = weighted_trace(phi, mu, xi, depth, margin)
+    H = weighted_trace(phi, mu, xi, depth)
     back = mirror_index(phi.spin[::-1])
     return complex(H.value[back] @ expectation(psi))
 
 
-def universal_t(S, lam: Weight, mu: Weight, depth: int,
-                margin: float = 1.0, tol: float = 1e-10) -> TraceValue:
+def universal_t(S, lam: Weight, mu: Weight, depth: int) -> TraceValue:
     """Normalized trace matrix of the generating k-point operator.
 
     Column indexed by the F(S*) basis functional (n_k,...,n_1) holds
@@ -136,16 +134,16 @@ def universal_t(S, lam: Weight, mu: Weight, depth: int,
     if delta == 0.0:
         return TraceValue(M, depth, 0.0)
     xi = 2 * (lam + datum.rho)
-    check_cone(datum, xi, margin)
-    jinv = fusion(S, -lam - 2 * datum.rho, tol=tol).gmap.inverse().matrix
+    check_cone(datum, xi)
+    jinv = fusion(S, -lam - 2 * datum.rho).gmap.inverse().matrix
     tails = [0.0]
     mirror = mirror_index(S)
     zero = slot_classes(S, (range(len(S)),)).get((datum.zero_weight(),), ())
     for n in zero:
         vlist = [np.eye(d, dtype=complex)[a]
                  for d, a in zip(dims, np.unravel_index(n, dims))]
-        phi = vertex_operator(mu, S, vlist, depth, tol=tol)
-        H = weighted_trace(phi, mu, xi, depth, margin)
+        phi = vertex_operator(mu, S, vlist, depth)
+        H = weighted_trace(phi, mu, xi, depth)
         M[:, mirror[n]] = delta * (jinv @ H.value)
         tails.append(H.tail_estimate)
     scale = abs(delta) * float(np.linalg.norm(jinv, 2))
@@ -179,7 +177,7 @@ def t_component(tv, S, vlist, flist) -> complex:
                    @ reduce(np.kron, vlist)[mirror_index(S[::-1])])
 
 
-def x_operator(mu: Weight, sstar, tol: float = 1e-10) -> GradedMap:
+def x_operator(mu: Weight, sstar) -> GradedMap:
     """Shifted Q-inverse cascade on F(S*).
 
     Slot j carries the Q-inverse of its module evaluated at mu plus the
@@ -191,16 +189,15 @@ def x_operator(mu: Weight, sstar, tol: float = 1e-10) -> GradedMap:
     out = np.eye(T.dim, dtype=complex)
     for j, V in enumerate(mods):
         def fn(z, V=V):
-            return q_operator_inverse(V, z, tol).matrix
+            return q_operator_inverse(V, z).matrix
         out = embedded_shifted(T, fn, (j,), tuple(range(j)), mu, sign=+1) @ out
     return GradedMap(T, T, T.datum.zero_weight(), out)
 
 
-def universal_f(S, lam: Weight, mu: Weight, depth: int,
-                margin: float = 1.0, tol: float = 1e-10) -> TraceValue:
+def universal_f(S, lam: Weight, mu: Weight, depth: int) -> TraceValue:
     """Q-renormalized trace matrix: the cascade acting on the F(S*) side."""
     S = tuple(S)
-    tv = universal_t(S, lam, mu, depth, margin, tol)
-    X = x_operator(mu, dual_tuple(S), tol=tol).matrix
+    tv = universal_t(S, lam, mu, depth)
+    X = x_operator(mu, dual_tuple(S)).matrix
     return TraceValue(tv.value @ X.T, depth,
                       tv.tail_estimate * float(np.linalg.norm(X, 2)))

@@ -27,7 +27,7 @@ from .qalgebra import (
 )
 
 
-def weight_of(V: WeightModule, v: np.ndarray, tol: float = 1e-12) -> Weight:
+def weight_of(V: WeightModule, v: np.ndarray) -> Weight:
     """Weight of a homogeneous vector; rejects mixed-weight input.
 
     Support is read relative to the largest entry, so roundoff-sized
@@ -37,7 +37,7 @@ def weight_of(V: WeightModule, v: np.ndarray, tol: float = 1e-12) -> Weight:
     if v.shape != (V.dim,):
         raise ValueError("vector does not live in the given module")
     big = float(np.max(np.abs(v))) if v.size else 0.0
-    sup = np.nonzero(np.abs(v) > tol * big)[0]
+    sup = np.nonzero(np.abs(v) > 1e-12 * big)[0]
     if sup.size == 0:
         raise ValueError("zero vector has no weight")
     wts = {V.weights[i] for i in sup}
@@ -59,7 +59,7 @@ def _raises(V: WeightModule, mu: Weight) -> dict:
 
 
 def singular_vector(lam: Weight, V: WeightModule, v: np.ndarray, depth: int,
-                    target: TruncatedVerma = None, tol: float = 1e-10):
+                    target: TruncatedVerma = None):
     """Weight-lam vector in M_{lam-mu} (x) V killed by all raising operators.
 
     v must be homogeneous of weight mu; the component on the top Verma
@@ -78,11 +78,11 @@ def singular_vector(lam: Weight, V: WeightModule, v: np.ndarray, depth: int,
         target = build_verma(datum, q, lam - mu, depth)
     elif target.hw != lam - mu:
         raise ValueError("target Verma has the wrong highest weight")
-    return _singular_in(target, V, v, mu, tol).ravel(), target
+    return _singular_in(target, V, v, mu).ravel(), target
 
 
 def _singular_in(target: TruncatedVerma, V: WeightModule, v: np.ndarray,
-                 mu: Weight, tol: float) -> np.ndarray:
+                 mu: Weight) -> np.ndarray:
     """The singular vector of `singular_vector` as a (target.dim, V.dim)
     array; v is nonzero of weight mu.
 
@@ -127,7 +127,7 @@ def _singular_in(target: TruncatedVerma, V: WeightModule, v: np.ndarray,
                     f"smallest singular value {sv[-1]:.3e} (non-regular "
                     "highest weight?)")
             resid = np.linalg.norm(A @ sol - b)
-            if resid > tol * (1.0 + np.linalg.norm(b)):
+            if resid > 1e-10 * (1.0 + np.linalg.norm(b)):
                 raise ValueError(f"singular-vector solve inconsistent: {resid:.2e}")
             U[np.ix_(mb, vb)] = sol.reshape(mb.size, vb.size)
     return U
@@ -201,16 +201,15 @@ def _extend_by_lowering(src: TruncatedVerma, tgt: TruncatedVerma,
 
 
 def _one_point(lam: Weight, V: WeightModule, v: np.ndarray, mu: Weight,
-               src: TruncatedVerma, tgt_depth: int, tol: float):
+               src: TruncatedVerma, tgt_depth: int):
     """One leg out of src, v of weight mu: the singular vector in
     M_{lam-mu} (x) V extended down src; no tensor module is built."""
     tgt = build_verma(V.datum, V.q, lam - mu, tgt_depth)
-    U = _singular_in(tgt, V, v, mu, tol)
+    U = _singular_in(tgt, V, v, mu)
     return _extend_by_lowering(src, tgt, V, U), tgt
 
 
-def vertex_operator(lam: Weight, S: tuple, vlist, depth: int,
-                    tol: float = 1e-10) -> Intertwiner:
+def vertex_operator(lam: Weight, S: tuple, vlist, depth: int) -> Intertwiner:
     """k-point operator: legs applied right to left, each shifting the weight.
 
     The j-th leg (1-based, rightmost = k) starts from lam_j = lam - sum of
@@ -221,7 +220,7 @@ def vertex_operator(lam: Weight, S: tuple, vlist, depth: int,
     """
     if S:
         _check_regular(S[0].datum, lam, len(S))
-    return _leg_chain(lam, S, vlist, depth, tol, {}, tuple(range(len(vlist))))
+    return _leg_chain(lam, S, vlist, depth, {}, tuple(range(len(vlist))))
 
 
 def _check_regular(datum: CartanDatum, lam: Weight, j: int) -> None:
@@ -232,15 +231,15 @@ def _check_regular(datum: CartanDatum, lam: Weight, j: int) -> None:
         raise ValueError(f"non-regular weight lam_{j} = {lam}")
 
 
-def _leg_chain(lam: Weight, S: tuple, vlist, depth: int, tol: float,
-               legs: dict, keys: tuple) -> Intertwiner:
+def _leg_chain(lam: Weight, S: tuple, vlist, depth: int, legs: dict,
+               keys: tuple) -> Intertwiner:
     """The legs of `vertex_operator`, right to left; the caller has checked
     that lam is regular.
 
     `legs` maps a suffix keys[j:] to the composite (matrix, target Verma)
     of legs j..k, so operators that share one table and agree on the keys
     of their rightmost legs share those legs.  Calls sharing a table must
-    agree on lam, S, depth and tol, and the keys must name the vectors:
+    agree on lam, S and depth, and the keys must name the vectors:
     `fusion` keys each leg by its basis index and passes depth 0, since it
     reads only column 0: a target cur.depth + max(up, 1) deep holds every
     column of the depth the raises of its leg and the legs right of it
@@ -260,7 +259,7 @@ def _leg_chain(lam: Weight, S: tuple, vlist, depth: int, tol: float,
         if leg is None:
             up = max(_raises(S[j], nus[j]), default=0)
             phi, tgt = _one_point(cur.hw, S[j], vlist[j], nus[j], cur,
-                                  cur.depth + max(up, 1), tol)
+                                  cur.depth + max(up, 1))
             if op is not None:
                 # (phi (x) 1) op, with op's rows split as (cur, later legs)
                 phi = (phi @ op.reshape(cur.dim, -1)).reshape(-1, src.dim)
@@ -269,8 +268,8 @@ def _leg_chain(lam: Weight, S: tuple, vlist, depth: int, tol: float,
     return Intertwiner("primal", src, cur, S, nus, op)
 
 
-def dual_vertex_operator(lam: Weight, sstar: tuple, glist, depth: int,
-                         tol: float = 1e-10) -> Intertwiner:
+def dual_vertex_operator(lam: Weight, sstar: tuple, glist,
+                         depth: int) -> Intertwiner:
     """Composite of braided one-point legs, target F(sstar) (x) M.
 
     Legs are applied left to right: leg j targets sstar[j] (x) M and is the
@@ -294,7 +293,7 @@ def dual_vertex_operator(lam: Weight, sstar: tuple, glist, depth: int,
         W = sstar[j]
         span = W.height_span()
         phi, tgt = _one_point(cur.hw, W, glist[j], nus[j], cur,
-                              cur.depth + 2 * max(span, 1), tol)
+                              cur.depth + 2 * max(span, 1))
         psi = unitriangular_solve(*_r_factors(W, tgt), phi[flip_index(tgt, W)], span)
         op = psi if op is None else np.kron(np.eye(left_dim), psi) @ op
         left_dim *= W.dim

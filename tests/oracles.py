@@ -133,7 +133,7 @@ def pair_second_shifted(A_mat: np.ndarray, fnB, V: WeightModule, W: WeightModule
     return _both_orders(lead, np.kron(A_mat, np.eye(W.dim)))
 
 
-def fusion_by_legs(S, lam, depth: int, tol: float = 1e-10) -> np.ndarray:
+def fusion_by_legs(S, lam, depth: int) -> np.ndarray:
     """j_S(lam) column by column from the public vertex operator on a
     source Verma padded to `depth`: column n is the expectation value of
     the composite operator whose legs carry the n-th basis vectors."""
@@ -141,19 +141,19 @@ def fusion_by_legs(S, lam, depth: int, tol: float = 1e-10) -> np.ndarray:
     cols = []
     for digits in np.ndindex(*dims):
         vlist = [np.eye(V.dim, dtype=complex)[d] for V, d in zip(S, digits)]
-        cols.append(expectation(vertex_operator(lam, S, vlist, depth, tol)))
+        cols.append(expectation(vertex_operator(lam, S, vlist, depth)))
     return np.column_stack(cols)
 
 
-def dressed_exchange(S, T, lam, tol: float = 1e-10) -> np.ndarray:
+def dressed_exchange(S, T, lam) -> np.ndarray:
     """R_{S,T}(lam) of two words by the fusion cocycle: the exchange of the
     fused pair (F(S), F(T)) framed by each word's fusion at shifted weights,
     (j_S^{-1} (x) j_T(lam - h^(1))^{-1}) R_{F(S),F(T)} (j_S(lam - h^(2)) (x) j_T).
     """
     FS, FT = _fused(S), _fused(T)
-    core = exchange((FS,), (FT,), lam, tol).matrix
-    jS = lambda mu: fusion(S, mu, tol).matrix
-    jT = lambda mu: fusion(T, mu, tol).matrix
+    core = exchange((FS,), (FT,), lam).matrix
+    jS = lambda mu: fusion(S, mu).matrix
+    jT = lambda mu: fusion(T, mu).matrix
     pre = pair_first_shifted(jS, jT(lam), FS, FT, lam)
     post = pair_second_shifted(
         np.linalg.inv(jS(lam)), lambda mu: np.linalg.inv(jT(mu)), FS, FT, lam)

@@ -155,14 +155,6 @@ class TestPerModuleDuals:
 
 
 class TestKeys:
-    def test_fusion_key_carries_tol(self):
-        V1 = build_irrep(A2, Q, O1)
-        V2 = build_irrep(A2, Q, O2)
-        lam = -3.217 * O1 - 4.381 * O2
-        fusion((V1, V2), lam)
-        with pytest.raises(ValueError, match="singular-vector solve inconsistent"):
-            fusion((V1, V2), lam, tol=1e-16)
-
     def test_verma_key_holds_the_datum(self):
         hw = -2.5 * OM
         M = build_verma(A1, Q, hw, 3)

@@ -82,7 +82,7 @@ def rel_gap(lhs, rhs):
 # family carried to F(S*) by the dual-basis transpose.
 
 
-def dual_qkzb_kernel(S, i, mu, sigma, tol=1e-10):
+def dual_qkzb_kernel(S, i, mu, sigma):
     """Second-argument shift kernel on F(S), the transpose source.
 
     Flipped exchange factors against the later slots (argument mu + sigma
@@ -94,7 +94,7 @@ def dual_qkzb_kernel(S, i, mu, sigma, tol=1e-10):
     k = len(S)
     _check_index(i, 1, k)
     T = tensor_many(S)
-    pair = _pair_cache(tol)
+    pair = _pair_cache()
     out = np.eye(T.dim, dtype=complex)
     for j in range(i - 1, 0, -1):
         spect = tuple(range(j, i - 1)) + tuple(range(i, k))
@@ -109,13 +109,13 @@ def dual_qkzb_kernel(S, i, mu, sigma, tol=1e-10):
     return out
 
 
-def dual_qkzb_transposed(S, i, tol=1e-10):
+def dual_qkzb_transposed(S, i):
     """The kernel family carried to F(S*) by the dual-basis transpose."""
     S = tuple(S)
     _check_index(i, 1, len(S))
 
     def coefficient(mu, sigma):
-        return transpose(dual_qkzb_kernel(S, i, mu, sigma, tol), S)
+        return transpose(dual_qkzb_kernel(S, i, mu, sigma), S)
 
     return DifferenceOperator("dual-qkzb", S, i, dual_tuple(S), "mu", +1,
                               S[i - 1].weight_set(), coefficient)
@@ -447,42 +447,64 @@ class TestAlternativeForms:
 
 
 def composite(op1, op2, at, block):
-    """Coefficients of op1 op2 on `block`, keyed by total shift tau: the sum
-    over sigma1 + sigma2 = tau of A1(at, sigma1) A2(at + step*sigma1, sigma2)."""
+    """Coefficients of op1 op2 on `block`, keyed by the total step tau of the
+    sample: the sum over step1*sigma1 + step2*sigma2 = tau of
+    A1(at, sigma1) A2(at + step1*sigma1, sigma2)."""
     out = {}
     for s1 in op1.shifts:
         A1 = op1.coefficient(at, s1)[np.ix_(block, block)]
         for s2 in op2.shifts:
             A2 = op2.coefficient(at + op1.step * s1, s2)[np.ix_(block, block)]
-            out[s1 + s2] = out.get(s1 + s2, 0) + A1 @ A2
+            tau = op1.step * s1 + op2.step * s2
+            out[tau] = out.get(tau, 0) + A1 @ A2
     return out
 
 
+def assert_commute(ops, at, block, bound, skip=()):
+    # pairs (indices into `ops`) in `skip` are not compared
+    for (i, a), (j, b) in itertools.combinations(enumerate(ops), 2):
+        if (i, j) in skip:
+            continue
+        ab, ba = composite(a, b, at, block), composite(b, a, at, block)
+        assert ab.keys() == ba.keys()
+        scale = max(float(np.max(np.abs(c))) for c in ab.values())
+        gap = max(float(np.max(np.abs(ab[t] - ba[t]))) for t in ab) / scale
+        assert gap < bound, (a.family, a.index, b.family, b.index, gap)
+
+
 class TestCommutativity:
-    # pairs among q-KZB i = 1, 2 and coord-MR i = 0, 1, 2 commute on the
-    # zero-weight block; the largest measured gaps, relative to the largest
-    # composite coefficient, are 7.7e-15 on A1 and 8.9e-14 on A2, so each
-    # bound leaves a margin of about 10.  On A2, q-KZB i = 2 shifts by the
-    # weights of V1* where the others shift by those of V1, so its pairs
-    # with coord-MR would fuse exchange factors at a second set of weights;
-    # those pairs (indices into `ops`) are left to the A1 case.
+    # pairs within each argument's families commute on the zero-weight
+    # block; gaps are relative to the largest composite coefficient, and
+    # each bound leaves a margin of about 10 over the largest measured one.
     @pytest.mark.parametrize("S,W,lam,skip,bound", [
         (S2, W2, -3.217 * OM, (), 1e-13),
         ((V1, dual_module(V1)), V1, -3.217 * O1 - 4.381 * O2,
          ((1, 2), (1, 3), (1, 4)), 1e-12),
     ], ids=["A1", "A2"])
     def test_first_argument_families_commute(self, S, W, lam, skip, bound):
+        # q-KZB i = 1, 2 and coord-MR i = 0, 1, 2; largest gaps 7.7e-15 on
+        # A1 and 8.9e-14 on A2.  On A2, q-KZB i = 2 shifts by the weights of
+        # V1* where the others shift by those of V1, so its pairs with
+        # coord-MR would fuse exchange factors at a second set of weights;
+        # those pairs are left to the A1 case.
         ops = [qkzb_operator(S, i) for i in (1, 2)] + \
             [coord_mr_operator(S, W, i) for i in (0, 1, 2)]
         block = [int(n) for n in tensor_many(S).block(S[0].datum.zero_weight())]
-        for (i, a), (j, b) in itertools.combinations(enumerate(ops), 2):
-            if (i, j) in skip:
-                continue
-            ab, ba = composite(a, b, lam, block), composite(b, a, lam, block)
-            assert ab.keys() == ba.keys()
-            scale = max(float(np.max(np.abs(c))) for c in ab.values())
-            gap = max(float(np.max(np.abs(ab[t] - ba[t]))) for t in ab) / scale
-            assert gap < bound, (a.family, a.index, b.family, b.index, gap)
+        assert_commute(ops, lam, block, bound, skip)
+
+    @pytest.mark.parametrize("S,W,mu,bound", [
+        (S2, W2, -3.217 * OM, 2e-13),
+        ((V1, dual_module(V1)), V1, -3.217 * O1 - 4.381 * O2, 3e-14),
+    ], ids=["A1", "A2"])
+    def test_second_argument_families_commute(self, S, W, mu, bound):
+        # dual q-KZB i = 1, 2 (step +1) and dual coord-MR i = 0, 1, 2
+        # (step -1) on the zero-weight block of F(S*); largest gaps 1.5e-14
+        # on A1 and 2.7e-15 on A2, every pair compared
+        ops = [dual_qkzb_operator(S, i) for i in (1, 2)] + \
+            [dual_coord_mr_operator(S, W, i) for i in (0, 1, 2)]
+        block = [int(n) for n in
+                 tensor_many(dual_tuple(S)).block(S[0].datum.zero_weight())]
+        assert_commute(ops, mu, block, bound)
 
 
 class TestFusedIdentities:

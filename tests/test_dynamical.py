@@ -430,15 +430,17 @@ class TestQOperator:
             Qi = q_operator_inverse(M, LAM).matrix
             assert np.max(np.abs(Qm @ Qi - np.eye(M.dim))) < 1e-11
 
-    def test_inverse_forwards_tol_to_direct_route(self):
-        # the direct route's fusion of (V, V*) is computed, guarded and
-        # memoized under the caller's tol
+    def test_route_disagreement_raises(self, monkeypatch):
+        # a direct route off by a relative 1e-6 is far past the 1e-10 guard
         import dynq.dynamical as dyn
-        lam = -6.77 * OM
-        q_operator_inverse(V, lam, tol=1e-9)
-        misses = dyn._FUSION_MEMO.misses
-        fusion((V, VS), lam, tol=1e-9)
-        assert dyn._FUSION_MEMO.misses == misses
+        real = dyn.q_operator
+
+        def skewed(M, lam):
+            return SimpleNamespace(matrix=real(M, lam).matrix * (1 + 1e-6))
+
+        monkeypatch.setattr(dyn, "q_operator", skewed)
+        with pytest.raises(ArithmeticError, match="Q inverse routes disagree"):
+            q_operator_inverse(V1, -3.217 * O1 - 4.381 * O2)
 
     def test_family_tag(self):
         got = q_operator(V, LAM)

@@ -562,7 +562,7 @@ class TestVermaSlotRoute:
         D = dual_module(build_irrep(A2, Q, A2.fundamental_weights[0]))
         self._dual_op(D, LAM_A2)
         ((key, N),) = memo._d.items()
-        M = build_verma(A2, Q, A2.from_fundamental(LAM_A2), key[-2])
+        M = build_verma(A2, Q, A2.from_fundamental(LAM_A2), key[-1])
         keep = np.zeros(N.shape[0], dtype=bool)
         keep[_guarded(D, M)] = True
         rows = np.repeat(np.arange(N.shape[0]), np.diff(N.indptr))

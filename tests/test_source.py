@@ -188,19 +188,26 @@ def test_verma_lift_readers_solve_nothing():
     assert not found, f"solves in the lift readers: {found}"
 
 
+def _params(tree) -> dict:
+    # parameter names of every function and lambda, by name; functions of
+    # one name (nested helpers, lambdas) pool theirs
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            a = node.args
+            out.setdefault(getattr(node, "name", "<lambda>"), set()).update(
+                x.arg for x in a.posonlyargs + a.args + a.kwonlyargs)
+    return out
+
+
 def test_depth_only_where_verma_columns_are_read():
     # fusion reads only column 0 of its leg chain and starts it at the
     # depth-0 source Verma, so no function of the fusion layer or of the
     # operators built on it takes a truncation depth; functions whose
     # Verma columns are read keep theirs
-    def params(tree):
-        return {node.name: {a.arg for a in node.args.posonlyargs
-                            + node.args.args + node.args.kwonlyargs}
-                for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
-
     found = []
     for name, tree in _trees():
-        for fn, args in params(tree).items():
+        for fn, args in _params(tree).items():
             if "depth" in args and (name in ("dynamical.py", "diffops.py")
                                     or (name, fn) == ("traces.py", "x_operator")):
                 found.append(f"{name}:{fn}")
@@ -209,5 +216,21 @@ def test_depth_only_where_verma_columns_are_read():
             ("traces.py", "universal_t"), ("traces.py", "universal_f"),
             ("traces.py", "weighted_trace")}
     have = {(name, fn) for name, tree in _trees()
-            for fn, args in params(tree).items() if "depth" in args}
+            for fn, args in _params(tree).items() if "depth" in args}
     assert keep <= have, f"depth parameter missing on {sorted(keep - have)}"
+
+
+def test_guard_thresholds_are_not_parameters():
+    # each guard states its threshold where it tests it, so no library
+    # function takes a tolerance and no trace function a cone margin;
+    # is_regular and exact_mask keep `margin`, which their callers vary
+    found = []
+    for name, tree in _trees():
+        for fn, args in _params(tree).items():
+            if "tol" in args or ("margin" in args and name == "traces.py"):
+                found.append(f"{name}:{fn}")
+    assert not found, f"threshold parameter on a guard: {found}"
+    keep = {("cartan.py", "is_regular"), ("qalgebra.py", "exact_mask")}
+    have = {(name, fn) for name, tree in _trees()
+            for fn, args in _params(tree).items() if "margin" in args}
+    assert keep <= have, f"margin parameter missing on {sorted(keep - have)}"

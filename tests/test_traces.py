@@ -119,9 +119,10 @@ class TestWeightedTrace:
             spin_component(phi, tilted, LAM, MU, XI, 8)
 
     def test_cone_check_margin(self):
+        # the cone is <xi, alpha> <= -1: -2 omega pairs to -1, -omega/2 to -1/2
         check_cone(A1, -2 * OM)
-        with pytest.raises(ValueError):
-            check_cone(A1, -2 * OM, margin=3.0)
+        with pytest.raises(ValueError, match="outside the convergence cone"):
+            check_cone(A1, -0.5 * OM)
 
 
 class TestSpinComponent:
@@ -248,16 +249,16 @@ class TestUniversalT:
 class TestXOperator:
     def test_single_slot_is_plain_q_inverse(self):
         X = x_operator(MU, (WS,))
-        want = q_operator_inverse(WS, MU, 1e-10).matrix
+        want = q_operator_inverse(WS, MU).matrix
         assert np.array_equal(X.matrix, want)
 
     def test_cascade_matches_hand_product(self):
         sstar = dual_tuple((V, W))  # (W*, V*)
         X = x_operator(MU, sstar)
-        m0 = np.kron(q_operator_inverse(WS, MU, 1e-10).matrix, np.eye(2))
+        m0 = np.kron(q_operator_inverse(WS, MU).matrix, np.eye(2))
         m1 = np.zeros((6, 6), dtype=complex)
         for n, w in enumerate(WS.weights):
-            block = q_operator_inverse(VS, MU + w, 1e-10).matrix
+            block = q_operator_inverse(VS, MU + w).matrix
             P = np.zeros((3, 3))
             P[n, n] = 1.0
             m1 += np.kron(P, block)

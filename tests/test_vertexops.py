@@ -10,7 +10,8 @@ from dynq.vertexops import (
     dual_vertex_operator, expectation, intertwiner_residual,
     singular_vector, vertex_operator, weight_of,
 )
-from dynq import vertexops
+from dynq import dynamical, vertexops
+from dynq.cache import Memo
 from oracles import extend_by_lstsq, unitriangular_solve_dense
 
 A1 = preset("A1")
@@ -91,6 +92,23 @@ class TestSingularVector:
         V = build_irrep(A1, Q, OM)
         with pytest.raises(ValueError):
             singular_vector(3 * OM, V, lw_vec(V), 4)
+
+    def test_inconsistent_solve_raises(self, monkeypatch):
+        # a least-squares solution off by a relative 1e-6 leaves a residual
+        # far past the 1e-10 (1 + |b|) guard; a fresh memo makes fusion solve
+        real = vertexops.scipy.linalg.lstsq
+
+        def skewed(*args, **kwargs):
+            sol, res, rank, sv = real(*args, **kwargs)
+            return sol * (1 + 1e-6), res, rank, sv
+
+        monkeypatch.setattr(dynamical, "_FUSION_MEMO", Memo())
+        monkeypatch.setattr(vertexops.scipy.linalg, "lstsq", skewed)
+        O1, O2 = A2.fundamental_weights
+        V1, V2 = build_irrep(A2, Q, O1), build_irrep(A2, Q, O2)
+        with pytest.raises(ValueError,
+                           match="singular-vector solve inconsistent: 1.00e-06"):
+            dynamical.fusion((V1, V2), -3.217 * O1 - 4.381 * O2)
 
 
 class TestVertexOperator:
@@ -470,7 +488,7 @@ class TestMatrixFreeLeg:
                 extra = 2 * max(V.height_span(), 1)
             tgt = build_verma(datum, Q, lam - mu, src.depth + extra)
             T = tensor_module(tgt, V)
-            U = _singular_in(tgt, V, v, mu, 1e-10)
+            U = _singular_in(tgt, V, v, mu)
             u = _dense_singular(T, tgt, V, v, mu)
             assert np.max(np.abs(U.ravel() - u)) <= 1e-13 * np.max(np.abs(u))
             phi = _extend_by_lowering(src, tgt, V, U)
@@ -494,7 +512,7 @@ class TestLoweringLift:
             if max(_raises(V, mu), default=0) > 1:
                 continue  # the source's lift is under test; keep targets shallow
             tgt = build_verma(datum, Q, lam - mu, depth + 1)
-            top = _singular_in(tgt, V, v, mu, 1e-10)
+            top = _singular_in(tgt, V, v, mu)
             phi = _extend_by_lowering(src, tgt, V, top)
             want = extend_by_lstsq(src, tgt, V, top)
             assert np.max(np.abs(phi - want)) <= 1e-12 * np.max(np.abs(want))
