@@ -102,7 +102,6 @@ class CartanDatum:
     fundamental_weights: tuple = field(init=False)
     rho: Weight = field(init=False)
     positive_roots: tuple = field(init=False)
-    orthonormal_frame: np.ndarray = field(init=False)
 
     def __post_init__(self):
         A = self.cartan_matrix
@@ -128,10 +127,6 @@ class CartanDatum:
             rho = rho + w
         self.rho = rho
         self.positive_roots = self._reflection_closure()
-        B = np.array([[float(b) for b in row] for row in self.bilinear])
-        L = scipy.linalg.cholesky(B, lower=True)
-        # columns x_i with x_i^T B x_j = delta_ij
-        self.orthonormal_frame = scipy.linalg.inv(L).T
 
     def _reflection_closure(self):
         A = self.cartan_matrix

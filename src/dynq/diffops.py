@@ -56,7 +56,6 @@ class DifferenceOperator:
     the distinct sigma values.
     """
     family: str
-    modules: tuple
     index: int
     space: tuple
     variable: str
@@ -206,7 +205,7 @@ def qkzb_operator(S, i: int) -> DifferenceOperator:
         return base - sigma, sigma, base
 
     return DifferenceOperator(
-        "qkzb", S, i, S, "lam", +1, S[i - 1].weight_set(),
+        "qkzb", i, S, "lam", +1, S[i - 1].weight_set(),
         _projected_product(S, i - 1, args))
 
 
@@ -225,7 +224,7 @@ def dual_qkzb_operator(S, i: int) -> DifferenceOperator:
     _check_index(i, 1, k)
     sstar = dual_tuple(S)
     return DifferenceOperator(
-        "dual-qkzb", S, i, sstar, "mu", +1, S[i - 1].weight_set(),
+        "dual-qkzb", i, sstar, "mu", +1, S[i - 1].weight_set(),
         _projected_product(sstar, k - i, lambda mu, s: (mu + s, -1 * s, mu)))
 
 
@@ -242,7 +241,7 @@ def coord_mr_operator(S, W: WeightModule, i: int) -> DifferenceOperator:
     _check_index(i, 0, len(S))
     rho2 = 2 * S[0].datum.rho
     return DifferenceOperator(
-        "coord-mr", S, i, S, "lam", +1, W.weight_set(),
+        "coord-mr", i, S, "lam", +1, W.weight_set(),
         _traced_product(S, W, i, lambda lam: -1 * lam - rho2),
         aux=W)
 
@@ -259,7 +258,7 @@ def dual_coord_mr_operator(S, W: WeightModule, i: int) -> DifferenceOperator:
     k = len(S)
     _check_index(i, 0, k)
     return DifferenceOperator(
-        "dual-coord-mr", S, i, dual_tuple(S), "mu", -1, W.weight_set(),
+        "dual-coord-mr", i, dual_tuple(S), "mu", -1, W.weight_set(),
         _traced_product(dual_tuple(S), W, k - i, lambda mu: mu),
         aux=W)
 

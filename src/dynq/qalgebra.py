@@ -32,8 +32,8 @@ highest-weight-free halves of E and the count is Kostant's partition
 function, so its basis, F, offsets and lowering lift depend only on (datum,
 q, depth) and come from a memoized skeleton; its base is its highest
 weight.  Every Verma basis vector is some F_j applied to a basis vector one
-depth up (the lift), and both the Verma's E and every vertex-operator leg
-are built through it.
+depth up, its parent; the lift is that index map, and both the Verma's E
+and every vertex-operator leg are built through it by gathering columns.
 
 Conventions (fixed once, gated by the consistency suite):
     K_i = q^{d_i h_i},  Delta(E_i) = E_i (x) K_i + 1 (x) E_i,
@@ -199,8 +199,9 @@ class WeightModule:
 @dataclass(eq=False)
 class TruncatedVerma(WeightModule):
     """Verma module truncated below `depth`, built by `build_verma`.  Its
-    F, `depths` and lowering `lift` (see `_VermaSkeleton`) are read-only and
-    shared by every Verma of one (datum, q, depth)."""
+    F, `depths` and lowering `lift`, the integer (cols, parents) index map
+    of `_VermaSkeleton`, are read-only and shared by every Verma of one
+    (datum, q, depth)."""
 
     depth: int = 0
     depths: np.ndarray = None
@@ -572,11 +573,12 @@ class _VermaSkeleton:
     """The highest-weight-free part of a truncated Verma.
 
     `offsets` is -content per basis vector, ordered by depth, then content;
-    `F` drops F out of the last depth.  `lift[h - 1][j]` is a pair
-    (cols, U): the depth-h basis vectors `cols`, those chosen as F_j of a
-    depth-(h - 1) basis vector, are F_j applied to the depth-(h - 1) block
-    times U, a 0/1 selection.  Every array is read-only and shared by the
-    Vermas built on the skeleton.
+    `F` drops F out of the last depth.  `lift[h - 1][j]` is a pair of
+    integer arrays (cols, parents): the depth-h basis vectors `cols`, those
+    chosen as F_j of a depth-(h - 1) basis vector, are F_j applied to the
+    depth-(h - 1) basis vectors `parents`, indexed within that depth's
+    block.  Every array is read-only and shared by the Vermas built on the
+    skeleton.
     """
 
     offsets: np.ndarray
@@ -632,8 +634,8 @@ def _verma_skeleton(datum: CartanDatum, q: float, depth: int) -> _VermaSkeleton:
     (Lusztig, Introduction to Quantum Groups, 1.2.15).  So `_span` on the
     images under A and B, keeping per content as many candidates as
     Kostant's partition function counts, spans each depth.  Each kept F_j y
-    lifts by a 0/1 selection.  Nothing here depends on hw; the images
-    depend on q.
+    lifts to its parent y.  Nothing here depends on hw; the images depend
+    on q.
     """
     bil = np.array(datum.bilinear, dtype=float)
 
@@ -647,41 +649,13 @@ def _verma_skeleton(datum: CartanDatum, q: float, depth: int) -> _VermaSkeleton:
         m, pairs = img.shape[1], []
         for j in range(datum.rank):
             t = np.flatnonzero(keep // m == j)
-            U = np.zeros((m, t.size), dtype=complex)
-            U[keep[t] % m, np.arange(t.size)] = 1.0
-            pairs.append((top + t, U))
+            pairs.append((top + t, keep[t] % m))
         lift.append(tuple(pairs))
         top += keep.size
     depths = -offsets.sum(axis=1)
     for arr in Fmats + (offsets, depths) + tuple(a for lv in lift for pair in lv for a in pair):
         arr.flags.writeable = False
-    sk = _VermaSkeleton(offsets, depths, Fmats, tuple(lift))
-    _check_lift(sk)
-    return sk
-
-
-def _check_lift(sk: _VermaSkeleton) -> None:
-    """Raise unless the lift inverts the stacked lowering block G_h, the F_j
-    from depth h - 1 to depth h: max|G_h U_h - I| <= 1e-10 max(1, max|G_h|).
-
-    The truncation depth itself is left out.  Its lift builds only boundary
-    columns of E, and a leg reads it only from a source Verma, whose target
-    is deeper: the target's skeleton, built first, has checked those same
-    levels, since a skeleton's levels do not depend on its depth.
-    """
-    here = slice(0, 1)  # the depth h block; the basis is ordered by depth
-    for h, pairs in enumerate(sk.lift[:-1], 1):
-        up, here = here, slice(here.stop, here.stop + sum(c.size for c, _ in pairs))
-        GU = np.zeros((here.stop - here.start,) * 2, dtype=complex)
-        big = 1.0
-        for Fj, (cols, U) in zip(sk.F, pairs):
-            G = Fj[here, up]
-            GU[:, cols - here.start] = G @ U
-            big = max(big, float(np.max(np.abs(G))))
-        resid = float(np.max(np.abs(GU - np.eye(len(GU)))))
-        if resid > 1e-10 * big:
-            raise ValueError(f"lowering lift inconsistent at depth {h}: "
-                             f"{resid:.2e} against max|G| {big:.2e}")
+    return _VermaSkeleton(offsets, depths, Fmats, tuple(lift))
 
 
 def _build_verma(datum: CartanDatum, q, hw: Weight, depth: int) -> TruncatedVerma:
@@ -691,12 +665,14 @@ def _build_verma(datum: CartanDatum, q, hw: Weight, depth: int) -> TruncatedVerm
     the lowering lift come from `_verma_skeleton`, memoized on (datum, q,
     depth) since they do not depend on hw; hw is the module's base weight.
     Only E is built here, depth by depth and letter by letter through the
-    lift: a depth-h basis vector is F_j u for u at depth h - 1, so by
+    lift: the depth-h basis vectors `cols` are F_j of the depth-(h - 1)
+    basis vectors `parents`, so by
     [E_i, F_j] = delta_ij (K_i - K_i^{-1})/(q_i - q_i^{-1}),
-        E_i[d_{h-1}, cols] = F_j E_i[d_{h-2}, d_{h-1}] U + delta_ij cst_i U,
-    with cst from `_e_constants`.  E is exact everywhere; F out of the last
-    depth is dropped, which is what the depth-margin contract of every
-    downstream computation accounts for.  All matrices are dense.
+        E_i[d_{h-1}, cols] = F_j E_i[d_{h-2}, parents] + delta_ij cst_i(parents),
+    the last term on the parents' own rows, with cst from `_e_constants`.
+    E is exact everywhere; F out of the last depth is dropped, which is what
+    the depth-margin contract of every downstream computation accounts for.
+    All matrices are dense.
     """
     q = check_q(q)
     depth = int(depth)
@@ -710,12 +686,12 @@ def _build_verma(datum: CartanDatum, q, hw: Weight, depth: int) -> TruncatedVerm
     Emats = [np.zeros((N, N), dtype=complex) for _ in range(r)]
     up2, up = slice(0, 0), slice(0, 1)  # the depth h - 2 and h - 1 blocks
     for pairs in sk.lift:
-        for j, (cols, U) in enumerate(pairs):
+        for j, (cols, parents) in enumerate(pairs):
             Fj = sk.F[j][up, up2]
             for i in range(r):
-                blk = Fj @ (Emats[i][up2, up] @ U)
+                blk = Fj @ Emats[i][up2, up][:, parents]
                 if i == j:
-                    blk += cst[i][up, None] * U
+                    blk[parents, np.arange(parents.size)] += cst[i][up][parents]
                 Emats[i][up, cols] = blk
         up2, up = up, slice(up.stop, up.stop + sum(c.size for c, _ in pairs))
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .cartan import Weight
 from .dynamical import _fused, embedded_shifted, fusion, q_operator_inverse
-from .qalgebra import GradedMap, dual_tuple, mirror_index, slot_classes
+from .qalgebra import GradedMap, dual_tuple, mirror_index, same_space, slot_classes
 from .vertexops import Intertwiner, expectation, vertex_operator
 
 
@@ -108,7 +108,8 @@ def spin_component(phi: Intertwiner, psi: Intertwiner, lam: Weight,
         raise ValueError("dual operator does not start at the stated weight")
     if not psi.mu.is_zero():
         raise ValueError("dual legs carry nonzero total weight")
-    if _dims(psi.spin) != _dims(phi.spin)[::-1]:
+    want = dual_tuple(phi.spin)
+    if len(psi.spin) != len(want) or not all(map(same_space, psi.spin, want)):
         raise ValueError("leg words are not dual to each other")
     H = weighted_trace(phi, mu, xi, depth)
     back = mirror_index(phi.spin[::-1])

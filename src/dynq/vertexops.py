@@ -3,10 +3,11 @@
 A primal operator of weight mu maps M_lam into M_{lam-mu} (x) F(S) and is
 pinned by its expectation value, the leading coefficient vector in F(S).
 Construction is a singular-vector solve at the top weight followed by
-extension down the Verma by lowering operators: the skeleton's lift writes
-each basis vector as some F_j applied one level up, and the leg follows it
-under Delta(F_j), with no solve.  A leg applies the coproduct of E_i and F_i
-to (Verma, spin) arrays and never builds its tensor module.
+extension down the Verma by lowering operators: the skeleton's lift names,
+for each basis vector, the F_j and the parent one level up that it comes
+from, and the leg gathers the parents' columns and applies Delta(F_j) to
+them, with no solve.  A leg applies the coproduct of E_i and F_i to
+(Verma, spin) arrays and never builds its tensor module.
 Legs are applied right to left along one chain, which `fusion` walks for all
 columns at once so that columns sharing their rightmost legs share them.
 Dual operators target F(S*) (x) M and are obtained by inverting the braiding
@@ -147,7 +148,6 @@ class Intertwiner:
     source: TruncatedVerma
     target_verma: TruncatedVerma
     spin: tuple
-    nus: tuple
     matrix: np.ndarray
 
     @property
@@ -175,11 +175,11 @@ def _extend_by_lowering(src: TruncatedVerma, tgt: TruncatedVerma,
     """All columns of the leg src -> tgt (x) V from its top column `top`.
 
     `top` is a (tgt.dim, V.dim) array.  Depth by depth, src's lift writes
-    the basis vectors `cols` as F_j applied to the columns one level up
-    times U, so the operator follows along as Delta(F_j) = F_j (x) 1 +
-    K_j^{-1} (x) F_j applied to (tgt.dim, V.dim, columns) arrays.  Returns
-    the (tgt.dim * V.dim, src.dim) matrix.  tgt must be deeper than src,
-    which is also what certifies src's deepest lift level (`_check_lift`).
+    the basis vectors `cols` as F_j applied to their `parents` one level
+    up, so the operator follows along as Delta(F_j) = F_j (x) 1 +
+    K_j^{-1} (x) F_j applied to the parents' columns, as (tgt.dim, V.dim,
+    columns) arrays.  Returns the (tgt.dim * V.dim, src.dim) matrix.  tgt
+    must be deeper than src.
     """
     if tgt.depth <= src.depth:
         raise ValueError(f"leg target depth {tgt.depth} does not exceed "
@@ -191,8 +191,8 @@ def _extend_by_lowering(src: TruncatedVerma, tgt: TruncatedVerma,
     up = slice(0, 1)  # the depth h - 1 block; the basis is ordered by depth
     for pairs in src.lift:
         P = phi[:, up]
-        for (cols, U), Ft, Fv, k in zip(pairs, tgt.F, V.F, Kinv):
-            X = (P @ U).reshape(n, dv, -1)
+        for (cols, parents), Ft, Fv, k in zip(pairs, tgt.F, V.F, Kinv):
+            X = P[:, parents].reshape(n, dv, -1)
             B = (Ft @ X.reshape(n, -1)).reshape(X.shape) \
                 + k[:, None, None] * np.matmul(Fv, X)
             phi[:, cols] = B.reshape(n * dv, -1)
@@ -265,7 +265,7 @@ def _leg_chain(lam: Weight, S: tuple, vlist, depth: int, legs: dict,
                 phi = (phi @ op.reshape(cur.dim, -1)).reshape(-1, src.dim)
             leg = legs[keys[j:]] = (phi, tgt)
         op, cur = leg
-    return Intertwiner("primal", src, cur, S, nus, op)
+    return Intertwiner("primal", src, cur, S, op)
 
 
 def dual_vertex_operator(lam: Weight, sstar: tuple, glist,
@@ -298,7 +298,7 @@ def dual_vertex_operator(lam: Weight, sstar: tuple, glist,
         op = psi if op is None else np.kron(np.eye(left_dim), psi) @ op
         left_dim *= W.dim
         cur = tgt
-    return Intertwiner("dual", src, cur, sstar, nus, op)
+    return Intertwiner("dual", src, cur, sstar, op)
 
 
 def expectation(phi: Intertwiner) -> np.ndarray:

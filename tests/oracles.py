@@ -361,9 +361,11 @@ def word_skeleton(datum: CartanDatum, q: float, depth: int) -> _VermaSkeleton:
 
     Degree by degree, the slice of the two-sided Serre ideal is row reduced
     (lexicographic word order) and the non-pivot words are the basis; F is
-    read off the class expansions, and a basis word (j,) + w lifts through
-    the expansion of w one level up.  It enumerates all 2^(depth + 1) - 1
-    words, so it is for shallow depths only.
+    read off the class expansions, and a basis word (j,) + w lifts to w
+    one level up.  Normal words of a two-sided ideal are closed under taking
+    factors, so w is itself a basis word; a tail that is not raises.  It
+    enumerates all 2^(depth + 1) - 1 words, so it is for shallow depths
+    only.
     """
     r = datum.rank
     serre = _serre_generators(datum, q)
@@ -436,12 +438,12 @@ def word_skeleton(datum: CartanDatum, q: float, depth: int) -> _VermaSkeleton:
         for s, t in enumerate(bl):
             w = words[content][t]
             sub = minus(content, w[0])
-            u = np.zeros(top[h] - top[h - 1], dtype=complex)
-            at = start[sub] - top[h - 1]
-            u[at:at + len(basis_loc[sub])] = expand[sub][widx[sub][w[1:]]]
-            cols, us = lift[h - 1][w[0]]
+            tail = widx[sub][w[1:]]
+            if tail not in basis_loc[sub]:
+                raise ValueError(f"tail of basis word {w} is not a basis word")
+            cols, parents = lift[h - 1][w[0]]
             cols.append(start[content] + s)
-            us.append(u)
-    lift = tuple(tuple((np.array(cols), np.array(us).T) for cols, us in pairs)
-                 for pairs in lift)
+            parents.append(start[sub] - top[h - 1] + basis_loc[sub].index(tail))
+    lift = tuple(tuple((np.array(cols, dtype=int), np.array(parents, dtype=int))
+                       for cols, parents in pairs) for pairs in lift)
     return _VermaSkeleton(offsets, depths, tuple(Fmats), lift)

@@ -1,6 +1,5 @@
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -96,11 +95,6 @@ class TestGeometry:
         # two long roots of norm 4, two short of norm 2
         norms = sorted(float(b2.pairing(a, a)) for a in b2.positive_roots)
         assert norms == [2.0, 2.0, 4.0, 4.0]
-
-    def test_orthonormal_frame(self, a2):
-        B = np.array([[float(v) for v in row] for row in a2.bilinear])
-        X = a2.orthonormal_frame
-        assert np.allclose(X.T @ B @ X, np.eye(2), atol=1e-12)
 
     def test_two_theta_matches_frame_contraction(self, b2):
         # q^{2 theta(lam)} on weight xi must give 2<lam+rho,xi> - <xi,xi>

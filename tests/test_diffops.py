@@ -117,7 +117,7 @@ def dual_qkzb_transposed(S, i):
     def coefficient(mu, sigma):
         return transpose(dual_qkzb_kernel(S, i, mu, sigma), S)
 
-    return DifferenceOperator("dual-qkzb", S, i, dual_tuple(S), "mu", +1,
+    return DifferenceOperator("dual-qkzb", i, dual_tuple(S), "mu", +1,
                               S[i - 1].weight_set(), coefficient)
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dynq import dynamical
 from dynq.cartan import preset
 from dynq.qalgebra import (
     build_irrep, dual_module, qnum, tensor_many, tensor_module, trivial_module,
@@ -275,6 +276,23 @@ class TestDynamicalTwist:
             b = rhs.reshape(tgtdim, W.dim, -1)[:keepr, :, :keepc]
             sc = max(1.0, np.abs(b).max())
             assert np.max(np.abs(a - b)) < 1e-9 * sc
+
+
+    def test_singular_target_fusion_raises(self, monkeypatch):
+        # a fusion operator whose last row is scaled by 1e-14 has condition
+        # number 1e14, past the 1e12 guard of the one conjugation route
+        real = dynamical.fusion
+
+        def skewed(*args):
+            j = real(*args)
+            m = j.matrix.copy()
+            m[-1] *= 1e-14
+            return SimpleNamespace(matrix=m, source=j.source)
+
+        monkeypatch.setattr(dynamical, "fusion", skewed)
+        with pytest.raises(np.linalg.LinAlgError, match=r"target fusion operator "
+                           r"numerically singular, cond 1\.00e\+14"):
+            exchange(V, W, -5.37 * OM)
 
 
 class TestExchangeBasics:

@@ -94,8 +94,9 @@ class TestVerma:
     @pytest.mark.parametrize("datum,depth", [(A2, 8), (B2, 7)])
     def test_matches_word_skeleton(self, monkeypatch, datum, depth):
         # the change of basis P from the word basis, built through the new
-        # lift (P e_0 = e_0, P[:, cols] = F_j^old P[:, up] U), intertwines
-        # F and E; both bases are ordered by content, so P is block diagonal
+        # lift (P e_0 = e_0, P[:, cols] = F_j^old P[:, up][:, parents]),
+        # intertwines F and E; both bases are ordered by content, so P is
+        # block diagonal
         new = qalgebra._verma_skeleton(datum, Q, depth)
         old = word_skeleton(datum, Q, depth)
         assert np.array_equal(new.offsets, old.offsets)
@@ -103,8 +104,8 @@ class TestVerma:
         P[0, 0] = 1.0
         up = slice(0, 1)
         for pairs in new.lift:
-            for Fj, (cols, U) in zip(old.F, pairs):
-                P[:, cols] = Fj @ P[:, up] @ U
+            for Fj, (cols, parents) in zip(old.F, pairs):
+                P[:, cols] = Fj @ P[:, up][:, parents]
             up = slice(up.stop, up.stop + sum(c.size for c, _ in pairs))
         same = (new.offsets[:, None, :] == new.offsets[None, :, :]).all(axis=2)
         assert not np.any(P[~same])
@@ -715,6 +716,13 @@ class TestScalars:
         op, scalar = omega_tilde(W, M)
         assert scalar == pytest.approx(1.0)
         assert np.max(np.abs(op.matrix - np.eye(M.dim))) < 1e-12
+
+    def test_omega_tilde_rejects_shallow_verma(self):
+        # V(2 omega) spans two depths, more than a depth-1 Verma holds
+        om = A1.fundamental_weights[0]
+        M = build_verma(A1, Q, -5.37 * om, 1)
+        with pytest.raises(ValueError, match="Verma truncation too shallow for this W"):
+            omega_tilde(build_irrep(A1, Q, 2 * om), M)
 
     def test_omega_tilde_sl2(self):
         om = A1.fundamental_weights[0]

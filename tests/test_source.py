@@ -149,6 +149,32 @@ def test_every_top_level_definition_is_referenced():
     assert not orphans, f"top-level definitions nothing references: {orphans}"
 
 
+def test_every_dataclass_field_is_read():
+    # a field that nothing reads is state that every constructor must fill
+    # in for no one; a field counts as read where an attribute of its name
+    # is loaded anywhere in src, tests or bench
+    root = SRC.parents[1]
+    loaded = set()
+    for d in ("src", "tests", "bench"):
+        for path in (root / d).rglob("*.py"):
+            loaded.update(node.attr for node in ast.walk(_parse(path))
+                          if isinstance(node, ast.Attribute)
+                          and isinstance(node.ctx, ast.Load))
+    fields = []  # (file, class, field)
+    for name, tree in _trees():
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and any(
+                    getattr(getattr(d, "func", d), "id", None) == "dataclass"
+                    for d in cls.decorator_list):
+                fields += [(name, cls.name, node.target.id) for node in cls.body
+                           if isinstance(node, ast.AnnAssign)
+                           and isinstance(node.target, ast.Name)]
+    assert ("qalgebra.py", "TruncatedVerma", "lift") in fields
+    unread = [f"{file}:{cls}.{field}" for file, cls, field in fields
+              if field not in loaded]
+    assert not unread, f"dataclass fields nothing reads: {unread}"
+
+
 def test_no_cached_property_assigned():
     # a cached property is derived on first read; code that fills one in
     # from outside keeps a second copy that can disagree with its source

@@ -181,6 +181,15 @@ class TestSpinComponent:
                                     [basis(VS, 0), basis(VS, 1)], 10)
         with pytest.raises(ValueError, match="dual"):
             spin_component(phi, mism, self.LPSI, self.MU2, self.XI2, 10)
+        # slot dimensions match, but (V1*, V1) is not (V1, V1*)* = (V1**, V1*)
+        A2 = preset("A2")
+        V1 = build_irrep(A2, Q, A2.fundamental_weights[0])
+        D1 = dual_module(V1)
+        mu, lam = A2.from_fundamental([-3.37, -4.52]), A2.from_fundamental([-3.71, -4.13])
+        phi = vertex_operator(mu, (V1, D1), [basis(V1, 0), basis(D1, 0)], 4)
+        swapped = dual_vertex_operator(lam, (D1, V1), [basis(D1, 0), basis(V1, 0)], 2)
+        with pytest.raises(ValueError, match="leg words are not dual to each other"):
+            spin_component(phi, swapped, lam, mu, 2 * (lam + A2.rho), 4)
 
 
 class TestUniversalT:

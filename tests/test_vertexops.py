@@ -93,6 +93,13 @@ class TestSingularVector:
         with pytest.raises(ValueError):
             singular_vector(3 * OM, V, lw_vec(V), 4)
 
+    def test_rejects_shallow_target(self):
+        # the lowest vector of V needs a raise of height 1 on the target
+        V = build_irrep(A1, Q, OM)
+        with pytest.raises(ValueError,
+                           match="target truncation too shallow for this spin vector"):
+            singular_vector(-5.37 * OM, V, lw_vec(V), 0)
+
     def test_inconsistent_solve_raises(self, monkeypatch):
         # a least-squares solution off by a relative 1e-6 leaves a residual
         # far past the 1e-10 (1 + |b|) guard; a fresh memo makes fusion solve
