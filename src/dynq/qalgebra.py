@@ -10,9 +10,10 @@ strictly raising the first slot.  It has one route: a multi-slot first
 slot splits into one crossing per slot by the hexagon, a Verma first slot
 is the flipped crossing of the omega-twisted modules ((omega (x) omega) R
 = R_21), and every other crossing solves N degree by degree from the
-F-equations.  Beside a truncated Verma second slot that N is free of the
-Verma's highest weight and memoized; kappa and the intertwining guard are
-formed on every call, at that call's weight.
+F-equations.  Beside a truncated Verma second slot that N, like the index
+patterns of the intertwining guard, is free of the Verma's highest weight
+and memoized; kappa and the guard's products are formed on every call, at
+that call's weight.
 
 A module has one weight representation, set by every constructor: an
 exact `base` Weight (that of basis vector 0) and integer simple-root
@@ -295,19 +296,18 @@ def _q_pairings(q: float, datum: CartanDatum, v0: Weight, x: np.ndarray,
     """q^{<v0 + x_a, w0 + y_b>} for integer offset rows x_a and y_b.
 
     Over a common denominator D of the coordinates of v0 and w0 every
-    weight here is an integer vector over D, so each exponent is one exact
-    quotient of Python ints by D^2 and rounds as float(Fraction) does.
+    weight here is an integer vector over D, so each exponent numerator is
+    the integer matrix product ((v + D x) B)(w + D y)^T, formed in Python
+    ints (object dtype) and so exact at any D, and each exponent one exact
+    quotient by D^2, rounded as float(Fraction) rounds it.  Each power is
+    Python's own `q ** e`, which np.power need not match.
     """
-    r = datum.rank
     D, (v, w) = _over_common_denominator(v0, w0)
-    B = datum.bilinear
-    # (v0 + x_a) B, and w0 + y_b, both scaled by D
-    left = [[sum((v[i] + D * row[i]) * B[i][j] for i in range(r)) for j in range(r)]
-            for row in x.tolist()]
-    right = [[w[j] + D * row[j] for j in range(r)] for row in y.tolist()]
-    D2 = D * D
-    return np.array([[q ** (sum(a * b for a, b in zip(la, wb)) / D2) for wb in right]
-                     for la in left])
+    B = np.array(datum.bilinear, dtype=object)
+    left = (np.array(v, dtype=object) + D * np.asarray(x).astype(object)) @ B
+    right = np.array(w, dtype=object) + D * np.asarray(y).astype(object)
+    e = (left @ right.T) / (D * D)
+    return np.array([q ** t for t in e.ravel().tolist()]).reshape(e.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -547,8 +547,11 @@ def _e_constants(datum: CartanDatum, q: float, hw: Weight, rows) -> np.ndarray:
     weight hw - beta: one row per node i, one column per offset row -beta
     in `rows`.  The K_i are exact `_q_pairings` with the simple roots."""
     r, rows = datum.rank, np.asarray(rows).reshape(-1, datum.rank)
-    K, Kinv = (_q_pairings(q, datum, s * hw, s * rows, datum.zero_weight(),
-                           np.eye(r, dtype=int)).reshape(-1, r) for s in (1, -1))
+    units = np.eye(r, dtype=int)
+    # K^{-1} pairs with -alpha_i: the same numerators negated, so the same
+    # exponents negated exactly
+    K, Kinv = np.split(_q_pairings(q, datum, hw, rows, datum.zero_weight(),
+                                   np.vstack([units, -units])), 2, axis=1)
     qd = np.array([q ** d for d in datum.d])
     return ((K - Kinv) / (qd - 1.0 / qd)).T
 
@@ -754,12 +757,14 @@ def _csr(rows, cols, vals, shape) -> sp.csr_matrix:
 
 def _kron_entries(pairs) -> list:
     """(rows, cols, values, shape) of the sum of A (x) B over pairs of
-    factors, for `_csr`; a factor is a dense matrix, or a vector standing
-    for its diagonal.  Index arithmetic: on small modules scipy's own kron
-    costs more than every product the matrix then takes part in."""
+    factors, for `_csr`; a factor is a dense matrix, a vector standing for
+    its diagonal, or a pair (matrix, index tuple of the entries to read),
+    and is otherwise read on its np.nonzero.  Index arithmetic: on small
+    modules scipy's own kron costs more than every product the matrix then
+    takes part in."""
     rows, cols, vals = [], [], []
-    for A, B in pairs:
-        a, b = np.nonzero(A), np.nonzero(B)
+    for pair in pairs:
+        (A, a), (B, b) = (X if isinstance(X, tuple) else (X, np.nonzero(X)) for X in pair)
         (ai, aj), (bk, bl) = (x if len(x) == 2 else x * 2 for x in (a, b))
         rows.append((ai[:, None] * B.shape[0] + bk[None, :]).ravel())
         cols.append((aj[:, None] * B.shape[-1] + bl[None, :]).ravel())
@@ -802,9 +807,10 @@ def r_matrix(V: WeightModule, W: WeightModule) -> np.ndarray:
     the dense product of one crossing per slot, placed on that slot and W's
     slots; a single-slot V densifies its factors.  Either R passes the
     intertwining guard (`_check_intertwines`) first.
-    Beside a truncated Verma second slot, N is free of the Verma's highest
-    weight and memoized per (first slot, Verma skeleton), so kappa and
-    the guard are all that is formed per call.  A rank drop in any degree
+    Beside a truncated Verma second slot, N and the guard's index patterns
+    are free of the Verma's highest weight and memoized per (first slot,
+    Verma skeleton), so a call forms only kappa and the guard's products,
+    from the Verma's K and E at that call's weight.  A rank drop in any degree
     raises with the nullity reported.  Weights enter as integer lattice
     offsets from each module's first weight, so V and W must each lie in
     one root-lattice coset.  A finite first slot may be reducible; a Verma
@@ -945,16 +951,42 @@ def _nilpotent(V: WeightModule, W: WeightModule) -> sp.csr_matrix:
     return N
 
 
+_GUARD_PLANS = Memo()
+
+
 def _check_intertwines(V: WeightModule, W: WeightModule, R: sp.csr_matrix) -> None:
     """Raise unless R Delta(x) = Delta^op(x) R for every generator x.  R is
     sparse; all is read and formed only on the rows and columns that keep
-    2 * (largest degree of N) + 1 away from each Verma slot's truncation."""
-    margin = max(_raising_shifts(V, W).values(), default=0)
-    mask = np.ones(V.dim * W.dim, dtype=bool)
+    2 * (largest degree of N) + 1 away from each Verma slot's truncation.
+
+    Beside a truncated Verma second slot that index work is free of the
+    Verma's highest weight, so it is memoized in `_GUARD_PLANS` per (first
+    slot, Verma skeleton), as N is: the kept rows, and the entry patterns
+    the Verma's F_i and E_i are read on.  F_i is the skeleton's; E_i moves
+    with the highest weight, so it is read on its weight grading (it raises
+    by alpha_i), and a call raises if E_i has a nonzero off that grading.
+    """
+    r = V.datum.rank
+
+    def exact_rows():
+        margin = max(_raising_shifts(V, W).values(), default=0)
+        mask = np.ones(V.dim * W.dim, dtype=bool)
+        if isinstance(W, TruncatedVerma):
+            mask &= np.tile(W.exact_mask(2 * margin + 1), V.dim)
+        if isinstance(V, TruncatedVerma):
+            mask &= np.repeat(V.exact_mask(2 * margin + 1), W.dim)
+        return mask
+
     if isinstance(W, TruncatedVerma):
-        mask &= np.tile(W.exact_mask(2 * margin + 1), V.dim)
-    if isinstance(V, TruncatedVerma):
-        mask &= np.repeat(V.exact_mask(2 * margin + 1), W.dim)
+        mask, pE, pF = _GUARD_PLANS.get((V, W.datum, W.q, W.depth), lambda: (
+            exact_rows(), [_shift_pairs(W.offsets, u) for u in np.eye(r, dtype=int)],
+            [np.nonzero(F) for F in W.F]))
+        for i, p in enumerate(pE):
+            if np.count_nonzero(W.E[i][p]) != np.count_nonzero(W.E[i]):
+                raise ValueError(f"{W.name}: E_{i} has a nonzero off its weight grading")
+        WE, WF = list(zip(W.E, pE)), list(zip(W.F, pF))
+    else:
+        mask, WE, WF = exact_rows(), W.E, W.F
     keep, pos = np.flatnonzero(mask), np.cumsum(mask) - 1
     n, k = mask.size, keep.size
     if not k:
@@ -979,9 +1011,9 @@ def _check_intertwines(V: WeightModule, W: WeightModule, R: sp.csr_matrix) -> No
 
     Iv, Iw = np.ones(V.dim), np.ones(W.dim)
     cop, opp = [], []
-    for i in range(V.datum.rank):
-        cop += [((V.E[i], W.K[i]), (Iv, W.E[i])), ((V.F[i], Iw), (1 / V.K[i], W.F[i]))]
-        opp += [((V.K[i], W.E[i]), (V.E[i], Iw)), ((Iv, W.F[i]), (V.F[i], 1 / W.K[i]))]
+    for i in range(r):
+        cop += [((V.E[i], W.K[i]), (Iv, WE[i])), ((V.F[i], Iw), (1 / V.K[i], WF[i]))]
+        opp += [((V.K[i], WE[i]), (V.E[i], Iw)), ((Iv, WF[i]), (V.F[i], 1 / W.K[i]))]
     DX, DOX = stack(cop, False), stack(opp, True).T
     R_rows, R_cols = R[keep], R[:, keep]
     sub = abs(R_rows @ DX - beside(DOX @ R_cols))

@@ -5,11 +5,13 @@ import numpy as np
 import scipy.linalg
 
 from dynq.cartan import CartanDatum, Weight
+from dynq.diffops import _check_index
 from dynq.dynamical import _fused, embedded_shifted, exchange, fusion
 from dynq.qalgebra import (
     GradedMap, TruncatedVerma, WeightModule, _compositions, _kappa_diag,
-    _csr, _kron_entries, _raising_shifts, _VermaSkeleton, dual_module,
-    flip_index, mirror_index, qbinom, tensor_module, trivial_module,
+    _csr, _kron_entries, _raising_shifts, _VermaSkeleton, character, dual_module,
+    embed_slots, flip_index, mirror_index, partial_trace, qbinom, r21_matrix,
+    r_matrix, slot_classes, tensor_many, tensor_module, trivial_module,
 )
 from dynq.vertexops import expectation, vertex_operator
 
@@ -158,6 +160,87 @@ def dressed_exchange(S, T, lam) -> np.ndarray:
     post = pair_second_shifted(
         np.linalg.inv(jS(lam)), lambda mu: np.linalg.inv(jT(mu)), FS, FT, lam)
     return post @ core @ pre
+
+
+# ---------------------------------------------------------------------------
+# fused-operator identities of the non-dynamical layer, as residuals
+
+
+def fusion_mr_residual(S, W: WeightModule, i: int, lam: Weight) -> float:
+    """Push the diagonal trace multiplier through the fusion operator.
+
+    Left side: the fusion operator times the diagonal whose entry is the
+    character of W at 2(lam+rho) minus twice the tail of slot weights past
+    i.  Right side: the auxiliary trace of flipped-inverse and plain
+    braiding numerators around the W weighting, composed with the fusion
+    operator.  Returns the scaled entrywise gap on all of F(S).
+    """
+    S = tuple(S)
+    k = len(S)
+    _check_index(i, 0, k)
+    datum, q = S[0].datum, S[0].q
+    TW = tensor_many((W,) + S)
+    jmat = fusion(S, lam).matrix
+    xi = 2 * (lam + datum.rho)
+
+    dvals = np.zeros(jmat.shape[0])
+    for (tail,), idx in slot_classes(S, (range(i, k),)).items():
+        dvals[idx] = character(W, xi - 2 * tail)
+    lhs = jmat @ np.diag(dvals)
+
+    wvals = np.zeros(TW.dim)
+    groups = ((0,), range(1, k + 1))
+    for (beta, tot), idx in slot_classes((W,) + S, groups).items():
+        wvals[idx] = q ** float(datum.pairing(beta, xi - tot))
+    mat = np.diag(wvals).astype(complex)
+    if i > 0:
+        X = _fused(S[:i])
+        mat = embed_slots(TW, r_matrix(W, X), tuple(range(i + 1))) @ mat
+    if i < k:
+        Y = _fused(S[i:])
+        mat = embed_slots(TW, np.linalg.inv(r21_matrix(W, Y)),
+                          (0,) + tuple(range(i + 1, k + 1))) @ mat
+    rhs = partial_trace(mat, TW, 0) @ jmat
+    scale = max(float(np.max(np.abs(lhs))), 1e-300)
+    return float(np.max(np.abs(lhs - rhs))) / scale
+
+
+def fusion_qkz_residual(S, i: int, lam: Weight) -> float:
+    """Closed braid equation for the inverse fusion operator on F(S).
+
+    The inverse fusion at -lam-2rho is reproduced by framing it with the
+    flipped braiding of slot i against the later block, two diagonal
+    theta/kappa dressings, and the inverse flipped braiding of the earlier
+    block against slot i.
+    """
+    S = tuple(S)
+    k = len(S)
+    _check_index(i, 1, k)
+    datum, q = S[0].datum, S[0].q
+    base = -1 * lam - 2 * datum.rho
+    T = tensor_many(S)
+    jhat = np.linalg.inv(fusion(S, base).matrix)
+
+    dt = np.zeros(T.dim, dtype=complex)
+    ups = np.zeros(T.dim, dtype=complex)
+    groups = ((i - 1,), range(i, k), [j for j in range(k) if j != i - 1])
+    for (xi_i, tail, rest), idx in slot_classes(S, groups).items():
+        tt = float(datum.two_theta(base, xi_i))
+        dt[idx] = q ** (tt - 2 * float(datum.pairing(xi_i, tail)))
+        ups[idx] = q ** (float(datum.pairing(xi_i, rest)) - tt)
+
+    rhs = jhat
+    if i < k:
+        Y = _fused(S[i:])
+        rhs = rhs @ embed_slots(T, r21_matrix(S[i - 1], Y),
+                                tuple(range(i - 1, k)))
+    rhs = np.diag(dt) @ rhs @ np.diag(ups)
+    if i > 1:
+        X = _fused(S[:i - 1])
+        rhs = rhs @ np.linalg.inv(
+            embed_slots(T, r21_matrix(X, S[i - 1]), tuple(range(i))))
+    scale = max(float(np.max(np.abs(jhat))), 1e-300)
+    return float(np.max(np.abs(jhat - rhs))) / scale
 
 
 # ---------------------------------------------------------------------------

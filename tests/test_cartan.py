@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -97,12 +98,20 @@ class TestGeometry:
         assert norms == [2.0, 2.0, 4.0, 4.0]
 
     def test_two_theta_matches_frame_contraction(self, b2):
-        # q^{2 theta(lam)} on weight xi must give 2<lam+rho,xi> - <xi,xi>
+        # theta(lam) = lam + rho - (1/2) sum_i x_i^2 over an orthonormal
+        # frame x_i of h, built here from the form alone: with G = L L^T
+        # (Cholesky) on simple-root coordinates, the columns of L^{-T} are
+        # orthonormal.  On weight xi, x_i acts by <x_i, xi>.
+        G = np.array(b2.bilinear, dtype=float)
+        frame = np.linalg.inv(np.linalg.cholesky(G)).T
+        assert np.allclose(frame.T @ G @ frame, np.eye(b2.rank), rtol=0, atol=1e-15)
         lam = b2.from_fundamental([Fraction(3, 7), Fraction(-2, 3)])
-        xi = b2.weight([1, -2])
-        got = b2.two_theta(lam, xi)
-        want = 2 * b2.pairing(lam + b2.rho, xi) - b2.pairing(xi, xi)
-        assert got == want
+        for coords in ([1, -2], [0, 1], [3, 5], [-2, -1]):
+            xi = b2.weight(coords)
+            acts = frame.T @ G @ np.array([float(c) for c in xi.coords])
+            assert abs(acts @ acts - float(b2.pairing(xi, xi))) <= 1e-12 * (acts @ acts)
+            want = 2 * float(b2.pairing(lam + b2.rho, xi)) - acts @ acts
+            assert abs(float(b2.two_theta(lam, xi)) - want) <= 1e-12 * (1 + abs(want))
 
 
 class TestWeightArithmetic:

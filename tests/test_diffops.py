@@ -13,11 +13,12 @@ from dynq.traces import t_functional, universal_f, universal_t, x_operator
 from dynq.diffops import (
     FAMILIES, DifferenceOperator, _check_index, _pair_cache,
     _slot_projector, apply, coord_mr_operator, dual_coord_mr_operator,
-    dual_qkzb_operator, fusion_mr_residual, fusion_qkz_residual, multiplier,
-    operator, qkzb_operator, transpose,
+    dual_qkzb_operator, multiplier, operator, qkzb_operator, transpose,
 )
 
-from oracles import flip_matrix, pairing_matrix
+from oracles import (
+    flip_matrix, fusion_mr_residual, fusion_qkz_residual, pairing_matrix,
+)
 
 A1 = preset("A1")
 Q = 0.5
@@ -525,7 +526,8 @@ class TestFusedIdentities:
         assert fusion_qkz_residual(S3, 2, LAM) < 1e-9
 
     def test_index_guards(self):
+        # the builders of both kinds of family check their slot index
         with pytest.raises(ValueError, match="slot index"):
-            fusion_mr_residual((V, W2), V, 3, LAM)
+            coord_mr_operator((V, W2), V, 3)
         with pytest.raises(ValueError, match="slot index"):
-            fusion_qkz_residual((V, W2), 0, LAM)
+            qkzb_operator((V, W2), 0)

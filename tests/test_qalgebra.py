@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from dynq import qalgebra
 from dynq.cache import Memo
-from dynq.cartan import preset
+from dynq.cartan import Weight, preset
 from dynq.qalgebra import (
     GradedMap, WeightModule, _kappa_diag, _omega, _raising_shifts, build_irrep,
     build_verma, casimir_ratio, character, check_q, dual_module, flip_index,
@@ -597,6 +598,43 @@ class TestVermaSlotRoute:
         with pytest.raises(ValueError, match="Verma first slot needs a single-slot"):
             r_matrix(M, tensor_module(V, dual_module(V)))
 
+    @staticmethod
+    def _with_e(M, i, at, value):
+        """M with E_i[at] set to value, everything else shared."""
+        E = [e.copy() for e in M.E]
+        E[i][at] = value
+        return dataclasses.replace(M, E=tuple(E))
+
+    def test_guard_reads_the_calls_verma_e(self):
+        # the guard's index patterns are shared by every Verma of one
+        # skeleton, so only a guard that reads the E of this call can catch
+        # a spoiled entry
+        D = dual_module(build_irrep(A2, Q, A2.fundamental_weights[0]))
+        M = build_verma(A2, Q, A2.from_fundamental(LAM_A2), 8)
+        qalgebra._r_factors(D, M)
+        at = (0, int(np.flatnonzero(M.E[0][0])[0]))  # E_0 of F_0 m into m
+        assert M.depths[at[1]] == 1
+        bad = self._with_e(M, 0, at, M.E[0][at] * (1.0 + 1e-4))
+        with pytest.raises(ValueError, match="fails to intertwine"):
+            qalgebra._r_factors(D, bad)
+
+    def test_off_grade_verma_e_raises(self):
+        # E_i raises weights by alpha_i; an entry anywhere else lies off
+        # the pattern E_i is read on, so the guard counts it and raises
+        D = dual_module(build_irrep(A2, Q, A2.fundamental_weights[0]))
+        M = build_verma(A2, Q, A2.from_fundamental(LAM_A2), 8)
+        bad = self._with_e(M, 1, (0, 0), 1e-3)
+        with pytest.raises(ValueError, match="E_1 has a nonzero off its weight grading"):
+            qalgebra._r_factors(D, bad)
+
+    def test_guard_plan_is_shared_per_skeleton(self, monkeypatch):
+        memo = Memo()
+        monkeypatch.setattr(qalgebra, "_GUARD_PLANS", memo)
+        D = dual_module(build_irrep(A2, Q, A2.fundamental_weights[0]))
+        for coeffs, depth in ((LAM_A2, 8), ((-2.513, -3.652), 8), (LAM_A2, 9)):
+            qalgebra._r_factors(D, build_verma(A2, Q, A2.from_fundamental(coeffs), depth))
+        assert (memo.hits, memo.misses, len(memo)) == (1, 2, 2)
+
 
 class TestLatticeOffsets:
     def test_qh_and_kappa_match_exact_pairings(self):
@@ -612,6 +650,30 @@ class TestLatticeOffsets:
             want = np.array([Q ** float(A2.pairing(a, b))
                              for a in X.weights for b in Y.weights])
             assert np.array_equal(_kappa_diag(X, Y), want)
+
+    @staticmethod
+    def _exact(datum, v0, x, w0, y):
+        return np.array([[Q ** float(datum.pairing(v0 + Weight(a), w0 + Weight(b)))
+                          for b in y.tolist()] for a in x.tolist()])
+
+    def test_pairings_with_large_denominators_are_exact(self):
+        # denominators near 1e9 put D^2 far past 2^53
+        x = np.array([[0, 0], [-1, 0], [-2, -3], [-4, -1]])
+        y = np.array([[0, 0], [1, -1], [-3, 2]])
+        v0 = Weight((Fraction(-3217, 999999937), Fraction(4381, 999999929)))
+        w0 = A2.from_fundamental([Fraction(-7, 3), Fraction(123456789, 1000000007)])
+        got = qalgebra._q_pairings(Q, A2, v0, x, w0, y)
+        assert np.array_equal(got, self._exact(A2, v0, x, w0, y))
+
+    def test_pairings_with_numerators_past_2_53_are_exact(self):
+        # over D = 3 * 2^23 on A1 the numerators reach about 50 D^2 > 2^53:
+        # an odd one is no exact float and D^2 no power of two, so a float
+        # quotient of the two would round twice
+        D = 3 * 2**23
+        v0, w0 = Weight((Fraction(D - 1, D),)), Weight((Fraction(-(D - 5), D),))
+        x, y = np.array([[-4], [-3], [0], [4]]), np.array([[-4], [-1], [3], [4]])
+        got = qalgebra._q_pairings(Q, A1, v0, x, w0, y)
+        assert np.array_equal(got, self._exact(A1, v0, x, w0, y))
 
     def test_k_rows_and_character_read_the_offsets(self):
         # K_i is qh(alpha_i), read-only; character is the sum of qh(xi)
