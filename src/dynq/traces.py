@@ -9,6 +9,28 @@ expectation values, the normalized trace matrix (Weyl denominator times
 inverse fusion applied to the generating operator's trace), and its
 Q-cascade renormalization, whose two-sided symmetry in (lam, mu) is what
 the difference-operator checks consume.
+
+In the universal traces mu alone fixes the vertex operators and the
+Q-cascade; lam enters only through delta(lam), j_S(-lam-2rho)^{-1} and the
+weights q^{<mu-beta, 2 lam + 2 rho>}.  So the mu-only work is done once and
+kept in two bounded `cache.Memo` tables, and a lam sweep at fixed mu
+builds no vertex operator and no Q-cascade:
+
+- `_DIAGONAL_MEMO`, keyed on (S, mu, depth): per zero-weight basis vector
+  of F(S), the source Verma and the trace diagonal Phi[n, :, n] of its
+  vertex operator, a (Verma dim, dim F(S)) complex array.  An entry holds
+  4 KB on A1 (V, V) at depth 30 (2 arrays of 31 x 4) and 106 KB on
+  A2 (V1, V1*) at depth 12 (3 arrays of 252 x 9), so a full table of
+  `cache.MAXSIZE` entries of the latter holds about 110 MB.
+- `_X_MEMO`, keyed on (mu, S*): the cascade `x_operator`, a square
+  complex matrix on F(S*): 256 B on A1 (V, V), 1.3 KB on A2 (V1, V1*).
+
+Per lam, `universal_t` does the cone check, delta, the fusion inverse
+(itself memoized per lam in `dynamical`) and the weighted sums of
+`_trace_sum`, the one summation routine it shares with `weighted_trace`.
+The module objects in the keys carry the datum and q.  Stored arrays are
+read-only, so a caller's in-place write raises instead of corrupting the
+next call.
 """
 
 from dataclasses import dataclass
@@ -16,9 +38,12 @@ from functools import reduce
 
 import numpy as np
 
+from .cache import Memo
 from .cartan import Weight
 from .dynamical import _fused, embedded_shifted, fusion, q_operator_inverse
-from .qalgebra import GradedMap, dual_tuple, mirror_index, same_space, slot_classes
+from .qalgebra import (
+    GradedMap, TruncatedVerma, dual_tuple, mirror_index, same_space, slot_classes,
+)
 from .vertexops import Intertwiner, expectation, vertex_operator
 
 
@@ -58,14 +83,49 @@ def _tail_fit(increments: np.ndarray, q: float, depth: int) -> float:
     return A * q ** depth
 
 
+_DIAGONAL_MEMO = Memo()
+_X_MEMO = Memo()
+
+
+def _diagonal(phi: Intertwiner) -> np.ndarray:
+    """Read-only (source dim, spin dim) array: row n is Phi[n, :, n].
+
+    The truncated Verma bases of source and target agree on their common
+    prefix, so source index n meets target row n.
+    """
+    n = np.arange(phi.source.dim)
+    cube = phi.matrix.reshape(phi.target_verma.dim, phi.spin_dim, phi.source.dim)
+    diag = cube[n, :, n]
+    diag.flags.writeable = False
+    return diag
+
+
+def _trace_sum(src: TruncatedVerma, diag: np.ndarray, xi: Weight,
+               depth: int) -> TraceValue:
+    """sum_n q^{<wt_n, xi>} diag[n] over the basis of src down to `depth`.
+
+    tail_estimate is the fitted geometric envelope A q^depth of the
+    largest term per depth, the decay the cone check guarantees.
+    """
+    weights = src.qh(xi)  # q^{<mu-beta_n, xi>} per basis vector
+    value = np.zeros(diag.shape[1], dtype=complex)
+    inc = np.zeros(depth + 1)
+    for n in range(src.dim):
+        d = int(src.depths[n])
+        if d > depth:
+            continue
+        term = weights[n] * diag[n]
+        value += term
+        inc[d] = max(inc[d], float(np.max(np.abs(term))))
+    return TraceValue(value, depth, _tail_fit(inc, src.q, depth))
+
+
 def weighted_trace(phi: Intertwiner, mu: Weight, xi: Weight,
                    depth: int) -> TraceValue:
     """Vector sum_beta Tr_{M_mu[mu-beta]}(Phi) q^{<mu-beta,xi>} in F(S).
 
-    Reads the diagonal Verma blocks of Phi down to the given depth; the
-    truncated Verma bases at different depths agree on their common prefix,
-    so source index n meets target row n.  tail_estimate is the fitted
-    geometric envelope A q^depth, the decay the cone check guarantees.
+    Reads the diagonal Verma blocks of Phi down to the given depth (see
+    `_trace_sum`, which `universal_t` shares).
     """
     if phi.orientation != "primal":
         raise ValueError("weighted traces read Verma (x) spin targets")
@@ -76,22 +136,8 @@ def weighted_trace(phi: Intertwiner, mu: Weight, xi: Weight,
         raise ValueError("legs carry nonzero total weight, trace undefined")
     if depth > src.depth:
         raise ValueError(f"operator exact to depth {src.depth}, requested {depth}")
-    datum, q = src.datum, src.q
-    check_cone(datum, xi)
-    dt = phi.target_verma.dim
-    df = phi.spin_dim
-    cube = phi.matrix.reshape(dt, df, src.dim)
-    weights = src.qh(xi)  # q^{<mu-beta_n, xi>} per basis vector
-    value = np.zeros(df, dtype=complex)
-    inc = np.zeros(depth + 1)
-    for n in range(src.dim):
-        d = int(src.depths[n])
-        if d > depth:
-            continue
-        term = weights[n] * cube[n, :, n]
-        value += term
-        inc[d] = max(inc[d], float(np.max(np.abs(term))))
-    return TraceValue(value, depth, _tail_fit(inc, q, depth))
+    check_cone(src.datum, xi)
+    return _trace_sum(src, _diagonal(phi), xi, depth)
 
 
 def spin_component(phi: Intertwiner, psi: Intertwiner, lam: Weight,
@@ -116,6 +162,25 @@ def spin_component(phi: Intertwiner, psi: Intertwiner, lam: Weight,
     return complex(H.value[back] @ expectation(psi))
 
 
+def _trace_diagonals(S: tuple, mu: Weight, depth: int) -> tuple:
+    """Per zero-weight basis vector n of F(S): (column mirror[n] of the
+    trace matrix, source Verma, `_diagonal` of the vertex operator with
+    legs at the digits of n).  Built once per (S, mu, depth)."""
+    def make():
+        dims = _dims(S)
+        mirror = mirror_index(S)
+        zero = slot_classes(S, (range(len(S)),)).get((S[0].datum.zero_weight(),), ())
+        out = []
+        for n in zero:
+            vlist = [np.eye(d, dtype=complex)[a]
+                     for d, a in zip(dims, np.unravel_index(n, dims))]
+            phi = vertex_operator(mu, S, vlist, depth)
+            out.append((int(mirror[n]), phi.source, _diagonal(phi)))
+        return tuple(out)
+
+    return _DIAGONAL_MEMO.get((S, mu, int(depth)), make)
+
+
 def universal_t(S, lam: Weight, mu: Weight, depth: int) -> TraceValue:
     """Normalized trace matrix of the generating k-point operator.
 
@@ -125,11 +190,16 @@ def universal_t(S, lam: Weight, mu: Weight, depth: int) -> TraceValue:
     Rows live in F(S), columns in F(S*); support is exactly the pair of
     zero-weight blocks.  A vanishing Weyl denominator short-circuits to the
     exact zero matrix.
+
+    The vertex operators' trace diagonals are built once per (S, mu, depth)
+    and kept in `_DIAGONAL_MEMO` under that key (4 KB an entry on A1 (V, V)
+    at depth 30, 106 KB on A2 (V1, V1*) at depth 12).  Per lam this does
+    the cone check, delta, the fusion inverse and the weighted sums
+    (`_trace_sum`), and builds no vertex operator.
     """
     S = tuple(S)
     datum, q = S[0].datum, S[0].q
-    dims = _dims(S)
-    df = int(np.prod(dims))
+    df = int(np.prod(_dims(S)))
     M = np.zeros((df, df), dtype=complex)
     delta = datum.weyl_denominator(lam, q)
     if delta == 0.0:
@@ -138,14 +208,9 @@ def universal_t(S, lam: Weight, mu: Weight, depth: int) -> TraceValue:
     check_cone(datum, xi)
     jinv = fusion(S, -lam - 2 * datum.rho).gmap.inverse().matrix
     tails = [0.0]
-    mirror = mirror_index(S)
-    zero = slot_classes(S, (range(len(S)),)).get((datum.zero_weight(),), ())
-    for n in zero:
-        vlist = [np.eye(d, dtype=complex)[a]
-                 for d, a in zip(dims, np.unravel_index(n, dims))]
-        phi = vertex_operator(mu, S, vlist, depth)
-        H = weighted_trace(phi, mu, xi, depth)
-        M[:, mirror[n]] = delta * (jinv @ H.value)
+    for col, src, diag in _trace_diagonals(S, mu, depth):
+        H = _trace_sum(src, diag, xi, depth)
+        M[:, col] = delta * (jinv @ H.value)
         tails.append(H.tail_estimate)
     scale = abs(delta) * float(np.linalg.norm(jinv, 2))
     return TraceValue(M, depth, scale * max(tails))
@@ -183,20 +248,34 @@ def x_operator(mu: Weight, sstar) -> GradedMap:
 
     Slot j carries the Q-inverse of its module evaluated at mu plus the
     total weight of all slots to its left; the factors commute, so the
-    product order is immaterial.
+    product order is immaterial.  It does not depend on lam: it is built
+    once per (mu, S*) and kept in `_X_MEMO` under that key, with a
+    read-only matrix (256 B on A1 (V, V)*, 1.3 KB on A2 (V1, V1*)*).
     """
     mods = tuple(sstar)
-    T = _fused(mods)
-    out = np.eye(T.dim, dtype=complex)
-    for j, V in enumerate(mods):
-        def fn(z, V=V):
-            return q_operator_inverse(V, z).matrix
-        out = embedded_shifted(T, fn, (j,), tuple(range(j)), mu, sign=+1) @ out
-    return GradedMap(T, T, T.datum.zero_weight(), out)
+
+    def make():
+        T = _fused(mods)
+        out = np.eye(T.dim, dtype=complex)
+        for j, V in enumerate(mods):
+            def fn(z, V=V):
+                return q_operator_inverse(V, z).matrix
+            out = embedded_shifted(T, fn, (j,), tuple(range(j)), mu, sign=+1) @ out
+        out.flags.writeable = False
+        return GradedMap(T, T, T.datum.zero_weight(), out)
+
+    return _X_MEMO.get((mu, mods), make)
 
 
 def universal_f(S, lam: Weight, mu: Weight, depth: int) -> TraceValue:
-    """Q-renormalized trace matrix: the cascade acting on the F(S*) side."""
+    """Q-renormalized trace matrix: the cascade acting on the F(S*) side.
+
+    Per lam this is `universal_t`'s lam-dependent work and one product
+    with the cascade `x_operator(mu, S*)`.  The mu-only work, the trace
+    diagonals (`_DIAGONAL_MEMO`, per (S, mu, depth)) and the cascade
+    (`_X_MEMO`, per (mu, S*)), is done once, so a lam sweep at fixed mu
+    builds no vertex operator and no Q-inverse.
+    """
     S = tuple(S)
     tv = universal_t(S, lam, mu, depth)
     X = x_operator(mu, dual_tuple(S)).matrix

@@ -4,14 +4,14 @@ import threading
 import numpy as np
 import pytest
 
-from dynq import cache, dynamical, qalgebra
+from dynq import cache, dynamical, qalgebra, traces
 from dynq.cache import Memo
 from dynq.cartan import preset
 from dynq.qalgebra import (
     build_irrep, build_verma, dual_module, dual_tuple, left_dual_module,
 )
 from dynq.dynamical import fusion
-from dynq.traces import universal_f
+from dynq.traces import universal_f, x_operator
 
 A1 = preset("A1")
 A2 = preset("A2")
@@ -151,6 +151,89 @@ class TestPerModuleDuals:
         again = dynamical.exchange((V, W), (V,), lam).matrix
         assert [m.misses for m in memos] == misses
         assert np.array_equal(first, again)
+
+
+def _fresh_memos(monkeypatch):
+    # every module-level table of the library starts empty
+    for mod in (qalgebra, dynamical, traces):
+        for name, obj in list(vars(mod).items()):
+            if isinstance(obj, Memo):
+                monkeypatch.setattr(mod, name, Memo())
+
+
+class TestTraceMemo:
+    LAM, MU = -7.31 * OM, -6.13 * OM
+
+    @pytest.fixture
+    def fresh(self, monkeypatch):
+        diag, xop = Memo(), Memo()
+        monkeypatch.setattr(traces, "_DIAGONAL_MEMO", diag)
+        monkeypatch.setattr(traces, "_X_MEMO", xop)
+        return diag, xop
+
+    @pytest.mark.parametrize("case", ["A1", "A2"])
+    def test_second_lambda_does_no_mu_only_work(self, monkeypatch, case):
+        # the per-mu counterpart of test_repeated_universal_f_computes_no_fusion
+        if case == "A1":
+            V = build_irrep(A1, Q, OM)
+            S, lam, mu, step, depth = (V, V), self.LAM, self.MU, OM, 10
+        else:
+            V1 = build_irrep(A2, Q, O1)
+            S, depth, step = (V1, dual_module(V1)), 8, O2
+            lam = A2.from_fundamental([-3.71, -4.13])
+            mu = A2.from_fundamental([-3.37, -4.52])
+        universal_f(S, lam, mu, depth)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("mu-only work redone")
+
+        with monkeypatch.context() as m:
+            m.setattr(traces, "vertex_operator", fail)
+            m.setattr(traces, "q_operator_inverse", fail)
+            warm = universal_f(S, lam + step, mu, depth)
+        _fresh_memos(monkeypatch)
+        cold = universal_f(S, lam + step, mu, depth)
+        assert np.array_equal(warm.value, cold.value)
+        assert warm.tail_estimate == cold.tail_estimate
+
+    def test_keys_separate_depth_mu_and_module(self, fresh):
+        diag, xop = fresh
+        V = build_irrep(A1, Q, OM)
+        universal_f((V, V), self.LAM, self.MU, 10)
+        universal_f((V, V), self.LAM + OM, self.MU, 10)
+        assert (diag.hits, diag.misses, xop.hits, xop.misses) == (1, 1, 1, 1)
+        universal_f((V, V), self.LAM, self.MU, 12)
+        assert (diag.misses, xop.hits) == (2, 2)
+        universal_f((V, V), self.LAM, self.MU + OM, 10)
+        assert (diag.misses, xop.misses) == (3, 2)
+        # build_irrep builds a new module object each call
+        V2 = build_irrep(A1, Q, OM)
+        universal_f((V2, V2), self.LAM, self.MU, 10)
+        assert (diag.hits, diag.misses, xop.hits, xop.misses) == (1, 4, 2, 3)
+
+    def test_warm_mu_keeps_the_cone_and_wall_guards(self, fresh):
+        V = build_irrep(A1, Q, OM)
+        universal_f((V, V), self.LAM, self.MU, 10)
+        # <2 lam + 2 rho, alpha> = -0.6 > -1
+        with pytest.raises(ValueError, match="outside the convergence cone"):
+            universal_f((V, V), -1.3 * OM, self.MU, 10)
+        # lam + rho = 0 is a zero of the Weyl denominator
+        tv = universal_f((V, V), -1 * OM, self.MU, 10)
+        assert np.array_equal(tv.value, np.zeros((4, 4)))
+        assert tv.tail_estimate == 0.0
+
+    def test_shared_entries_are_read_only(self, fresh):
+        V = build_irrep(A1, Q, OM)
+        first = universal_f((V, V), self.LAM, self.MU, 10).value
+        X = x_operator(self.MU, dual_tuple((V, V))).matrix
+        with pytest.raises(ValueError, match="read-only"):
+            X[0, 0] = 2.0
+        entry = traces._trace_diagonals((V, V), self.MU, 10)
+        assert len(entry) == 2
+        for _, _, d in entry:
+            with pytest.raises(ValueError, match="read-only"):
+                d *= 2.0
+        assert np.array_equal(universal_f((V, V), self.LAM, self.MU, 10).value, first)
 
 
 class TestKeys:
