@@ -100,29 +100,6 @@ def _slot_projector(T: WeightModule, slot: int, w: Weight) -> np.ndarray:
     return np.diag(hits[digits[slot]])
 
 
-def _pair_cache():
-    """Evaluation cache of one operator for its two-slot dynamical matrices.
-
-    Kinds "R" and "R21" are R_{A,B}(z) and the flip of R_{B,A}(z) on
-    A (x) B; a trailing "inv" inverts either.
-    """
-    memo = Memo()
-
-    def make(kind: str, A: WeightModule, B: WeightModule, z: Weight):
-        if kind == "R":
-            return exchange(A, B, z).matrix
-        if kind == "Rinv":
-            return exchange_inverse(A, B, z).matrix
-        if kind == "R21":
-            return exchange21(A, B, z).matrix
-        return np.linalg.inv(exchange21(A, B, z).matrix)
-
-    def get(kind: str, A: WeightModule, B: WeightModule, z: Weight):
-        return memo.get((kind, A, B, z), lambda: make(kind, A, B, z))
-
-    return get
-
-
 def _projected_product(S: tuple, a: int, args):
     """q-KZB coefficients on F(S), acting slot a (0-based).
 
@@ -135,18 +112,17 @@ def _projected_product(S: tuple, a: int, args):
     """
     k = len(S)
     T = tensor_many(S)
-    pair = _pair_cache()
 
     def coefficient(at: Weight, sigma: Weight) -> np.ndarray:
         left, w, right = args(at, sigma)
         out = np.eye(T.dim, dtype=complex)
         for b in range(a - 1, -1, -1):
             spect = tuple(range(b + 1, a)) + tuple(range(a + 1, k))
-            fn = lambda z, A=S[b], B=S[a]: pair("R", A, B, z)
+            fn = lambda z, A=S[b], B=S[a]: exchange(A, B, z).matrix
             out = embedded_shifted(T, fn, (b, a), spect, left) @ out
         out = _slot_projector(T, a, w) @ out
         for b in range(k - 1, a, -1):
-            fn = lambda z, A=S[a], B=S[b]: pair("Rinv", A, B, z)
+            fn = lambda z, A=S[a], B=S[b]: exchange_inverse(A, B, z).matrix
             out = embedded_shifted(T, fn, (a, b), tuple(range(b + 1, k)),
                                    right) @ out
         return out
@@ -164,15 +140,16 @@ def _traced_product(S: tuple, W: WeightModule, split: int, arg):
     """
     ws = dual_module(W)
     T = tensor_many((ws,) + S)
-    pair = _pair_cache()
     memo = Memo()
 
     def product(at: Weight) -> np.ndarray:
         z0 = arg(at)
         out = np.eye(T.dim, dtype=complex)
         for j, B in enumerate(S, 1):
-            kind = "R21inv" if j <= split else "R"
-            fn = lambda z, B=B, kind=kind: pair(kind, ws, B, z)
+            if j <= split:
+                fn = lambda z, B=B: np.linalg.inv(exchange21(ws, B, z).matrix)
+            else:
+                fn = lambda z, B=B: exchange(ws, B, z).matrix
             out = embedded_shifted(T, fn, (0, j), tuple(range(j + 1)), z0,
                                    sign=+1) @ out
         return out

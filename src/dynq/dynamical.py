@@ -59,7 +59,7 @@ __all__ = [
 
 @dataclass(eq=False)
 class EvaluatedOperator:
-    """A weight-preserving GradedMap frozen at one evaluation point."""
+    """A GradedMap frozen at one evaluation point."""
 
     gmap: GradedMap
     lam: Weight
@@ -103,8 +103,12 @@ def embedded_shifted(T: WeightModule, fn, act, shift, lam: Weight,
 
     fn(mu) returns a matrix on the kron of T.slots[act] in the given order;
     `shift` names the slots whose total weight drives the evaluation point.
-    Columns are assembled per shift-weight class, which is consistent because
-    the embedded operator does not touch the shift slots.
+    Columns are assembled per shift-weight class of the input basis vector.
+    That weight is the output's too, because the embedded operator preserves
+    the total weight of the shift slots: it is the identity on shift slots
+    outside `act`, and fn(mu) preserves weight on the acted slots, which may
+    themselves be shift slots (the trace families act on (0, j) and shift by
+    slots 0..j).
     """
     out = np.zeros((T.dim, T.dim), dtype=complex)
     for (w,), idxs in slot_classes(T.slots, (shift,)).items():
@@ -142,10 +146,8 @@ def fusion(S, lam: Weight, datum: CartanDatum = None,
 
     def make():
         T = _fused(S)
-        dz = S[0].datum.zero_weight()
         if len(S) == 1:
-            return EvaluatedOperator(
-                GradedMap(T, T, dz, np.eye(T.dim, dtype=complex)), lam, "fusion")
+            return EvaluatedOperator(GradedMap.identity(T), lam, "fusion")
         _check_regular(S[0].datum, lam, len(S))
         dims = tuple(V.dim for V in S)
         cols = np.empty((T.dim, T.dim), dtype=complex)
@@ -155,7 +157,7 @@ def fusion(S, lam: Weight, datum: CartanDatum = None,
             vlist = [_basis_vector(V, d) for V, d in zip(S, digits)]
             phi = _leg_chain(lam, S, vlist, 0, legs, digits)
             cols[:, n] = expectation(phi)
-        return EvaluatedOperator(GradedMap(T, T, dz, cols), lam, "fusion")
+        return EvaluatedOperator(GradedMap(T, T, cols), lam, "fusion")
 
     return _FUSION_MEMO.get((S, lam), make)
 
@@ -171,6 +173,8 @@ def _transport(A, S, T, lam: Weight) -> GradedMap:
     unit object.  This is the only conjugation by fusion operators.
     """
     S, T = tuple(S), tuple(T)
+    if not S + T:
+        raise ValueError("both words are empty: twist between unit objects ()")
     A_mat = A.matrix if isinstance(A, GradedMap) else np.asarray(A, dtype=complex)
     ref = (S + T)[0]
     jS = fusion(S, lam, ref.datum, ref.q)
@@ -180,7 +184,7 @@ def _transport(A, S, T, lam: Weight) -> GradedMap:
         raise np.linalg.LinAlgError(
             f"target fusion operator numerically singular, cond {cond:.2e}")
     mat = np.linalg.solve(jT.matrix, A_mat @ jS.matrix)
-    return GradedMap(jS.source, jT.source, ref.datum.zero_weight(), mat)
+    return GradedMap(jS.source, jT.source, mat)
 
 
 def dynamical_twist(A, S, T, lam: Weight) -> EvaluatedOperator:
@@ -199,6 +203,8 @@ def dynamical_twist(A, S, T, lam: Weight) -> EvaluatedOperator:
 def _fused(S) -> WeightModule:
     """F(S), one module object per tuple of module objects."""
     S = tuple(S)
+    if not S:
+        raise ValueError("the empty word () has no tensor product F(S)")
     return S[0] if len(S) == 1 else _FUSED_MEMO.get(S, lambda: tensor_many(S))
 
 
@@ -219,7 +225,7 @@ def exchange(S, T, lam: Weight) -> EvaluatedOperator:
     braid = _plain_r(FS, FT)[flip_index(FS, FT)]
     mat = _transport(braid, S + T, T + S, lam).matrix
     pair = _fused((FS, FT))
-    gm = GradedMap(pair, pair, FS.datum.zero_weight(), mat[flip_index(FT, FS)])
+    gm = GradedMap(pair, pair, mat[flip_index(FT, FS)])
     return EvaluatedOperator(gm, lam, "exchange")
 
 
@@ -232,14 +238,13 @@ def exchange21(S, T, lam: Weight) -> EvaluatedOperator:
     p = flip_index(FT, FS)
     mat = R.matrix[np.ix_(p, p)]
     pair = _fused((FS, FT))
-    gm = GradedMap(pair, pair, FS.datum.zero_weight(), mat)
+    gm = GradedMap(pair, pair, mat)
     return EvaluatedOperator(gm, lam, "exchange")
 
 
 def exchange_inverse(S, T, lam: Weight) -> EvaluatedOperator:
     R = exchange(S, T, lam)
-    gm = GradedMap(R.source, R.source, R.source.datum.zero_weight(),
-                   np.linalg.inv(R.matrix))
+    gm = GradedMap(R.source, R.source, np.linalg.inv(R.matrix))
     return EvaluatedOperator(gm, lam, "exchange")
 
 
@@ -252,7 +257,7 @@ def q_operator(V: WeightModule, lam: Weight) -> EvaluatedOperator:
     (v (x) f) is f(q^{2rho} Q_V(lam) v)."""
     r = dyn_structure("r-eval", (V,), lam).matrix
     mat = r.reshape(V.dim, V.dim).T / V.qh(2 * V.datum.rho)[:, None]
-    gm = GradedMap(V, V, V.datum.zero_weight(), mat)
+    gm = GradedMap(V, V, mat)
     if not gm.graded_residual() < 1e-8:
         raise ArithmeticError("Q operator lost the weight grading")
     return EvaluatedOperator(gm, lam, "Q")
@@ -279,7 +284,7 @@ def q_operator_inverse(V: WeightModule, lam: Weight) -> EvaluatedOperator:
     if np.max(np.abs(out - direct)) > 1e-10 * scale:
         raise ArithmeticError(
             "Q inverse routes disagree beyond tolerance (convention fault)")
-    gm = GradedMap(V, V, V.datum.zero_weight(), out)
+    gm = GradedMap(V, V, out)
     return EvaluatedOperator(gm, lam, "Q")
 
 

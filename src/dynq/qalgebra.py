@@ -230,11 +230,10 @@ def same_space(a: WeightModule, b: WeightModule) -> bool:
 
 @dataclass(eq=False)
 class GradedMap:
-    """Linear map source -> target shifting every weight by `degree`."""
+    """Weight-preserving linear map source -> target."""
 
     source: WeightModule
     target: WeightModule
-    degree: Weight
     matrix: np.ndarray
 
     def __post_init__(self):
@@ -242,37 +241,15 @@ class GradedMap:
         if self.matrix.shape != (self.target.dim, self.source.dim):
             raise ValueError(f"matrix shape {self.matrix.shape} does not fit the modules")
 
-    def __matmul__(self, other: "GradedMap") -> "GradedMap":
-        if not same_space(self.source, other.target):
-            raise ValueError("graded maps not composable")
-        return GradedMap(other.source, self.target, self.degree + other.degree,
-                         self.matrix @ other.matrix)
-
-    def __add__(self, other: "GradedMap") -> "GradedMap":
-        if self.degree != other.degree:
-            raise ValueError("cannot add graded maps of different degrees")
-        return GradedMap(self.source, self.target, self.degree,
-                         self.matrix + other.matrix)
-
-    def __mul__(self, scalar) -> "GradedMap":
-        return GradedMap(self.source, self.target, self.degree, scalar * self.matrix)
-
-    __rmul__ = __mul__
-
     def inverse(self) -> "GradedMap":
-        if not self.degree.is_zero():
-            raise ValueError("only degree-0 maps invert within the grading")
-        return GradedMap(self.target, self.source, self.degree,
-                         np.linalg.inv(self.matrix))
+        return GradedMap(self.target, self.source, np.linalg.inv(self.matrix))
 
     def graded_residual(self) -> float:
-        """Largest entry living outside the declared weight grading."""
+        """Largest entry mapping a source weight off the same target weight."""
         bad = 0.0
         for w, cols in self.source.blocks.items():
-            want = w + self.degree
-            rows_ok = self.target.block(want)
             mask = np.ones(self.target.dim, dtype=bool)
-            mask[rows_ok] = False
+            mask[self.target.block(w)] = False
             if cols.size:
                 sub = self.matrix[np.ix_(np.where(mask)[0], cols)]
                 if sub.size:
@@ -281,8 +258,7 @@ class GradedMap:
 
     @staticmethod
     def identity(module: WeightModule) -> "GradedMap":
-        return GradedMap(module, module, module.datum.zero_weight(),
-                         np.eye(module.dim, dtype=complex))
+        return GradedMap(module, module, np.eye(module.dim, dtype=complex))
 
 
 def _over_common_denominator(*weights):
@@ -1084,7 +1060,7 @@ def omega_tilde(W: WeightModule, M: TruncatedVerma):
     X = unitriangular_solve(*_r_factors(M, W), inner, span)
     O = partial_trace(X, T, 1)
     scalar = character(W, -2 * (M.hw + datum.rho))
-    return GradedMap(M, M, datum.zero_weight(), O), scalar
+    return GradedMap(M, M, O), scalar
 
 
 # ---------------------------------------------------------------------------

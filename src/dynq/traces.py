@@ -262,7 +262,7 @@ def x_operator(mu: Weight, sstar) -> GradedMap:
                 return q_operator_inverse(V, z).matrix
             out = embedded_shifted(T, fn, (j,), tuple(range(j)), mu, sign=+1) @ out
         out.flags.writeable = False
-        return GradedMap(T, T, T.datum.zero_weight(), out)
+        return GradedMap(T, T, out)
 
     return _X_MEMO.get((mu, mods), make)
 

@@ -11,20 +11,20 @@ them, with no solve.  A leg applies the coproduct of E_i and F_i to
 Legs are applied right to left along one chain, which `fusion` walks for all
 columns at once so that columns sharing their rightmost legs share them.
 Dual operators target F(S*) (x) M and are obtained by inverting the braiding
-on each leg.
+on each leg.  An operator is its matrix plus its source Verma, target Verma
+and spin word; the tensor module of its target is never built.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
 from .cartan import CartanDatum, Weight
 from .qalgebra import (
-    GradedMap, TruncatedVerma, WeightModule, _r_factors, build_verma,
-    flip_index, tensor_many, unitriangular_solve,
+    TruncatedVerma, WeightModule, _r_factors, build_verma, flip_index,
+    unitriangular_solve,
 )
 
 
@@ -140,9 +140,9 @@ class Intertwiner:
 
     orientation 'primal': source -> target_verma (x) F(spin);
     orientation 'dual':   source -> F(spin) (x) target_verma.
-    matrix rows follow the row-major flattening of the target tensor.
-    The target tensor module itself is built on first access of `target`
-    and cached; the matrix and `spin_dim` never need it.
+    The operator is its matrix plus the source Verma, the target Verma and
+    the spin word; matrix rows follow the row-major flattening of the
+    target tensor product, whose module is never built.
     """
     orientation: str
     source: TruncatedVerma
@@ -158,16 +158,6 @@ class Intertwiner:
     @property
     def spin_dim(self) -> int:
         return math.prod(V.dim for V in self.spin)
-
-    @cached_property
-    def target(self) -> WeightModule:
-        if self.orientation == "primal":
-            return tensor_many((self.target_verma,) + self.spin)
-        return tensor_many(self.spin + (self.target_verma,))
-
-    def as_graded_map(self) -> GradedMap:
-        return GradedMap(self.source, self.target,
-                         self.source.datum.zero_weight(), self.matrix)
 
 
 def _extend_by_lowering(src: TruncatedVerma, tgt: TruncatedVerma,
@@ -214,9 +204,9 @@ def vertex_operator(lam: Weight, S: tuple, vlist, depth: int) -> Intertwiner:
 
     The j-th leg (1-based, rightmost = k) starts from lam_j = lam - sum of
     the weights of the later legs; every lam_j must be regular, which
-    `_check_regular` decides once, at lam_k = lam.  No leg builds a tensor
-    module; the operator's full target M (x) F(S) is built only when
-    `target` is first read.
+    `_check_regular` decides once, at lam_k = lam.  Neither a leg nor the
+    operator builds a tensor module: the result holds its matrix, source
+    and target Vermas and the spin word S.
     """
     if S:
         _check_regular(S[0].datum, lam, len(S))
@@ -274,8 +264,9 @@ def dual_vertex_operator(lam: Weight, sstar: tuple, glist,
 
     Legs are applied left to right: leg j targets sstar[j] (x) M and is the
     braiding inverse applied to a primal one-point operator.  Regularity is
-    checked once, at lam_1 = lam (see `_check_regular`).  The full target
-    F(sstar) (x) M is built only when `target` is first read.
+    checked once, at lam_1 = lam (see `_check_regular`).  The result holds
+    its matrix, source and target Vermas and the spin word sstar; the
+    module F(sstar) (x) M is never built.
     """
     sstar = tuple(sstar)
     m = len(sstar)

@@ -70,7 +70,7 @@ def eval_map(V: WeightModule, dual: WeightModule = None) -> GradedMap:
     Vd = dual or dual_module(V)
     T = tensor_module(Vd, V)
     row = np.eye(V.dim, dtype=complex).reshape(1, -1)
-    return GradedMap(T, trivial_module(V.datum, V.q), V.datum.zero_weight(), row)
+    return GradedMap(T, trivial_module(V.datum, V.q), row)
 
 
 def coeval_map(V: WeightModule, dual: WeightModule = None) -> GradedMap:
@@ -78,7 +78,7 @@ def coeval_map(V: WeightModule, dual: WeightModule = None) -> GradedMap:
     Vd = dual or dual_module(V)
     T = tensor_module(V, Vd)
     col = np.eye(V.dim, dtype=complex).reshape(-1, 1)
-    return GradedMap(trivial_module(V.datum, V.q), T, V.datum.zero_weight(), col)
+    return GradedMap(trivial_module(V.datum, V.q), T, col)
 
 
 def eval_twisted(V: WeightModule, dual: WeightModule = None) -> GradedMap:
@@ -86,7 +86,7 @@ def eval_twisted(V: WeightModule, dual: WeightModule = None) -> GradedMap:
     Vd = dual or dual_module(V)
     T = tensor_module(V, Vd)
     row = np.diag(V.qh(2 * V.datum.rho)).astype(complex).reshape(1, -1)
-    return GradedMap(T, trivial_module(V.datum, V.q), V.datum.zero_weight(), row)
+    return GradedMap(T, trivial_module(V.datum, V.q), row)
 
 
 def coeval_twisted(V: WeightModule, dual: WeightModule = None) -> GradedMap:
@@ -94,7 +94,7 @@ def coeval_twisted(V: WeightModule, dual: WeightModule = None) -> GradedMap:
     Vd = dual or dual_module(V)
     T = tensor_module(Vd, V)
     col = np.diag(1.0 / V.qh(2 * V.datum.rho)).astype(complex).reshape(-1, 1)
-    return GradedMap(trivial_module(V.datum, V.q), T, V.datum.zero_weight(), col)
+    return GradedMap(trivial_module(V.datum, V.q), T, col)
 
 
 # ---------------------------------------------------------------------------

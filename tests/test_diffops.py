@@ -8,12 +8,14 @@ from dynq.qalgebra import (
     build_irrep, character, dual_module, dual_tuple, partial_trace, r_matrix,
     slot_classes, tensor_many, trivial_module,
 )
+from dynq import dynamical
+from dynq.cache import Memo
 from dynq.dynamical import embedded_shifted, exchange, exchange21
 from dynq.traces import t_functional, universal_f, universal_t, x_operator
 from dynq.diffops import (
-    FAMILIES, DifferenceOperator, _check_index, _pair_cache,
-    _slot_projector, apply, coord_mr_operator, dual_coord_mr_operator,
-    dual_qkzb_operator, multiplier, operator, qkzb_operator, transpose,
+    FAMILIES, DifferenceOperator, _check_index, _slot_projector, apply,
+    coord_mr_operator, dual_coord_mr_operator, dual_qkzb_operator, multiplier,
+    operator, qkzb_operator, transpose,
 )
 
 from oracles import (
@@ -95,16 +97,16 @@ def dual_qkzb_kernel(S, i, mu, sigma):
     k = len(S)
     _check_index(i, 1, k)
     T = tensor_many(S)
-    pair = _pair_cache()
     out = np.eye(T.dim, dtype=complex)
     for j in range(i - 1, 0, -1):
         spect = tuple(range(j, i - 1)) + tuple(range(i, k))
-        fn = lambda z, A=S[j - 1], B=S[i - 1]: pair("R21inv", A, B, z)
+        fn = lambda z, A=S[j - 1], B=S[i - 1]: np.linalg.inv(
+            exchange21(A, B, z).matrix)
         out = embedded_shifted(T, fn, (j - 1, i - 1), spect, mu) @ out
     out = _slot_projector(T, i - 1, sigma) @ out
     for j in range(k, i, -1):
         spect = tuple(range(j, k))
-        fn = lambda z, A=S[i - 1], B=S[j - 1]: pair("R21", A, B, z)
+        fn = lambda z, A=S[i - 1], B=S[j - 1]: exchange21(A, B, z).matrix
         out = embedded_shifted(T, fn, (i - 1, j - 1), spect,
                                mu + sigma) @ out
     return out
@@ -506,6 +508,33 @@ class TestCommutativity:
         block = [int(n) for n in
                  tensor_many(dual_tuple(S)).block(S[0].datum.zero_weight())]
         assert_commute(ops, mu, block, bound)
+
+
+class TestRepeatedEvaluation:
+    @pytest.mark.parametrize("S,W,lam,mu", [
+        (S2, W2, LAM, MU),
+        ((V1, dual_module(V1)), V1, -3.217 * O1 - 4.381 * O2,
+         -3.217 * O1 - 4.381 * O2),
+    ], ids=["A1", "A2"])
+    def test_coefficients_are_bit_identical(self, monkeypatch, S, W, lam, mu):
+        # no operator keeps its exchange factors, so fresh operators over a
+        # fresh fusion memo recompute every factor; the second pass must
+        # reproduce the first bit for bit
+        def coefficients():
+            out = []
+            for family in FAMILIES:
+                lo = 1 if family.endswith("qkzb") else 0
+                for i in range(lo, len(S) + 1):
+                    op = operator(family, S, i, W=W)
+                    at = lam if op.variable == "lam" else mu
+                    out += [op.coefficient(at, s) for s in op.shifts]
+            return out
+
+        first = coefficients()
+        monkeypatch.setattr(dynamical, "_FUSION_MEMO", Memo())
+        again = coefficients()
+        assert len(first) == len(again)
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
 
 
 class TestFusedIdentities:

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from dynq import dynamical
 from dynq.cartan import preset
 from dynq.qalgebra import (
-    build_irrep, dual_module, qnum, tensor_many, tensor_module, trivial_module,
+    build_irrep, dual_module, embed_slots, qnum, tensor_many, tensor_module,
+    trivial_module,
 )
 from dynq.vertexops import dual_vertex_operator, expectation, vertex_operator
 from dynq.dynamical import (
@@ -278,6 +279,25 @@ class TestDynamicalTwist:
             assert np.max(np.abs(a - b)) < 1e-9 * sc
 
 
+    @pytest.mark.parametrize("call,match", [
+        (lambda lam: dynamical_twist(np.eye(1), (), (), lam), "both words are empty"),
+        (lambda lam: exchange((), (V,), lam), r"empty word \(\)"),
+        (lambda lam: dyn_structure("eval", (), lam), r"empty word \(\)"),
+    ], ids=["twist", "exchange", "structure"])
+    def test_empty_words_raise(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call(-3.3 * OM)
+
+    def test_one_empty_word_is_the_unit(self):
+        # the evaluation F(V* (x) V) -> () transported with () as the unit
+        row = np.zeros((1, VS.dim * V.dim), dtype=complex)
+        row[0, [0, 3]] = 1.0  # f (x) v -> f(v); V* pairs basis vectors in order
+        got = dynamical_twist(row, (VS, V), (), LAM).matrix
+        want = row @ fusion((VS, V), LAM).matrix
+        assert got.shape == (1, VS.dim * V.dim)
+        assert np.max(np.abs(got - want)) < 1e-14
+        assert np.array_equal(got, dyn_structure("eval", (V,), LAM).matrix)
+
     def test_singular_target_fusion_raises(self, monkeypatch):
         # a fusion operator whose last row is scaled by 1e-14 has condition
         # number 1e14, past the 1e12 guard of the one conjugation route
@@ -293,6 +313,29 @@ class TestDynamicalTwist:
         with pytest.raises(np.linalg.LinAlgError, match=r"target fusion operator "
                            r"numerically singular, cond 1\.00e\+14"):
             exchange(V, W, -5.37 * OM)
+
+
+class TestEmbeddedShifted:
+    def test_acted_slots_inside_the_shift(self):
+        # the trace families act on slots (0, j) and shift by slots 0..j;
+        # each column is fn at lam plus the shift-slot weight of its basis
+        # vector, and no entry leaves that weight, so reading the weight
+        # off the output instead gives the same operator
+        T = tensor_many((WS, V, V))
+        digits = list(itertools.product(*(range(M.dim) for M in T.slots)))
+        for j, fn in ((1, lambda z: exchange(WS, V, z).matrix),
+                      (2, lambda z: np.linalg.inv(exchange21(WS, V, z).matrix))):
+            shift = tuple(range(j + 1))
+            wts = [sum((T.slots[s].weights[d[s]] for s in shift), A1.zero_weight())
+                   for d in digits]
+            want = np.zeros((T.dim, T.dim), dtype=complex)
+            for n, w in enumerate(wts):
+                want[:, n] = embed_slots(T, fn(LAM + w), (0, j))[:, n]
+            got = embedded_shifted(T, fn, (0, j), shift, LAM, sign=+1)
+            assert np.array_equal(got, want)
+            off = np.array([[a != b for b in wts] for a in wts])
+            assert off.any()
+            assert np.max(np.abs(got[off])) < 1e-12 * np.max(np.abs(got))
 
 
 class TestExchangeBasics:

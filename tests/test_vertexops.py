@@ -3,7 +3,8 @@ import pytest
 
 from dynq.cartan import preset
 from dynq.qalgebra import (
-    build_irrep, build_verma, dual_module, qnum, tensor_many, tensor_module,
+    GradedMap, build_irrep, build_verma, dual_module, qnum, tensor_many,
+    tensor_module,
 )
 from dynq.vertexops import (
     Intertwiner, _extend_by_lowering, _raises, _singular_in,
@@ -212,7 +213,8 @@ class TestVertexOperator:
     def test_graded_map_degree_zero(self):
         V = build_irrep(A1, Q, 2 * OM)
         phi = vertex_operator(-7.31 * OM, (V,), [lw_vec(V)], 5)
-        assert phi.as_graded_map().graded_residual() < 1e-12
+        target = tensor_many((phi.target_verma,) + phi.spin)
+        assert GradedMap(phi.source, target, phi.matrix).graded_residual() < 1e-12
 
 
 class TestDualVertexOperator:
@@ -333,47 +335,25 @@ class TestPushThrough:
 class TestLazyTarget:
     def test_fusion_leaves_targets_unbuilt(self, monkeypatch):
         import dynq.dynamical as dyn
-        from dynq import vertexops
-        built = []
+        from dynq import qalgebra, vertexops
+        built, tensors = [], []
 
         def recording(*args, **kwargs):
             built.append(vertexops._leg_chain(*args, **kwargs))
             return built[-1]
 
+        def counted(*args, **kwargs):
+            tensors.append(args)
+            return tensor_module(*args, **kwargs)
+
         monkeypatch.setattr(dyn, "_leg_chain", recording)
+        monkeypatch.setattr(qalgebra, "tensor_module", counted)
         V = build_irrep(A1, Q, OM)
         W = build_irrep(A1, Q, 2 * OM)
         dyn.fusion((V, W), -6.77 * OM)  # a weight no other test fuses at
         assert len(built) == V.dim * W.dim
-        assert all("target" not in phi.__dict__ for phi in built)
-
-    def test_expectation_leaves_target_unbuilt(self):
-        V = build_irrep(A1, Q, OM)
-        from dynq.qalgebra import dual_module
-        Vd = dual_module(V)
-        phi = vertex_operator(-5.37 * OM, (V, V), [hw_vec(V), lw_vec(V)], 4)
-        psi = dual_vertex_operator(-5.37 * OM, (Vd,), [hw_vec(Vd)], 4)
-        for op in (phi, psi):
-            expectation(op)
-            assert "target" not in op.__dict__
-
-    def test_target_matches_eager_build(self):
-        from dynq.qalgebra import dual_module, same_space
-        V = build_irrep(A1, Q, OM)
-        W = build_irrep(A1, Q, 2 * OM)
-        Vd = dual_module(V)
-        lam = -5.37 * OM
-        phi = vertex_operator(lam, (V, W), [lw_vec(V), hw_vec(W)], 4)
-        psi = dual_vertex_operator(lam, (Vd, Vd),
-                                   [wt_vec(Vd, -OM), wt_vec(Vd, OM)], 4)
-        for op, want in ((phi, tensor_many((phi.target_verma, V, W))),
-                         (psi, tensor_many((Vd, Vd, psi.target_verma)))):
-            got = op.target
-            assert same_space(got, want)
-            assert all(np.array_equal(a, b)
-                       for a, b in zip(got.E + got.F, want.E + want.F))
-            assert got.dim == op.matrix.shape[0]
-            assert op.target is got  # cached on the instance
+        # F(S) itself is the only tensor module built; no target M (x) F(S)
+        assert [list(args) for args in tensors] == [[V, W]]
 
     def test_legs_build_no_tensor_module(self, monkeypatch):
         from dynq import qalgebra
