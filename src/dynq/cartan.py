@@ -242,7 +242,7 @@ def _symmetrizers(A: np.ndarray) -> tuple[int, ...]:
     return tuple(v // g for v in ints)
 
 
-def build_cartan(cartan_matrix, d=None) -> CartanDatum:
+def build_cartan(cartan_matrix) -> CartanDatum:
     """Validate a Cartan matrix, find symmetrizers, and build the datum.
 
     Rejects matrices that are not symmetrizable or not of finite type.
@@ -260,30 +260,24 @@ def build_cartan(cartan_matrix, d=None) -> CartanDatum:
                     raise ValueError("off-diagonal Cartan entries must be <= 0")
                 if (A[i, j] == 0) != (A[j, i] == 0):
                     raise ValueError("zero pattern of a Cartan matrix must be symmetric")
-    dd = _symmetrizers(A) if d is None else tuple(int(v) for v in d)
-    if any(v <= 0 for v in dd):
-        raise ValueError("symmetrizers must be positive")
-    for i in range(n):
-        for j in range(n):
-            if dd[i] * A[i, j] != dd[j] * A[j, i]:
-                raise ValueError("given symmetrizers do not symmetrize the matrix")
-    B = np.array([[dd[i] * A[i, j] for j in range(n)] for i in range(n)], dtype=float)
+    d = _symmetrizers(A)
+    B = np.array([[d[i] * A[i, j] for j in range(n)] for i in range(n)], dtype=float)
     if np.min(scipy.linalg.eigvalsh(B)) <= 1e-9:
         raise ValueError("symmetrized form is not positive definite; not finite type")
-    return CartanDatum(cartan_matrix=A, d=dd)
+    return CartanDatum(cartan_matrix=A, d=d)
 
 
 _PRESETS = {
-    "A1": ([[2]], None),
-    "A2": ([[2, -1], [-1, 2]], None),
-    "B2": ([[2, -1], [-2, 2]], None),
+    "A1": [[2]],
+    "A2": [[2, -1], [-1, 2]],
+    "B2": [[2, -1], [-2, 2]],
 }
 
 
 def preset(name: str) -> CartanDatum:
     """Named low-rank data: A1, A2, B2."""
     try:
-        A, d = _PRESETS[name]
+        A = _PRESETS[name]
     except KeyError:
         raise ValueError(f"unknown algebra preset {name!r}; choose from {sorted(_PRESETS)}")
-    return build_cartan(A, d)
+    return build_cartan(A)

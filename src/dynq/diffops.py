@@ -281,6 +281,8 @@ def multiplier(family: str, S, i: int, at: Weight,
     """
     if family not in _MULTIPLIERS:
         raise ValueError(f"unknown family {family!r}; known: {FAMILIES}")
+    if W is None and not family.endswith("qkzb"):
+        raise ValueError(f"{family} needs the auxiliary module W")
     S = tuple(S)
     k = len(S)
     datum, q = S[0].datum, S[0].q

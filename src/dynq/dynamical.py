@@ -8,7 +8,8 @@ and in particular invertible.
 
 Every other operator is the dynamical twist of one module map, and
 `_transport` is the only code that applies it: A: F(S) -> F(T) becomes
-j_T(lam)^{-1} A j_S(lam), with the empty word standing for the unit object.
+j_T(lam)^{-1} A j_S(lam).  The twist is strict monoidal, so `_transport`
+owns the unit object, an empty word whose fusion is the identity.
 The exchange operator of two words is the twist of their braiding from
 S + T to T + S, flipped back; by the fusion cocycle this equals the braiding
 of F(S), F(T) dressed with each word's fusion at shifted weights.  The dressed
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cache import Memo
-from .cartan import CartanDatum, Weight
+from .cartan import Weight
 from .qalgebra import (
     GradedMap,
     WeightModule,
@@ -121,8 +122,7 @@ def embedded_shifted(T: WeightModule, fn, act, shift, lam: Weight,
 # fusion
 
 
-def fusion(S, lam: Weight, datum: CartanDatum = None,
-           q: float = None) -> EvaluatedOperator:
+def fusion(S, lam: Weight) -> EvaluatedOperator:
     """Fusion operator j_S(lam) on the tensor product of the modules in S.
 
     Column n is the expectation value of the composite vertex operator whose
@@ -133,21 +133,15 @@ def fusion(S, lam: Weight, datum: CartanDatum = None,
     m_lam alone.  That is exact: leg j is read only on source columns of
     depth at most the raises of the legs right of it, each target is at
     least that deep, and truncated Verma bases agree on their common
-    prefix.  The empty word's fusion is the identity of the unit object,
-    one per (datum, q, lam).
+    prefix.  S must not be empty: the twist sends the unit object to
+    itself, and `_transport` supplies that identity.
     """
     S = tuple(S)
-    if not S:
-        if datum is None or q is None:
-            raise ValueError("empty tuple needs datum and q for its unit object")
-        q = float(q)
-        return _FUSION_MEMO.get((datum, q, lam), lambda: EvaluatedOperator(
-            GradedMap.identity(trivial_module(datum, q)), lam, "fusion"))
 
     def make():
         T = _fused(S)
         if len(S) == 1:
-            return EvaluatedOperator(GradedMap.identity(T), lam, "fusion")
+            return EvaluatedOperator(GradedMap(T, T, np.eye(T.dim)), lam, "fusion")
         _check_regular(S[0].datum, lam, len(S))
         dims = tuple(V.dim for V in S)
         cols = np.empty((T.dim, T.dim), dtype=complex)
@@ -169,16 +163,17 @@ def fusion(S, lam: Weight, datum: CartanDatum = None,
 def _transport(A, S, T, lam: Weight) -> GradedMap:
     """j_T(lam)^{-1} o A o j_S(lam), a GradedMap F(S) -> F(T).
 
-    A is a GradedMap or a plain matrix F(S) -> F(T); an empty word is the
-    unit object.  This is the only conjugation by fusion operators.
+    A is a GradedMap or a plain matrix F(S) -> F(T).  This is the only
+    conjugation by fusion operators and owns the unit object: an empty word,
+    whose fusion operator is the identity, as the twist is strict.
     """
     S, T = tuple(S), tuple(T)
     if not S + T:
         raise ValueError("both words are empty: twist between unit objects ()")
     A_mat = A.matrix if isinstance(A, GradedMap) else np.asarray(A, dtype=complex)
     ref = (S + T)[0]
-    jS = fusion(S, lam, ref.datum, ref.q)
-    jT = fusion(T, lam, ref.datum, ref.q)
+    one = None if S and T else trivial_module(ref.datum, ref.q)
+    jS, jT = (fusion(w, lam) if w else GradedMap(one, one, np.eye(1)) for w in (S, T))
     cond = np.linalg.cond(jT.matrix)
     if not np.isfinite(cond) or cond > 1e12:
         raise np.linalg.LinAlgError(

@@ -10,10 +10,10 @@ strictly raising the first slot.  It has one route: a multi-slot first
 slot splits into one crossing per slot by the hexagon, a Verma first slot
 is the flipped crossing of the omega-twisted modules ((omega (x) omega) R
 = R_21), and every other crossing solves N degree by degree from the
-F-equations.  Beside a truncated Verma second slot that N, like the index
-patterns of the intertwining guard, is free of the Verma's highest weight
-and memoized; kappa and the guard's products are formed on every call, at
-that call's weight.
+F-equations.  Beside a truncated Verma second slot that N and the index
+plan of the intertwining guard are free of the Verma's highest weight and
+kept together in one table, `_VERMA_PLANS`; kappa and the guard's products
+are formed on every call, at that call's weight.
 
 A module has one weight representation, set by every constructor: an
 exact `base` Weight (that of basis vector 0) and integer simple-root
@@ -102,13 +102,11 @@ class WeightModule:
 
     datum: CartanDatum
     q: float
-    kind: str
     base: Weight
     offsets: np.ndarray
     E: tuple
     F: tuple
     name: str = ""
-    parent: "WeightModule" = None
     slots: tuple = None
 
     def __post_init__(self):
@@ -179,8 +177,8 @@ class WeightModule:
             Kinv = 1.0 / Kdiag
             E.append(-(self.E[i] * Kinv[None, :]).T)   # S(E_i) = -E_i K_i^{-1}
             F.append(-(Kdiag[:, None] * self.F[i]).T)  # S(F_i) = -K_i F_i
-        return WeightModule(self.datum, self.q, "dual", -self.base, -self.offsets,
-                            tuple(E), tuple(F), name=f"({self.name})*", parent=self)
+        return WeightModule(self.datum, self.q, -self.base, -self.offsets,
+                            tuple(E), tuple(F), name=f"({self.name})*")
 
     @cached_property
     def left_dual(self) -> "WeightModule":
@@ -190,11 +188,11 @@ class WeightModule:
             Kinv = 1.0 / Kdiag
             E.append(-(Kinv[:, None] * self.E[i]).T)   # S^{-1}(E_i) = -K_i^{-1} E_i
             F.append(-(self.F[i] * Kdiag[None, :]).T)  # S^{-1}(F_i) = -F_i K_i
-        return WeightModule(self.datum, self.q, "ldual", -self.base, -self.offsets,
-                            tuple(E), tuple(F), name=f"*({self.name})", parent=self)
+        return WeightModule(self.datum, self.q, -self.base, -self.offsets,
+                            tuple(E), tuple(F), name=f"*({self.name})")
 
     def __repr__(self):
-        return f"<{self.kind} {self.name or ''} dim={self.dim}>"
+        return f"<{type(self).__name__} {self.name or ''} dim={self.dim}>"
 
 
 @dataclass(eq=False)
@@ -241,9 +239,6 @@ class GradedMap:
         if self.matrix.shape != (self.target.dim, self.source.dim):
             raise ValueError(f"matrix shape {self.matrix.shape} does not fit the modules")
 
-    def inverse(self) -> "GradedMap":
-        return GradedMap(self.target, self.source, np.linalg.inv(self.matrix))
-
     def graded_residual(self) -> float:
         """Largest entry mapping a source weight off the same target weight."""
         bad = 0.0
@@ -255,10 +250,6 @@ class GradedMap:
                 if sub.size:
                     bad = max(bad, float(np.max(np.abs(sub))))
         return bad
-
-    @staticmethod
-    def identity(module: WeightModule) -> "GradedMap":
-        return GradedMap(module, module, np.eye(module.dim, dtype=complex))
 
 
 def _over_common_denominator(*weights):
@@ -327,7 +318,7 @@ def tensor_module(V: WeightModule, W: WeightModule) -> WeightModule:
         Kinv_v = np.diag(1.0 / V.K[i])
         E.append(np.kron(V.E[i], Kw) + np.kron(Iv, W.E[i]))
         F.append(np.kron(V.F[i], Iw) + np.kron(Kinv_v, W.F[i]))
-    return WeightModule(V.datum, V.q, "tensor", V.base + W.base, off,
+    return WeightModule(V.datum, V.q, V.base + W.base, off,
                         tuple(E), tuple(F), name=f"({V.name})x({W.name})",
                         slots=V.slots + W.slots)
 
@@ -343,7 +334,7 @@ def tensor_many(mods) -> WeightModule:
 def trivial_module(datum: CartanDatum, q: float) -> WeightModule:
     z = np.zeros((1, 1), dtype=complex)
     r = datum.rank
-    return WeightModule(datum, q, "trivial", datum.zero_weight(),
+    return WeightModule(datum, q, datum.zero_weight(),
                         np.zeros((1, r), dtype=int), (z,) * r, (z,) * r, name="1")
 
 
@@ -655,6 +646,8 @@ def _build_verma(datum: CartanDatum, q, hw: Weight, depth: int) -> TruncatedVerm
     """
     q = check_q(q)
     depth = int(depth)
+    if depth < 0:
+        raise ValueError(f"negative truncation depth {depth}")
     sk = _SKELETON_MEMO.get((datum, q, depth),
                             lambda: _verma_skeleton(datum, q, depth))
     r = datum.rank
@@ -675,7 +668,7 @@ def _build_verma(datum: CartanDatum, q, hw: Weight, depth: int) -> TruncatedVerm
         up2, up = up, slice(up.stop, up.stop + sum(c.size for c, _ in pairs))
 
     name = f"M[{','.join(str(float(c)) for c in hw.coords)}]"
-    return TruncatedVerma(datum, q, "verma", hw, sk.offsets, tuple(Emats), sk.F,
+    return TruncatedVerma(datum, q, hw, sk.offsets, tuple(Emats), sk.F,
                           name=name, depth=depth, depths=sk.depths, lift=sk.lift)
 
 
@@ -707,7 +700,7 @@ def build_irrep(datum: CartanDatum, q, hw: Weight) -> WeightModule:
             Ei[top - blk.shape[0]:top, top:top + keep.size] = blk
         top += keep.size
     name = "V(" + ",".join(str(datum.coroot_pairing(hw, a)) for a in datum.simple_roots) + ")"
-    V = WeightModule(datum, q, "irrep", hw, offsets, tuple(E), F, name=name)
+    V = WeightModule(datum, q, hw, offsets, tuple(E), F, name=name)
     res = relation_residuals(V)
     if res > 1e-9:
         raise ValueError(f"{name} fails its relations at q = {q}: {res:.2e}")
@@ -772,9 +765,6 @@ def _raising_shifts(V: WeightModule, W: WeightModule) -> dict:
     return dict(sorted(betas.items(), key=lambda kv: (kv[1], kv[0])))
 
 
-_VERMA_N_MEMO = Memo()
-
-
 def r_matrix(V: WeightModule, W: WeightModule) -> np.ndarray:
     """Matrix of the R-matrix endomorphism of V (x) W, normalized kappa (1 + N).
 
@@ -784,9 +774,9 @@ def r_matrix(V: WeightModule, W: WeightModule) -> np.ndarray:
     slots; a single-slot V densifies its factors.  Either R passes the
     intertwining guard (`_check_intertwines`) first.
     Beside a truncated Verma second slot, N and the guard's index patterns
-    are free of the Verma's highest weight and memoized per (first slot,
-    Verma skeleton), so a call forms only kappa and the guard's products,
-    from the Verma's K and E at that call's weight.  A rank drop in any degree
+    are free of the Verma's highest weight and memoized together per (first
+    slot, Verma skeleton) (`_plan`), so a call forms only kappa and the
+    guard's products, from the Verma's K and E at that call's weight.  A rank drop in any degree
     raises with the nullity reported.  Weights enter as integer lattice
     offsets from each module's first weight, so V and W must each lie in
     one root-lattice coset.  A finite first slot may be reducible; a Verma
@@ -817,7 +807,7 @@ def _r_factors(V: WeightModule, W: WeightModule) -> tuple:
 def _omega(V: WeightModule) -> WeightModule:
     """V twisted by the Cartan involution omega: E_i <-> F_i, K_i -> K_i^{-1},
     so E and F swap and every weight is negated."""
-    return WeightModule(V.datum, V.q, "omega", -V.base, -V.offsets, V.F, V.E,
+    return WeightModule(V.datum, V.q, -V.base, -V.offsets, V.F, V.E,
                         name=f"omega({V.name})")
 
 
@@ -829,8 +819,13 @@ def _crossing(V: WeightModule, W: WeightModule) -> tuple:
        R_{W^omega, V^omega}, which permutes both factors.  That crossing
        reads V's E, which is exact at every depth, where the F-equations on
        V itself would read its truncated F.  W must then be a single slot.
+       This N is not memoized: omega swaps E and F, so the F-equations of
+       the twisted pair read V's E, which moves with V's highest weight
+       (on A2 beside V(omega_1) at depth 6, the N of two highest weights
+       differ by up to 4.2e4 in one entry).
     2. Any other V solves N from the F-equations (`_nilpotent`); beside a
-       Verma W, N is memoized on the Verma's skeleton.
+       Verma W, N reads only the Verma's skeleton and is memoized with the
+       guard's plan (`_plan`).
     """
     if isinstance(V, TruncatedVerma):
         if len(W.slots) > 1:
@@ -841,9 +836,7 @@ def _crossing(V: WeightModule, W: WeightModule) -> tuple:
         return kap[p], N[p][:, p]
     kap = _kappa_diag(V, W)
     if isinstance(W, TruncatedVerma):
-        # the Verma's datum, q and depth fix its skeleton, the only part read
-        key = (V, W.datum, W.q, W.depth)
-        return kap, _VERMA_N_MEMO.get(key, lambda: _nilpotent(V, W))
+        return kap, _plan(V, W)[0]
     return kap, _nilpotent(V, W)
 
 
@@ -927,42 +920,45 @@ def _nilpotent(V: WeightModule, W: WeightModule) -> sp.csr_matrix:
     return N
 
 
-_GUARD_PLANS = Memo()
+_VERMA_PLANS = Memo()
+
+
+def _plan(V: WeightModule, W: WeightModule) -> tuple:
+    """(N, kept rows, E_i patterns, F_i patterns) of R on V (x) W.
+
+    The guard reads and forms all on the kept rows, 2 * (largest degree of
+    N) + 1 away from each Verma slot's truncation, and reads W's E_i on its
+    weight grading (it raises by alpha_i) and F_i on its nonzeros.  Beside a
+    truncated Verma W this plan, with N of a single-slot V, is free of the
+    Verma's highest weight and kept per (first slot, Verma skeleton) in
+    `_VERMA_PLANS`; beside a finite W it is built per call, without N.
+    """
+    def make():
+        m = 2 * max(_raising_shifts(V, W).values(), default=0) + 1
+        rows = [X.exact_mask(m) if isinstance(X, TruncatedVerma) else np.ones(X.dim, bool)
+                for X in (V, W)]
+        N = _nilpotent(V, W) if isinstance(W, TruncatedVerma) and len(V.slots) == 1 else None
+        pE = [_shift_pairs(W.offsets, u) for u in np.eye(W.datum.rank, dtype=int)]
+        return N, np.logical_and.outer(*rows).ravel(), pE, [np.nonzero(F) for F in W.F]
+
+    if isinstance(W, TruncatedVerma):
+        # the Verma's datum, q and depth fix its skeleton, the only part read
+        return _VERMA_PLANS.get((V, W.datum, W.q, W.depth), make)
+    return make()
 
 
 def _check_intertwines(V: WeightModule, W: WeightModule, R: sp.csr_matrix) -> None:
-    """Raise unless R Delta(x) = Delta^op(x) R for every generator x.  R is
-    sparse; all is read and formed only on the rows and columns that keep
-    2 * (largest degree of N) + 1 away from each Verma slot's truncation.
-
-    Beside a truncated Verma second slot that index work is free of the
-    Verma's highest weight, so it is memoized in `_GUARD_PLANS` per (first
-    slot, Verma skeleton), as N is: the kept rows, and the entry patterns
-    the Verma's F_i and E_i are read on.  F_i is the skeleton's; E_i moves
-    with the highest weight, so it is read on its weight grading (it raises
-    by alpha_i), and a call raises if E_i has a nonzero off that grading.
+    """Raise unless R Delta(x) = Delta^op(x) R for every generator x, on
+    the rows and entry patterns of `_plan`; R is sparse.  W's E_i is read
+    on its weight grading only, so a call raises if E_i has a nonzero off
+    it.
     """
     r = V.datum.rank
-
-    def exact_rows():
-        margin = max(_raising_shifts(V, W).values(), default=0)
-        mask = np.ones(V.dim * W.dim, dtype=bool)
-        if isinstance(W, TruncatedVerma):
-            mask &= np.tile(W.exact_mask(2 * margin + 1), V.dim)
-        if isinstance(V, TruncatedVerma):
-            mask &= np.repeat(V.exact_mask(2 * margin + 1), W.dim)
-        return mask
-
-    if isinstance(W, TruncatedVerma):
-        mask, pE, pF = _GUARD_PLANS.get((V, W.datum, W.q, W.depth), lambda: (
-            exact_rows(), [_shift_pairs(W.offsets, u) for u in np.eye(r, dtype=int)],
-            [np.nonzero(F) for F in W.F]))
-        for i, p in enumerate(pE):
-            if np.count_nonzero(W.E[i][p]) != np.count_nonzero(W.E[i]):
-                raise ValueError(f"{W.name}: E_{i} has a nonzero off its weight grading")
-        WE, WF = list(zip(W.E, pE)), list(zip(W.F, pF))
-    else:
-        mask, WE, WF = exact_rows(), W.E, W.F
+    _, mask, pE, pF = _plan(V, W)
+    for i, p in enumerate(pE):
+        if np.count_nonzero(W.E[i][p]) != np.count_nonzero(W.E[i]):
+            raise ValueError(f"{W.name}: E_{i} has a nonzero off its weight grading")
+    WE, WF = list(zip(W.E, pE)), list(zip(W.F, pF))
     keep, pos = np.flatnonzero(mask), np.cumsum(mask) - 1
     n, k = mask.size, keep.size
     if not k:

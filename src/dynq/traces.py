@@ -134,7 +134,7 @@ def weighted_trace(phi: Intertwiner, mu: Weight, xi: Weight,
         raise ValueError("operator does not start at the stated Verma")
     if phi.target_verma.hw != mu:
         raise ValueError("legs carry nonzero total weight, trace undefined")
-    if depth > src.depth:
+    if not 0 <= depth <= src.depth:
         raise ValueError(f"operator exact to depth {src.depth}, requested {depth}")
     check_cone(src.datum, xi)
     return _trace_sum(src, _diagonal(phi), xi, depth)
@@ -206,7 +206,7 @@ def universal_t(S, lam: Weight, mu: Weight, depth: int) -> TraceValue:
         return TraceValue(M, depth, 0.0)
     xi = 2 * (lam + datum.rho)
     check_cone(datum, xi)
-    jinv = fusion(S, -lam - 2 * datum.rho).gmap.inverse().matrix
+    jinv = np.linalg.inv(fusion(S, -lam - 2 * datum.rho).matrix)
     tails = [0.0]
     for col, src, diag in _trace_diagonals(S, mu, depth):
         H = _trace_sum(src, diag, xi, depth)

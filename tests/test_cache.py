@@ -114,7 +114,7 @@ class TestPerModuleDuals:
         assert dual_module(V) is dual_module(V)
         assert left_dual_module(V) is left_dual_module(V)
         assert dual_module(V) is not left_dual_module(V)
-        assert dual_module(V).parent is V
+        assert V.dual is dual_module(V) and V.left_dual is left_dual_module(V)
 
     def test_dual_tuple_is_stable(self):
         V = build_irrep(A1, Q, OM)

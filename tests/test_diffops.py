@@ -142,6 +142,12 @@ class TestStructure:
         with pytest.raises(ValueError, match="transpose direction"):
             transpose(np.eye(4), S2, "TT")
 
+    def test_trace_multipliers_need_the_auxiliary_module(self):
+        # as operator() does: the trace families' entries are characters of W
+        for family in ("coord-mr", "dual-coord-mr"):
+            with pytest.raises(ValueError, match=f"{family} needs the auxiliary module W"):
+                multiplier(family, S2, 1, LAM)
+
     def test_uniform_constructor_dispatch(self):
         assert operator("qkzb", S2, 1).family == "qkzb"
         assert operator("dual-qkzb", S2, 2).space == dual_tuple(S2)

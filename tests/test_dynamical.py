@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dynq import dynamical
+from dynq.cache import Memo
 from dynq.cartan import preset
 from dynq.qalgebra import (
     build_irrep, dual_module, embed_slots, qnum, tensor_many, tensor_module,
@@ -123,17 +124,20 @@ class TestFusionBasics:
             j = fusion(S, LAM)
             assert np.max(np.abs(j.matrix - np.eye(V.dim))) < 1e-12
 
-    def test_empty_word_is_unit_endomorphism(self):
-        j = fusion((), LAM, datum=A1, q=Q)
-        assert j.matrix.shape == (1, 1)
-        assert j.matrix[0, 0] == pytest.approx(1.0)
+    def test_empty_word_raises(self):
+        # the unit object belongs to the twist (_transport), not to fusion
+        with pytest.raises(ValueError, match="empty word"):
+            fusion((), LAM)
 
-    def test_empty_word_is_memoized(self):
-        # one unit fusion per (datum, q, lam), as for every other word
+    def test_q_operator_stores_one_fusion(self, monkeypatch):
+        # Q_V reads the twisted evaluation F(V) (x) F(V*) -> unit, so one
+        # fusion operator is computed and stored, and none for the unit
+        memo = Memo()
+        monkeypatch.setattr(dynamical, "_FUSION_MEMO", memo)
         lam = -7.77 * OM
-        j = fusion((), lam, datum=A1, q=Q)
-        assert fusion((), lam, datum=A1, q=Q) is j
-        assert fusion((), -7.78 * OM, datum=A1, q=Q) is not j
+        q_operator(V, lam)
+        assert len(memo) == memo.misses == 1
+        assert list(memo._d) == [((V, VS), lam)]
 
     def test_zero_weight_block_coefficient(self):
         # two fundamental legs, zero-weight block in order (+-, -+): the
@@ -512,12 +516,8 @@ class TestQOperator:
         # a fusion matrix with entries across weight blocks spoils Q's grading
         import dynq.dynamical as dyn
         dense = np.ones((W.dim ** 2, W.dim ** 2), dtype=complex)
-        real = dyn.fusion
 
-        def mixed(S, *a, **k):
-            # the unit object of the empty word stays the real one
-            if not S:
-                return real(S, *a, **k)
+        def mixed(S, lam):
             return SimpleNamespace(matrix=dense, source=dyn._fused(S))
 
         monkeypatch.setattr(dyn, "fusion", mixed)

@@ -49,6 +49,15 @@ class TestVerma:
         assert M.dim == 11
         assert all(len(M.block(M.hw - k * A1.simple_roots[0])) == 1 for k in range(11))
 
+    def test_negative_depth_raises(self, monkeypatch):
+        # a truncation above the highest weight is no module; the cold
+        # path raises, so the memo front end stores nothing
+        memo = Memo()
+        monkeypatch.setattr(qalgebra, "_VERMA_MEMO", memo)
+        with pytest.raises(ValueError, match="negative truncation depth -1"):
+            build_verma(A1, Q, 0.5 * A1.fundamental_weights[0], -1)
+        assert len(memo) == 0
+
     def test_sl2_ef_action_matches_formula(self):
         # E F^n m = [n][c - n + 1] F^{n-1} m for hw with <hw,alpha^vee> = c
         om = A1.fundamental_weights[0]
@@ -549,21 +558,23 @@ class TestVermaSlotRoute:
         return dual_vertex_operator(A2.from_fundamental(coeffs), (D,), [g], 6)
 
     def test_dual_operators_at_two_weights_solve_n_once(self, monkeypatch):
+        # one plan (N and the guard's indices) per skeleton; each R call
+        # reads it twice, for N in _crossing and in the guard
         memo = Memo()
-        monkeypatch.setattr(qalgebra, "_VERMA_N_MEMO", memo)
+        monkeypatch.setattr(qalgebra, "_VERMA_PLANS", memo)
         D = dual_module(build_irrep(A2, Q, A2.fundamental_weights[0]))
         self._dual_op(D, LAM_A2)
         self._dual_op(D, (-2.513, -3.652))
-        assert (memo.misses, memo.hits) == (1, 1)
+        assert (memo.misses, memo.hits, len(memo)) == (1, 3, 1)
 
     def test_guard_runs_at_every_weight(self, monkeypatch):
         # a memoized N spoiled in one guarded entry must fail the guard of
         # the next call at a fresh weight
         memo = Memo()
-        monkeypatch.setattr(qalgebra, "_VERMA_N_MEMO", memo)
+        monkeypatch.setattr(qalgebra, "_VERMA_PLANS", memo)
         D = dual_module(build_irrep(A2, Q, A2.fundamental_weights[0]))
         self._dual_op(D, LAM_A2)
-        ((key, N),) = memo._d.items()
+        ((key, (N, *guard)),) = memo._d.items()
         M = build_verma(A2, Q, A2.from_fundamental(LAM_A2), key[-1])
         keep = np.zeros(N.shape[0], dtype=bool)
         keep[_guarded(D, M)] = True
@@ -571,7 +582,7 @@ class TestVermaSlotRoute:
         k = int(np.flatnonzero(keep[rows] & keep[N.indices])[0])
         bad = N.copy()
         bad.data[k] *= 1.0 + 1e-4
-        memo._d[key] = bad
+        memo._d[key] = (bad, *guard)
         with pytest.raises(ValueError, match="fails to intertwine"):
             self._dual_op(D, (-2.513, -3.652))
 
@@ -628,12 +639,13 @@ class TestVermaSlotRoute:
             qalgebra._r_factors(D, bad)
 
     def test_guard_plan_is_shared_per_skeleton(self, monkeypatch):
+        # two lookups per call: the first call at each depth misses once
         memo = Memo()
-        monkeypatch.setattr(qalgebra, "_GUARD_PLANS", memo)
+        monkeypatch.setattr(qalgebra, "_VERMA_PLANS", memo)
         D = dual_module(build_irrep(A2, Q, A2.fundamental_weights[0]))
         for coeffs, depth in ((LAM_A2, 8), ((-2.513, -3.652), 8), (LAM_A2, 9)):
             qalgebra._r_factors(D, build_verma(A2, Q, A2.from_fundamental(coeffs), depth))
-        assert (memo.hits, memo.misses, len(memo)) == (1, 2, 2)
+        assert (memo.hits, memo.misses, len(memo)) == (4, 2, 2)
 
 
 class TestLatticeOffsets:
@@ -730,7 +742,7 @@ class TestLatticeOffsets:
             want = tuple(a + b for a in V.weights for b in W.weights)
             steps = [(w - want[0]).coords for w in want]
             assert all(c.denominator == 1 for row in steps for c in row)
-            ref = WeightModule(V.datum, Q, "ref", want[0],
+            ref = WeightModule(V.datum, Q, want[0],
                                np.array(steps, dtype=int), T.E, T.F)
             assert T.base == want[0]
             assert T.weights == want
@@ -747,7 +759,7 @@ class TestLatticeOffsets:
         half = np.array([[Fraction(0)], [Fraction(1, 2)]])
         for offsets in (np.array([[0.0], [0.5]]), half):
             with pytest.raises(ValueError, match="non-integral"):
-                WeightModule(A1, Q, "test", A1.zero_weight(), offsets, (z,), (z,))
+                WeightModule(A1, Q, A1.zero_weight(), offsets, (z,), (z,))
 
 
 class TestScalars:

@@ -100,13 +100,15 @@ def test_r_matrix_solves_only_in_its_route():
     # qalgebra._nilpotent is the one solver for the nilpotent part of R, so
     # the degrees it solves over (_raising_shifts) are read only along the
     # route r_matrix -> _crossing -> _nilpotent, and so is its pivoted QR.
-    # The route's one guard, _check_intertwines, reads them too: it keeps
-    # 2 * (largest degree) + 1 away from a Verma's truncation, and it runs on
-    # both the factors of a single-slot crossing and the hexagon's product.
+    # The route's one guard, _check_intertwines, reads them too, through its
+    # plan (_plan): that keeps 2 * (largest degree) + 1 away from a Verma's
+    # truncation and, beside a Verma, solves and stores N with the guard's
+    # indices.  The guard runs on both the factors of a single-slot crossing
+    # and the hexagon's product.
     # The one other pivoted QR, in _span, picks the basis of a Verma
     # skeleton or an irrep among candidate vectors and solves for no part
     # of R.
-    route = {"r_matrix", "_crossing", "_nilpotent", "_check_intertwines"}
+    route = {"r_matrix", "_crossing", "_nilpotent", "_plan", "_check_intertwines"}
     skeleton = "_span"
     found, seen = [], set()
     for node in _parse(SRC / "qalgebra.py").body:
@@ -260,3 +262,48 @@ def test_guard_thresholds_are_not_parameters():
     have = {(name, fn) for name, tree in _trees()
             for fn, args in _params(tree).items() if "margin" in args}
     assert keep <= have, f"margin parameter missing on {sorted(keep - have)}"
+
+
+def _defaulted(fn: ast.FunctionDef, method: bool) -> list:
+    # (name, position among the positional parameters or None) of each
+    # parameter with a default; a method's position skips self or cls
+    a = fn.args
+    pos = a.posonlyargs + a.args
+    if method and not any(getattr(d, "id", None) == "staticmethod"
+                          for d in fn.decorator_list):
+        pos = pos[1:]
+    out = [(x.arg, k) for k, x in enumerate(pos) if k >= len(pos) - len(a.defaults)]
+    return out + [(x.arg, None) for x, d in zip(a.kwonlyargs, a.kw_defaults)
+                  if d is not None]
+
+
+def test_every_default_is_overridden_somewhere():
+    # a defaulted parameter that no call sets is a setting nobody uses: the
+    # function always runs at its default, and the other branch is dead.
+    # A call sets it by keyword, by **kwargs, or positionally past the
+    # required arguments (*args counts as every position).  Only top-level
+    # functions and methods count, so default-capture idioms such as
+    # `lambda z, A=A: ...` or a nested `def fn(z, V=V)` are left alone, and
+    # dataclass fields are no parameters.
+    root = SRC.parents[1]
+    calls = {}  # called name -> [(positional count, keywords)]
+    for d in ("src", "tests", "bench"):
+        for path in (root / d).rglob("*.py"):
+            for node in ast.walk(_parse(path)):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                npos = (float("inf") if any(isinstance(x, ast.Starred) for x in node.args)
+                        else len(node.args))
+                calls.setdefault(name, []).append((npos, {k.arg for k in node.keywords}))
+    unset = []
+    for file, tree in _trees():
+        fns = [(n, False) for n in tree.body if isinstance(n, ast.FunctionDef)]
+        fns += [(n, True) for c in tree.body if isinstance(c, ast.ClassDef)
+                for n in c.body if isinstance(n, ast.FunctionDef)]
+        for fn, method in fns:
+            for arg, k in _defaulted(fn, method):
+                if not any(arg in kws or None in kws or (k is not None and npos > k)
+                           for npos, kws in calls.get(fn.name, ())):
+                    unset.append(f"{file}:{fn.name}({arg})")
+    assert not unset, f"defaults no call overrides: {unset}"

@@ -118,6 +118,12 @@ class TestWeightedTrace:
         with pytest.raises(ValueError, match="dual legs carry nonzero total weight"):
             spin_component(phi, tilted, LAM, MU, XI, 8)
 
+    def test_negative_depth_raises(self):
+        # a sum over no depth would read as an exact, converged zero
+        phi = vertex_operator(MU, (W,), [basis(W, 1)], 8)
+        with pytest.raises(ValueError, match="exact to depth 8, requested -1"):
+            weighted_trace(phi, MU, XI, -1)
+
     def test_cone_check_margin(self):
         # the cone is <xi, alpha> <= -1: -2 omega pairs to -1, -omega/2 to -1/2
         check_cone(A1, -2 * OM)
