@@ -12,8 +12,8 @@ is the flipped crossing of the omega-twisted modules ((omega (x) omega) R
 = R_21), and every other crossing solves N degree by degree from the
 F-equations.  Beside a truncated Verma second slot that N and the index
 plan of the intertwining guard are free of the Verma's highest weight and
-kept together in one table, `_VERMA_PLANS`; kappa and the guard's products
-are formed on every call, at that call's weight.
+kept together in one table, `_VERMA_PLANS`; a call forms only values, kappa
+and the guard's multiply terms, at that call's weight, and no scipy matrix.
 
 A module has one weight representation, set by every constructor: an
 exact `base` Weight (that of basis vector 0) and integer simple-root
@@ -48,6 +48,7 @@ with N strictly raising the first slot.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -724,24 +725,6 @@ def _csr(rows, cols, vals, shape) -> sp.csr_matrix:
     return sp.csr_matrix((vals[order], cols[order], indptr), shape=shape)
 
 
-def _kron_entries(pairs) -> list:
-    """(rows, cols, values, shape) of the sum of A (x) B over pairs of
-    factors, for `_csr`; a factor is a dense matrix, a vector standing for
-    its diagonal, or a pair (matrix, index tuple of the entries to read),
-    and is otherwise read on its np.nonzero.  Index arithmetic: on small
-    modules scipy's own kron costs more than every product the matrix then
-    takes part in."""
-    rows, cols, vals = [], [], []
-    for pair in pairs:
-        (A, a), (B, b) = (X if isinstance(X, tuple) else (X, np.nonzero(X)) for X in pair)
-        (ai, aj), (bk, bl) = (x if len(x) == 2 else x * 2 for x in (a, b))
-        rows.append((ai[:, None] * B.shape[0] + bk[None, :]).ravel())
-        cols.append((aj[:, None] * B.shape[-1] + bl[None, :]).ravel())
-        vals.append((A[a][:, None] * B[b][None, :]).ravel())
-    shape = (A.shape[0] * B.shape[0], A.shape[-1] * B.shape[-1])
-    return [np.concatenate(x) for x in (rows, cols, vals)] + [shape]
-
-
 def _shift_pairs(x: np.ndarray, shift) -> tuple:
     """(targets, sources) of the basis vectors whose offset rows x differ
     by `shift`, sorted by target, then source."""
@@ -772,12 +755,12 @@ def r_matrix(V: WeightModule, W: WeightModule) -> np.ndarray:
     A multi-slot V splits by the hexagon (Delta (x) id) R = R_13 R_23 into
     the dense product of one crossing per slot, placed on that slot and W's
     slots; a single-slot V densifies its factors.  Either R passes the
-    intertwining guard (`_check_intertwines`) first.
-    Beside a truncated Verma second slot, N and the guard's index patterns
-    are free of the Verma's highest weight and memoized together per (first
-    slot, Verma skeleton) (`_plan`), so a call forms only kappa and the
-    guard's products, from the Verma's K and E at that call's weight.  A rank drop in any degree
-    raises with the nullity reported.  Weights enter as integer lattice
+    intertwining guard (`_check_intertwines`) first.  Beside a truncated
+    Verma second slot, N and the guard's index plan are free of the Verma's
+    highest weight and memoized together per (first slot, Verma skeleton)
+    (`_plan`), so a call forms only values: kappa, and the guard's terms
+    from the Verma's K and E at that call's weight.  A rank drop in any
+    degree raises with the nullity reported.  Weights enter as integer lattice
     offsets from each module's first weight, so V and W must each lie in
     one root-lattice coset.  A finite first slot may be reducible; a Verma
     first slot needs a single-slot second slot.
@@ -792,15 +775,16 @@ def r_matrix(V: WeightModule, W: WeightModule) -> np.ndarray:
     R = np.linalg.multi_dot([
         _embed(dims, kap[:, None] * (np.eye(kap.size) + N.toarray()), (j,) + wslots)
         for j, (kap, N) in enumerate(_crossing(Vj, W) for Vj in V.slots)])
-    _check_intertwines(V, W, sp.csr_matrix(R))
+    _check_intertwines(V, W, R)
     return R
 
 
 def _r_factors(V: WeightModule, W: WeightModule) -> tuple:
     """The guarded factors (kappa, N) of R = kappa (1 + N) on V (x) W for a
-    single-slot V: kappa at this call's weights, N sparse CSR."""
+    single-slot V: kappa at this call's weights, N sparse CSR; the guard
+    reads them as they are and builds no matrix of R."""
     kap, N = _crossing(V, W)
-    _check_intertwines(V, W, sp.diags(kap) @ (sp.identity(kap.size) + N))
+    _check_intertwines(V, W, (kap, N))
     return kap, N
 
 
@@ -864,8 +848,13 @@ def _nilpotent(V: WeightModule, W: WeightModule) -> sp.csr_matrix:
     n = dv * dw
     r = V.datum.rank
     units = np.eye(r, dtype=int)
-    A = [_csr(*_kron_entries([(V.K[i], W.F[i])])) for i in range(r)]
-    B = [_csr(*_kron_entries([(1.0 / V.K[i], W.F[i])])) for i in range(r)]
+
+    def diag_kron(k, F):  # diag(k) (x) F
+        (b, c), a = np.nonzero(F), np.arange(dv)[:, None] * dw
+        return _csr((a + b).ravel(), (a + c).ravel(), (k[:, None] * F[b, c]).ravel(), (n, n))
+
+    A = [diag_kron(V.K[i], W.F[i]) for i in range(r)]
+    B = [diag_kron(1.0 / V.K[i], W.F[i]) for i in range(r)]
     parts = {(0,) * r: sp.identity(n, dtype=complex, format="csr")}
     for beta in _raising_shifts(V, W):
         bvec = np.array(beta)
@@ -921,81 +910,140 @@ def _nilpotent(V: WeightModule, W: WeightModule) -> sp.csr_matrix:
 
 
 _VERMA_PLANS = Memo()
+# The guard's index plan on V (x) W, every array read-only.  A call gathers
+# V's E_i, F_i on their nonzeros (pV), W's E_i on its grading and F_i on its
+# nonzeros (pW), both slots' K_i, K_i^{-1} into one vector x, and R on its
+# entries (rows, cols).  Generator entry e of Delta(x), or, negated from ncop
+# on, of Delta^op(x) is x[xv[e]] x[xw[e]].  Term t of R Delta(x) - Delta^op(x) R
+# is R entry ri[t] times generator entry gi[t]; terms run slot by slot from
+# starts, and slots[s] = a (2 r k) + g k + b is the kept pair (a, b) of
+# generator g (2 i: E_i, 2 i + 1: F_i), mask marking the k kept rows.
+_GuardPlan = namedtuple("_GuardPlan", "mask pV pW rows cols xv xw ncop ri gi starts slots")
 
 
-def _plan(V: WeightModule, W: WeightModule) -> tuple:
-    """(N, kept rows, E_i patterns, F_i patterns) of R on V (x) W.
+def _plan(V: WeightModule, W: WeightModule, R=None) -> tuple:
+    """(N, `_GuardPlan`) of R on V (x) W; R is (kappa, N) or dense.
 
-    The guard reads and forms all on the kept rows, 2 * (largest degree of
-    N) + 1 away from each Verma slot's truncation, and reads W's E_i on its
-    weight grading (it raises by alpha_i) and F_i on its nonzeros.  Beside a
-    truncated Verma W this plan, with N of a single-slot V, is free of the
-    Verma's highest weight and kept per (first slot, Verma skeleton) in
-    `_VERMA_PLANS`; beside a finite W it is built per call, without N.
+    Beside a truncated Verma W, with a single-slot V, N and the guard's plan
+    on the pattern of kappa (1 + N) are free of the Verma's highest weight
+    and kept per (first slot, Verma skeleton) in `_VERMA_PLANS` (139 KiB an
+    entry at A2 V(omega_1)* (x) M_10, N 18 KiB of it).  Beside a finite W,
+    and for the hexagon's multi-slot V, it is built per call on that call's
+    R, with no N.
     """
-    def make():
-        m = 2 * max(_raising_shifts(V, W).values(), default=0) + 1
-        rows = [X.exact_mask(m) if isinstance(X, TruncatedVerma) else np.ones(X.dim, bool)
-                for X in (V, W)]
-        N = _nilpotent(V, W) if isinstance(W, TruncatedVerma) and len(V.slots) == 1 else None
-        pE = [_shift_pairs(W.offsets, u) for u in np.eye(W.datum.rank, dtype=int)]
-        return N, np.logical_and.outer(*rows).ravel(), pE, [np.nonzero(F) for F in W.F]
+    if isinstance(W, TruncatedVerma) and len(V.slots) == 1:
+        def make():
+            N = _nilpotent(V, W)
+            return N, _guard_plan(V, W, (None, N))
 
-    if isinstance(W, TruncatedVerma):
         # the Verma's datum, q and depth fix its skeleton, the only part read
         return _VERMA_PLANS.get((V, W.datum, W.q, W.depth), make)
-    return make()
+    return None, _guard_plan(V, W, R)
 
 
-def _check_intertwines(V: WeightModule, W: WeightModule, R: sp.csr_matrix) -> None:
-    """Raise unless R Delta(x) = Delta^op(x) R for every generator x, on
-    the rows and entry patterns of `_plan`; R is sparse.  W's E_i is read
-    on its weight grading only, so a call raises if E_i has a nonzero off
-    it.
+def _guard_plan(V: WeightModule, W: WeightModule, R) -> _GuardPlan:
+    """The guard's plan on R's pattern: for factors (kappa, N) the diagonal,
+    then N's entries in CSR order; for a dense R its nonzeros.
+
+    The guard reads and forms all on the kept rows, 2 * (largest degree of
+    N) + 1 away from each Verma slot's truncation: R Delta(x) reads R's kept
+    rows and Delta(x)'s kept columns, Delta^op(x) R the reverse.  Each
+    product is joined on its inner index into multiply terms, both written
+    into one output index, so that a call forms only values.
     """
-    r = V.datum.rank
-    _, mask, pE, pF = _plan(V, W)
-    for i, p in enumerate(pE):
-        if np.count_nonzero(W.E[i][p]) != np.count_nonzero(W.E[i]):
-            raise ValueError(f"{W.name}: E_{i} has a nonzero off its weight grading")
-    WE, WF = list(zip(W.E, pE)), list(zip(W.F, pF))
-    keep, pos = np.flatnonzero(mask), np.cumsum(mask) - 1
-    n, k = mask.size, keep.size
-    if not k:
-        return
+    r, dw = V.datum.rank, W.dim
+    if isinstance(R, tuple):
+        diag = np.arange(V.dim * dw)
+        rows, cols = (np.concatenate([diag, x]) for x in
+                      (np.repeat(diag, np.diff(R[1].indptr)), R[1].indices))
+    else:
+        rows, cols = np.nonzero(R)
+    m = 2 * max(_raising_shifts(V, W).values(), default=0) + 1
+    mask = np.logical_and.outer(*(X.exact_mask(m) if isinstance(X, TruncatedVerma)
+                                  else np.ones(X.dim, bool) for X in (V, W))).ravel()
+    pos, k = np.cumsum(mask) - 1, int(mask.sum())
+    pV = tuple(np.nonzero(X) for X in V.E + V.F)
+    pW = tuple([_shift_pairs(W.offsets, u) for u in np.eye(r, dtype=int)]
+               + [np.nonzero(F) for F in W.F])
 
-    def stack(gens, flip):
-        # the matrices of gens (flip: transposed), cut to the kept columns
-        # and set side by side, so that each product below is formed once
-        parts = []
-        for g, pairs in enumerate(gens):
-            r, c, v, _ = _kron_entries(pairs)
-            r, c = (c, r) if flip else (r, c)
-            ok = mask[c]
-            parts.append((r[ok], pos[c[ok]] + g * k, v[ok]))
-        out = _csr(*(np.concatenate(x) for x in zip(*parts)), (n, len(gens) * k))
-        out.sum_duplicates()
-        return out
+    def factors(X, ps, off):  # (rows, cols, index in x) of X's K, K^-1, E, F; 1
+        d = np.arange(X.dim)
+        at = off + 2 * r * X.dim + np.cumsum([0] + [p[0].size for p in ps])
+        out = ([(d, d, off + j * X.dim + d) for j in range(2 * r)]
+               + [(*p, a + np.arange(p[0].size)) for p, a in zip(ps, at)])
+        return [out[j * r:(j + 1) * r] for j in range(4)] + [(d, d, 0 * d)], at[-1]
 
-    def beside(P):  # P's k x k blocks, stacked down, set side by side
-        P = P.tocoo()
-        return _csr(P.row % k, P.row - P.row % k + P.col, P.data, (k, P.shape[0]))
-
-    Iv, Iw = np.ones(V.dim), np.ones(W.dim)
+    (VK, VKi, VE, VF, VI), off = factors(V, pV, 1)  # x[0] = 1, for identities
+    (WK, WKi, WE, WF, WI), _ = factors(W, pW, off)
     cop, opp = [], []
     for i in range(r):
-        cop += [((V.E[i], W.K[i]), (Iv, WE[i])), ((V.F[i], Iw), (1 / V.K[i], WF[i]))]
-        opp += [((V.K[i], WE[i]), (V.E[i], Iw)), ((Iv, WF[i]), (V.F[i], 1 / W.K[i]))]
-    DX, DOX = stack(cop, False), stack(opp, True).T
-    R_rows, R_cols = R[keep], R[:, keep]
-    sub = abs(R_rows @ DX - beside(DOX @ R_cols))
+        cop += [[(VE[i], WK[i]), (VI, WE[i])], [(VF[i], WI), (VKi[i], WF[i])]]
+        opp += [[(VK[i], WE[i]), (VE[i], WI)], [(VI, WF[i]), (VF[i], WKi[i])]]
+    ents = [np.stack(np.broadcast_arrays(  # row, col, generator, V value, W value
+        ar[:, None] * dw + br, ac[:, None] * dw + bc, g % (2 * r), ax[:, None], bx)
+    ).reshape(5, -1) for g, pairs in enumerate(cop + opp) for (ar, ac, ax), (br, bc, bx) in pairs]
+    grow, gcol, gg, xv, xw = np.concatenate(ents, axis=1)
+    ncop = sum(e.shape[1] for e in ents[:4 * r])
+
+    def join(lkey, rkey):  # every pair (i, j) with lkey[i] == rkey[j]
+        cnt = np.bincount(rkey, minlength=mask.size)
+        c = cnt[lkey]
+        i = np.repeat(np.arange(lkey.size), c)
+        at = np.repeat(np.cumsum(cnt)[lkey] - np.cumsum(c), c) + np.arange(c.sum())
+        return i, np.argsort(rkey, kind="stable")[at]
+
+    r1, e1 = np.flatnonzero(mask[rows]), np.flatnonzero(mask[gcol[:ncop]])
+    e2, r2 = ncop + np.flatnonzero(mask[grow[ncop:]]), np.flatnonzero(mask[cols])
+    (a, b), (c, d) = join(cols[r1], grow[e1]), join(gcol[e2], rows[r2])
+    ri, ei = np.concatenate([r1[a], r2[d]]), np.concatenate([e1[b], e2[c]])
+    left = np.concatenate([pos[rows[r1[a]]], pos[grow[e2[c]]]])
+    right = np.concatenate([pos[gcol[e1[b]]], pos[cols[r2[d]]]])
+    slots, out = np.unique((left * 2 * r + gg[ei]) * k + right, return_inverse=True)
+    order = np.argsort(out, kind="stable")
+    used, gi = np.unique(ei[order], return_inverse=True)
+    P = _GuardPlan(mask, pV, pW, rows, cols, xv[used], xw[used],
+                   int(np.searchsorted(used, ncop)), ri[order], gi,
+                   np.flatnonzero(np.diff(out[order], prepend=-1)), slots)
+    for arr in [f for f in P if isinstance(f, np.ndarray)] + [x for p in pV + pW for x in p]:
+        arr.flags.writeable = False
+    return P
+
+
+def _check_intertwines(V: WeightModule, W: WeightModule, R) -> None:
+    """Raise unless R Delta(x) = Delta^op(x) R for every generator x, on
+    the kept rows and entry patterns of `_plan`; R is (kappa, N) or dense.
+    W's E_i is read on its weight grading only, so a call raises if E_i has
+    a nonzero off it.  Each call forms values only (`_guard_residuals`).
+    """
+    P = _plan(V, W, R)[1]
+    for i, p in enumerate(P.pW[:V.datum.rank]):
+        if np.count_nonzero(W.E[i][p]) != np.count_nonzero(W.E[i]):
+            raise ValueError(f"{W.name}: E_{i} has a nonzero off its weight grading")
+    if not P.starts.size:
+        return
+    sub, bsub = _guard_residuals(V, W, R, P)
     # entrywise backward-error bound: entries span q^{+-depth}, so a single
     # global scale would either mask shallow errors or reject harmless
-    # roundoff in the deep rows.  Off the pattern of sub it holds with room.
-    bsub = abs(R_rows) @ abs(DX) + beside(abs(DOX) @ abs(R_cols))
-    if (sub - 100 * 1e-10 * bsub).max() > 100 * 1e-10:
-        worst = float(np.max(sub.toarray() / (bsub.toarray() + 1.0)))
+    # roundoff in the deep rows.  Off the output slots it holds with room.
+    if np.any(sub - 100 * 1e-10 * bsub > 100 * 1e-10):
+        worst = float(np.max(sub / (bsub + 1.0)))
         raise ValueError(f"R fails to intertwine the coproduct: {worst:.2e}")
+
+
+def _guard_residuals(V: WeightModule, W: WeightModule, R, P: _GuardPlan) -> tuple:
+    """(|R Delta(x) - Delta^op(x) R|, |R| |Delta(x)| + |Delta^op(x)| |R|)
+    per output slot of P, from this call's R, V and W; the values of
+    kappa (1 + N) are kappa[row] times (1 + N)'s entries."""
+    rv = (R[0][P.rows] * np.concatenate([np.ones(R[0].size), R[1].data])
+          if isinstance(R, tuple) else R[P.rows, P.cols])
+    x = [np.ones(1)]
+    for X, ps in ((V, P.pV), (W, P.pW)):
+        x += [X.K.ravel(), 1.0 / X.K.ravel()] + [Y[p] for Y, p in zip(X.E + X.F, ps)]
+    x = np.concatenate(x)
+    gen = x[P.xv] * x[P.xw]
+    gen[P.ncop:] *= -1
+    sub = np.abs(np.add.reduceat(rv[P.ri] * gen[P.gi], P.starts))
+    return sub, np.add.reduceat(np.abs(rv)[P.ri] * np.abs(gen)[P.gi], P.starts)
 
 
 def r21_matrix(V: WeightModule, W: WeightModule) -> np.ndarray:

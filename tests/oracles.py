@@ -3,13 +3,14 @@ second routes kept to cross-check the library's one route."""
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from dynq.cartan import CartanDatum, Weight
 from dynq.diffops import _check_index
 from dynq.dynamical import _fused, embedded_shifted, exchange, fusion
 from dynq.qalgebra import (
     GradedMap, TruncatedVerma, WeightModule, _compositions, _kappa_diag,
-    _csr, _kron_entries, _raising_shifts, _VermaSkeleton, character, dual_module,
+    _csr, _raising_shifts, _VermaSkeleton, character, dual_module,
     embed_slots, flip_index, mirror_index, partial_trace, qbinom, r21_matrix,
     r_matrix, slot_classes, tensor_many, tensor_module, trivial_module,
 )
@@ -243,6 +244,22 @@ def fusion_qkz_residual(S, i: int, lam: Weight) -> float:
     return float(np.max(np.abs(jhat - rhs))) / scale
 
 
+def _kron_entries(pairs) -> list:
+    """(rows, cols, values, shape) of the sum of A (x) B over pairs of
+    factors, for `qalgebra._csr`; a factor is a dense matrix, a vector
+    standing for its diagonal, or a pair (matrix, index tuple of the entries
+    to read), and is otherwise read on its np.nonzero."""
+    rows, cols, vals = [], [], []
+    for pair in pairs:
+        (A, a), (B, b) = (X if isinstance(X, tuple) else (X, np.nonzero(X)) for X in pair)
+        (ai, aj), (bk, bl) = (x if len(x) == 2 else x * 2 for x in (a, b))
+        rows.append((ai[:, None] * B.shape[0] + bk[None, :]).ravel())
+        cols.append((aj[:, None] * B.shape[-1] + bl[None, :]).ravel())
+        vals.append((A[a][:, None] * B[b][None, :]).ravel())
+    shape = (A.shape[0] * B.shape[0], A.shape[-1] * B.shape[-1])
+    return [np.concatenate(x) for x in (rows, cols, vals)] + [shape]
+
+
 # ---------------------------------------------------------------------------
 # Verma-slot R-matrix by back substitution at the Verma's highest weight
 
@@ -329,6 +346,52 @@ def r_matrix_backsub(V: WeightModule, M: TruncatedVerma) -> np.ndarray:
         parts[beta] = Nb
         N += Nb
     return kap[:, None] * (np.eye(n) + N)
+
+
+def guard_residuals(V: WeightModule, W: WeightModule, R, plan) -> tuple:
+    """The R guard's products in scipy, on the kept rows and patterns of
+    `plan` (a `qalgebra._GuardPlan`): (sub, bsub) as dense k x (2 r k)
+    arrays, sub = |R Delta(x) - Delta^op(x) R| and bsub = |R| |Delta(x)| +
+    |Delta^op(x)| |R| on the kept rows and columns, generator g = 2 i (E_i)
+    or 2 i + 1 (F_i) in columns g k to (g + 1) k.  R is (kappa, N) or dense.
+    """
+    r = V.datum.rank
+    mask = plan.mask
+    keep, pos = np.flatnonzero(mask), np.cumsum(mask) - 1
+    n, k = mask.size, keep.size
+    if isinstance(R, tuple):
+        R = sp.diags(R[0]) @ (sp.identity(n) + R[1])
+    R = sp.csr_matrix(R)
+
+    def stack(gens, flip):
+        # the matrices of gens (flip: transposed), cut to the kept columns
+        # and set side by side, so that each product below is formed once
+        parts = []
+        for g, pairs in enumerate(gens):
+            rr, c, v, _ = _kron_entries(pairs)
+            rr, c = (c, rr) if flip else (rr, c)
+            ok = mask[c]
+            parts.append((rr[ok], pos[c[ok]] + g * k, v[ok]))
+        out = _csr(*(np.concatenate(x) for x in zip(*parts)), (n, len(gens) * k))
+        out.sum_duplicates()
+        return out
+
+    def beside(P):  # P's k x k blocks, stacked down, set side by side
+        P = P.tocoo()
+        return _csr(P.row % k, P.row - P.row % k + P.col, P.data, (k, P.shape[0]))
+
+    WE = [(W.E[i], plan.pW[i]) for i in range(r)]
+    WF = [(W.F[i], plan.pW[r + i]) for i in range(r)]
+    Iv, Iw = np.ones(V.dim), np.ones(W.dim)
+    cop, opp = [], []
+    for i in range(r):
+        cop += [((V.E[i], W.K[i]), (Iv, WE[i])), ((V.F[i], Iw), (1 / V.K[i], WF[i]))]
+        opp += [((V.K[i], WE[i]), (V.E[i], Iw)), ((Iv, WF[i]), (V.F[i], 1 / W.K[i]))]
+    DX, DOX = stack(cop, False), stack(opp, True).T
+    R_rows, R_cols = R[keep], R[:, keep]
+    sub = abs(R_rows @ DX - beside(DOX @ R_cols))
+    bsub = abs(R_rows) @ abs(DX) + beside(abs(DOX) @ abs(R_cols))
+    return sub.toarray(), bsub.toarray()
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,23 @@ def braid_residual(A, B, C, lam):
     return np.max(np.abs(lhs - rhs)) / max(1.0, np.max(np.abs(rhs)))
 
 
+
+class TestSl2ClosedForm:
+    """Closed forms on A1, which pin the conventions an identity is blind to
+    (a shift of lam by rho, q against 1/q, a gauge of the fusion operator)."""
+
+    @given(st.floats(min_value=0.2, max_value=0.9), st.floats(min_value=-9.0, max_value=9.0))
+    @settings(max_examples=25, deadline=None)
+    def test_fusion_of_two_fundamentals(self, q, c):
+        # j_{V,V}(lam) = 1 + J[2, 1] e_{2,1}, J[2, 1] = (1/q - q)/(q^{2 (lam + rho, alpha^vee)} - 1)
+        lam = c * OM
+        assume(A1.is_regular(lam))
+        V = build_irrep(A1, q, OM)
+        want = np.eye(4, dtype=complex)
+        want[2, 1] = (1 / q - q) / (q ** (2 * (c + 1)) - 1)
+        got = fusion((V, V), lam).matrix
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
 class TestFusionBasics:
     def test_single_leg_is_identity(self):
         for M in (V, W):

@@ -20,7 +20,7 @@ from dynq.vertexops import dual_vertex_operator
 
 from oracles import (
     coeval_map, coeval_twisted, eval_map, eval_twisted, flip_matrix,
-    r_matrix_backsub, word_skeleton,
+    guard_residuals, r_matrix_backsub, word_skeleton,
 )
 
 A1 = preset("A1")
@@ -646,6 +646,83 @@ class TestVermaSlotRoute:
         for coeffs, depth in ((LAM_A2, 8), ((-2.513, -3.652), 8), (LAM_A2, 9)):
             qalgebra._r_factors(D, build_verma(A2, Q, A2.from_fundamental(coeffs), depth))
         assert (memo.hits, memo.misses, len(memo)) == (4, 2, 2)
+
+
+class TestGuardOracle:
+    """The planned R guard against the guard's scipy products
+    (`oracles.guard_residuals`) on the same kept entries."""
+
+    @staticmethod
+    def _agree(V, W, R) -> bool:
+        # per output slot, sub and bsub agree to 1e-12 of the bound, the
+        # oracle has no entry off the slots, and the two raise together
+        P = qalgebra._plan(V, W, R)[1]
+        assert P.slots.size
+        sub, bsub = qalgebra._guard_residuals(V, W, R, P)
+        osub, obsub = guard_residuals(V, W, R, P)
+        rejects = bool(np.any(osub - 100 * 1e-10 * obsub > 100 * 1e-10))
+        at = np.unravel_index(P.slots, osub.shape)
+        bound = obsub[at]
+        assert np.all(np.abs(sub - osub[at]) <= 1e-12 * bound)
+        assert np.all(np.abs(bsub - bound) <= 1e-12 * bound)
+        osub[at] = obsub[at] = 0.0
+        assert not osub.any() and not obsub.any()
+        try:
+            qalgebra._check_intertwines(V, W, R)
+        except ValueError as e:
+            assert "fails to intertwine" in str(e)
+            assert rejects
+            return True
+        assert not rejects
+        return False
+
+    @pytest.mark.parametrize("datum,node,depth", [(A1, 0, 10), (A2, 0, 10), (A2, 1, 6),
+                                                  (B2, 0, 10), (B2, 1, 9)])
+    def test_dual_beside_verma(self, datum, node, depth):
+        D = dual_module(build_irrep(datum, Q, datum.fundamental_weights[node]))
+        M = build_verma(datum, Q, datum.from_fundamental(LAM_A2[:datum.rank]), depth)
+        assert not self._agree(D, M, qalgebra._crossing(D, M))
+
+    def test_finite_pair(self):
+        V1, V2 = (build_irrep(A2, Q, w) for w in A2.fundamental_weights)
+        assert not self._agree(V1, V2, qalgebra._crossing(V1, V2))
+
+    def test_hexagon_pair(self):
+        # a multi-slot first slot: the guard reads the dense product R
+        V1, V2 = (build_irrep(A2, Q, w) for w in A2.fundamental_weights)
+        T = tensor_module(V1, V2)
+        assert not self._agree(T, V1, r_matrix(T, V1))
+
+    def test_verma_first_pair_of_omega_tilde(self):
+        om = A1.fundamental_weights[0]
+        M = build_verma(A1, Q, -5.37 * om, 12)
+        W = build_irrep(A1, Q, 2 * om)
+        assert not self._agree(M, W, qalgebra._crossing(M, W))
+
+    def test_spoiled_n_and_shifted_kappa_raise_in_both(self):
+        D = dual_module(build_irrep(A2, Q, A2.fundamental_weights[0]))
+        M = build_verma(A2, Q, A2.from_fundamental(LAM_A2), 8)
+        kap, N = qalgebra._crossing(D, M)
+        keep = np.zeros(N.shape[0], dtype=bool)
+        keep[_guarded(D, M)] = True
+        rows = np.repeat(np.arange(N.shape[0]), np.diff(N.indptr))
+        bad = N.copy()
+        bad.data[int(np.flatnonzero(keep[rows] & keep[N.indices])[0])] *= 1.0 + 1e-4
+        assert self._agree(D, M, (kap, bad))
+        shifted = qalgebra._q_pairings(Q, A2, D.base, D.offsets,
+                                       M.base + A2.fundamental_weights[0], M.offsets)
+        assert self._agree(D, M, (shifted.ravel(), N))
+
+    def test_plan_arrays_are_read_only(self):
+        D = dual_module(build_irrep(A2, Q, A2.fundamental_weights[0]))
+        M = build_verma(A2, Q, A2.from_fundamental(LAM_A2), 8)
+        N, P = qalgebra._plan(D, M)
+        arrays = [P.mask, P.rows, P.cols, P.xv, P.xw, P.ri, P.gi, P.starts, P.slots]
+        arrays += [a for p in P.pV + P.pW for a in p]
+        for a in arrays + [N.data, N.indices, N.indptr]:
+            assert a.size
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[0]
 
 
 class TestLatticeOffsets:

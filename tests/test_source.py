@@ -101,14 +101,15 @@ def test_r_matrix_solves_only_in_its_route():
     # the degrees it solves over (_raising_shifts) are read only along the
     # route r_matrix -> _crossing -> _nilpotent, and so is its pivoted QR.
     # The route's one guard, _check_intertwines, reads them too, through its
-    # plan (_plan): that keeps 2 * (largest degree) + 1 away from a Verma's
-    # truncation and, beside a Verma, solves and stores N with the guard's
-    # indices.  The guard runs on both the factors of a single-slot crossing
-    # and the hexagon's product.
+    # plan (_plan): _guard_plan keeps 2 * (largest degree) + 1 away from a
+    # Verma's truncation, and beside a Verma _plan solves and stores N with
+    # the guard's index plan.  The guard runs on both the factors of a
+    # single-slot crossing and the hexagon's product.
     # The one other pivoted QR, in _span, picks the basis of a Verma
     # skeleton or an irrep among candidate vectors and solves for no part
     # of R.
-    route = {"r_matrix", "_crossing", "_nilpotent", "_plan", "_check_intertwines"}
+    route = {"r_matrix", "_crossing", "_nilpotent", "_plan", "_guard_plan",
+             "_check_intertwines"}
     skeleton = "_span"
     found, seen = [], set()
     for node in _parse(SRC / "qalgebra.py").body:
@@ -123,6 +124,28 @@ def test_r_matrix_solves_only_in_its_route():
     missing = (route | {skeleton}) - seen
     assert not missing, f"missing from qalgebra: {missing}"
     assert not found, f"R solver calls outside the r_matrix route: {found}"
+
+
+def test_r_guard_builds_no_sparse_matrix_per_call():
+    # the R guard's per-call path forms values only: its index work is the
+    # plan's (_plan, _guard_plan), so _check_intertwines and the residuals
+    # it reads build no scipy matrix, directly or through _csr/_kron_entries
+    per_call = {"_check_intertwines", "_guard_residuals"}
+    found, seen = [], set()
+    for node in _parse(SRC / "qalgebra.py").body:
+        if getattr(node, "name", None) not in per_call:
+            continue
+        seen.add(node.name)
+        for sub in ast.walk(node):
+            if not isinstance(sub, ast.Call):
+                continue
+            f = sub.func
+            if (getattr(f, "id", None) in ("_csr", "_kron_entries")
+                    or isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                    and f.value.id == "sp"):
+                found.append(f"qalgebra.py:{sub.lineno}")
+    assert seen == per_call, f"missing from qalgebra: {per_call - seen}"
+    assert not found, f"scipy matrices built on the guard's per-call path: {found}"
 
 
 def test_every_top_level_definition_is_referenced():
