@@ -6,14 +6,16 @@ Module matrices (E, F) are dense complex128; an R-matrix is kept as its
 factors (kappa, sparse CSR N) until `r_matrix` returns it dense.
 
 The R-matrix is kappa (1 + N), with kappa = q^{<wt, wt>} diagonal and N
-strictly raising the first slot.  It has one route: a multi-slot first
-slot splits into one crossing per slot by the hexagon, a Verma first slot
+strictly raising the first slot.  It has one route: the product, by the
+hexagon, of one crossing per slot of the first slot.  A Verma first slot
 is the flipped crossing of the omega-twisted modules ((omega (x) omega) R
 = R_21), and every other crossing solves N degree by degree from the
-F-equations.  Beside a truncated Verma second slot that N and the index
-plan of the intertwining guard are free of the Verma's highest weight and
-kept together in one table, `_VERMA_PLANS`; a call forms only values, kappa
-and the guard's multiply terms, at that call's weight, and no scipy matrix.
+F-equations.  Each crossing passes the intertwining guard on its own
+factors (kappa, N), which is the only form of R the guard reads.  Beside a
+truncated Verma second slot that N and the guard's index plan are free of
+the Verma's highest weight and kept together in one table, `_VERMA_PLANS`;
+a call forms only values, kappa and the guard's multiply terms, at that
+call's weight, and no scipy matrix.
 
 A module has one weight representation, set by every constructor: an
 exact `base` Weight (that of basis vector 0) and integer simple-root
@@ -752,37 +754,33 @@ def r_matrix(V: WeightModule, W: WeightModule) -> np.ndarray:
     """Matrix of the R-matrix endomorphism of V (x) W, normalized kappa (1 + N).
 
     kappa = q^{<wt, wt>} is diagonal and N strictly raises the first slot.
-    A multi-slot V splits by the hexagon (Delta (x) id) R = R_13 R_23 into
-    the dense product of one crossing per slot, placed on that slot and W's
-    slots; a single-slot V densifies its factors.  Either R passes the
-    intertwining guard (`_check_intertwines`) first.  Beside a truncated
-    Verma second slot, N and the guard's index plan are free of the Verma's
-    highest weight and memoized together per (first slot, Verma skeleton)
-    (`_plan`), so a call forms only values: kappa, and the guard's terms
-    from the Verma's K and E at that call's weight.  A rank drop in any
-    degree raises with the nullity reported.  Weights enter as integer lattice
-    offsets from each module's first weight, so V and W must each lie in
-    one root-lattice coset.  A finite first slot may be reducible; a Verma
-    first slot needs a single-slot second slot.
+    R is the product over V's slots of one guarded crossing each
+    (`_r_factors`), by the hexagon (Delta (x) id) R = R_13 R_23: crossing j
+    is densified and placed on V's slot j and W's slots.  So the
+    intertwining guard reads each crossing's factors, never a dense R.
+    Beside a truncated Verma second slot, N and the guard's index plan are
+    free of the Verma's highest weight and memoized together per (first
+    slot, Verma skeleton) (`_plan`), so a call forms only values: kappa, and
+    the guard's terms from the Verma's K and E at that call's weight.  A
+    rank drop in any degree raises with the nullity reported.  Weights enter
+    as integer lattice offsets from each module's first weight, so V and W
+    must each lie in one root-lattice coset.  A finite first slot may be
+    reducible; a Verma first slot needs a single-slot second slot.
     """
     if isinstance(V, TruncatedVerma) and isinstance(W, TruncatedVerma):
         raise ValueError("r_matrix needs a finite first slot beside a Verma")
-    if len(V.slots) == 1:
-        kap, N = _r_factors(V, W)
-        return kap[:, None] * (np.eye(kap.size) + N.toarray())
     dims = [s.dim for s in V.slots + W.slots]
     wslots = tuple(range(len(V.slots), len(dims)))
-    R = np.linalg.multi_dot([
-        _embed(dims, kap[:, None] * (np.eye(kap.size) + N.toarray()), (j,) + wslots)
-        for j, (kap, N) in enumerate(_crossing(Vj, W) for Vj in V.slots)])
-    _check_intertwines(V, W, R)
-    return R
+    Rs = [_embed(dims, kap[:, None] * (np.eye(kap.size) + N.toarray()), (j,) + wslots)
+          for j, (kap, N) in enumerate(_r_factors(Vj, W) for Vj in V.slots)]
+    return np.linalg.multi_dot(Rs) if Rs[1:] else Rs[0]  # multi_dot takes >= 2
 
 
 def _r_factors(V: WeightModule, W: WeightModule) -> tuple:
     """The guarded factors (kappa, N) of R = kappa (1 + N) on V (x) W for a
-    single-slot V: kappa at this call's weights, N sparse CSR; the guard
-    reads them as they are and builds no matrix of R."""
+    single-slot V: kappa at this call's weights, N sparse CSR.  The one
+    caller of `_crossing` and of the guard, which reads the factors as they
+    are and builds no matrix of R."""
     kap, N = _crossing(V, W)
     _check_intertwines(V, W, (kap, N))
     return kap, N
@@ -912,26 +910,26 @@ def _nilpotent(V: WeightModule, W: WeightModule) -> sp.csr_matrix:
 _VERMA_PLANS = Memo()
 # The guard's index plan on V (x) W, every array read-only.  A call gathers
 # V's E_i, F_i on their nonzeros (pV), W's E_i on its grading and F_i on its
-# nonzeros (pW), both slots' K_i, K_i^{-1} into one vector x, and R on its
-# entries (rows, cols).  Generator entry e of Delta(x), or, negated from ncop
-# on, of Delta^op(x) is x[xv[e]] x[xw[e]].  Term t of R Delta(x) - Delta^op(x) R
-# is R entry ri[t] times generator entry gi[t]; terms run slot by slot from
-# starts, and slots[s] = a (2 r k) + g k + b is the kept pair (a, b) of
-# generator g (2 i: E_i, 2 i + 1: F_i), mask marking the k kept rows.
-_GuardPlan = namedtuple("_GuardPlan", "mask pV pW rows cols xv xw ncop ri gi starts slots")
+# nonzeros (pW), both slots' K_i, K_i^{-1} into one vector x, and the values
+# of R = kappa (1 + N) on its pattern: the diagonal, then N's CSR entries,
+# entry t in row rows[t].  Generator entry e of Delta(x), or, negated from
+# ncop on, of Delta^op(x) is x[xv[e]] x[xw[e]].  Term t of R Delta(x) -
+# Delta^op(x) R is R entry ri[t] times generator entry gi[t]; terms run slot
+# by slot from starts, and slots[s] = a (2 r k) + g k + b is the kept pair
+# (a, b) of generator g (2 i: E_i, 2 i + 1: F_i), mask marking the k kept rows.
+_GuardPlan = namedtuple("_GuardPlan", "mask pV pW rows xv xw ncop ri gi starts slots")
 
 
 def _plan(V: WeightModule, W: WeightModule, R=None) -> tuple:
-    """(N, `_GuardPlan`) of R on V (x) W; R is (kappa, N) or dense.
+    """(N, `_GuardPlan`) of R = (kappa, N) on V (x) W for a single-slot V.
 
-    Beside a truncated Verma W, with a single-slot V, N and the guard's plan
-    on the pattern of kappa (1 + N) are free of the Verma's highest weight
-    and kept per (first slot, Verma skeleton) in `_VERMA_PLANS` (139 KiB an
-    entry at A2 V(omega_1)* (x) M_10, N 18 KiB of it).  Beside a finite W,
-    and for the hexagon's multi-slot V, it is built per call on that call's
-    R, with no N.
+    Beside a truncated Verma W, N and the guard's plan on the pattern of
+    kappa (1 + N) are free of the Verma's highest weight and kept per
+    (first slot, Verma skeleton) in `_VERMA_PLANS` (129 KiB an entry at A2
+    V(omega_1)* (x) M_10, N 18 KiB of it).  Beside a finite W it is built
+    per call on that call's N, with no N returned.
     """
-    if isinstance(W, TruncatedVerma) and len(V.slots) == 1:
+    if isinstance(W, TruncatedVerma):
         def make():
             N = _nilpotent(V, W)
             return N, _guard_plan(V, W, (None, N))
@@ -942,8 +940,8 @@ def _plan(V: WeightModule, W: WeightModule, R=None) -> tuple:
 
 
 def _guard_plan(V: WeightModule, W: WeightModule, R) -> _GuardPlan:
-    """The guard's plan on R's pattern: for factors (kappa, N) the diagonal,
-    then N's entries in CSR order; for a dense R its nonzeros.
+    """The guard's plan on the pattern of R = (kappa, N): the diagonal, then
+    N's entries in CSR order; only N's pattern is read.
 
     The guard reads and forms all on the kept rows, 2 * (largest degree of
     N) + 1 away from each Verma slot's truncation: R Delta(x) reads R's kept
@@ -951,13 +949,10 @@ def _guard_plan(V: WeightModule, W: WeightModule, R) -> _GuardPlan:
     product is joined on its inner index into multiply terms, both written
     into one output index, so that a call forms only values.
     """
-    r, dw = V.datum.rank, W.dim
-    if isinstance(R, tuple):
-        diag = np.arange(V.dim * dw)
-        rows, cols = (np.concatenate([diag, x]) for x in
-                      (np.repeat(diag, np.diff(R[1].indptr)), R[1].indices))
-    else:
-        rows, cols = np.nonzero(R)
+    r, dw, N = V.datum.rank, W.dim, R[1]
+    diag = np.arange(V.dim * dw)
+    rows, cols = (np.concatenate([diag, x]) for x in
+                  (np.repeat(diag, np.diff(N.indptr)), N.indices))
     m = 2 * max(_raising_shifts(V, W).values(), default=0) + 1
     mask = np.logical_and.outer(*(X.exact_mask(m) if isinstance(X, TruncatedVerma)
                                   else np.ones(X.dim, bool) for X in (V, W))).ravel()
@@ -1001,7 +996,7 @@ def _guard_plan(V: WeightModule, W: WeightModule, R) -> _GuardPlan:
     slots, out = np.unique((left * 2 * r + gg[ei]) * k + right, return_inverse=True)
     order = np.argsort(out, kind="stable")
     used, gi = np.unique(ei[order], return_inverse=True)
-    P = _GuardPlan(mask, pV, pW, rows, cols, xv[used], xw[used],
+    P = _GuardPlan(mask, pV, pW, rows, xv[used], xw[used],
                    int(np.searchsorted(used, ncop)), ri[order], gi,
                    np.flatnonzero(np.diff(out[order], prepend=-1)), slots)
     for arr in [f for f in P if isinstance(f, np.ndarray)] + [x for p in pV + pW for x in p]:
@@ -1011,9 +1006,11 @@ def _guard_plan(V: WeightModule, W: WeightModule, R) -> _GuardPlan:
 
 def _check_intertwines(V: WeightModule, W: WeightModule, R) -> None:
     """Raise unless R Delta(x) = Delta^op(x) R for every generator x, on
-    the kept rows and entry patterns of `_plan`; R is (kappa, N) or dense.
-    W's E_i is read on its weight grading only, so a call raises if E_i has
-    a nonzero off it.  Each call forms values only (`_guard_residuals`).
+    the kept rows and entry patterns of `_plan`; R is the factors
+    (kappa, N) of one crossing with a single-slot V, as `_r_factors` holds
+    them.  W's E_i is read on its weight grading only, so a call raises if
+    E_i has a nonzero off it.  Each call forms values only
+    (`_guard_residuals`).
     """
     P = _plan(V, W, R)[1]
     for i, p in enumerate(P.pW[:V.datum.rank]):
@@ -1032,10 +1029,9 @@ def _check_intertwines(V: WeightModule, W: WeightModule, R) -> None:
 
 def _guard_residuals(V: WeightModule, W: WeightModule, R, P: _GuardPlan) -> tuple:
     """(|R Delta(x) - Delta^op(x) R|, |R| |Delta(x)| + |Delta^op(x)| |R|)
-    per output slot of P, from this call's R, V and W; the values of
-    kappa (1 + N) are kappa[row] times (1 + N)'s entries."""
-    rv = (R[0][P.rows] * np.concatenate([np.ones(R[0].size), R[1].data])
-          if isinstance(R, tuple) else R[P.rows, P.cols])
+    per output slot of P, from this call's R = (kappa, N), V and W; the
+    values of kappa (1 + N) are kappa[row] times (1 + N)'s entries."""
+    rv = R[0][P.rows] * np.concatenate([np.ones(R[0].size), R[1].data])
     x = [np.ones(1)]
     for X, ps in ((V, P.pV), (W, P.pW)):
         x += [X.K.ravel(), 1.0 / X.K.ravel()] + [Y[p] for Y, p in zip(X.E + X.F, ps)]

@@ -353,15 +353,14 @@ def guard_residuals(V: WeightModule, W: WeightModule, R, plan) -> tuple:
     `plan` (a `qalgebra._GuardPlan`): (sub, bsub) as dense k x (2 r k)
     arrays, sub = |R Delta(x) - Delta^op(x) R| and bsub = |R| |Delta(x)| +
     |Delta^op(x)| |R| on the kept rows and columns, generator g = 2 i (E_i)
-    or 2 i + 1 (F_i) in columns g k to (g + 1) k.  R is (kappa, N) or dense.
+    or 2 i + 1 (F_i) in columns g k to (g + 1) k.  R is the factors
+    (kappa, N) of one crossing, as the guard reads them.
     """
     r = V.datum.rank
     mask = plan.mask
     keep, pos = np.flatnonzero(mask), np.cumsum(mask) - 1
     n, k = mask.size, keep.size
-    if isinstance(R, tuple):
-        R = sp.diags(R[0]) @ (sp.identity(n) + R[1])
-    R = sp.csr_matrix(R)
+    R = sp.csr_matrix(sp.diags(R[0]) @ (sp.identity(n) + R[1]))
 
     def stack(gens, flip):
         # the matrices of gens (flip: transposed), cut to the kept columns

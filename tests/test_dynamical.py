@@ -11,8 +11,8 @@ from dynq import dynamical
 from dynq.cache import Memo
 from dynq.cartan import preset
 from dynq.qalgebra import (
-    build_irrep, dual_module, embed_slots, qnum, tensor_many, tensor_module,
-    trivial_module,
+    build_irrep, dual_module, embed_slots, qnum, r_matrix, tensor_many,
+    tensor_module, trivial_module,
 )
 from dynq.vertexops import dual_vertex_operator, expectation, vertex_operator
 from dynq.dynamical import (
@@ -126,6 +126,37 @@ class TestSl2ClosedForm:
         want[2, 1] = (1 / q - q) / (q ** (2 * (c + 1)) - 1)
         got = fusion((V, V), lam).matrix
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    # On V = V(omega), basis v+ (weight omega), v-, and V (x) V row-major
+    # (v+v+, v+v-, v-v+, v-v-), with s = q^{1/2} and b = (q - 1/q)/s, the
+    # standard R of U_q(sl2) is diag(s, 1/s, 1/s, s) plus b at [1, 2].
+    @given(st.floats(min_value=0.2, max_value=0.9))
+    @settings(max_examples=25, deadline=None)
+    def test_r_matrix_of_two_fundamentals(self, q):
+        V = build_irrep(A1, q, OM)
+        s = q ** 0.5
+        want = np.diag([s, 1 / s, 1 / s, s]).astype(complex)
+        want[1, 2] = (q - 1 / q) / s
+        got = r_matrix(V, V)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @given(st.floats(min_value=0.2, max_value=0.9), st.floats(min_value=-9.0, max_value=9.0))
+    @settings(max_examples=25, deadline=None)
+    def test_exchange_of_two_fundamentals(self, q, c):
+        # R(lam) = J_21^{-1} R J with J = 1 + a e_{2,1}, a the J[2, 1] above:
+        # Felder's trigonometric dynamical R-matrix in this gauge
+        lam = c * OM
+        assume(A1.is_regular(lam))
+        V = build_irrep(A1, q, OM)
+        s, a = q ** 0.5, (1 / q - q) / (q ** (2 * (c + 1)) - 1)
+        b = (q - 1 / q) / s
+        want = np.zeros((4, 4), dtype=complex)
+        want[0, 0] = want[3, 3] = s
+        want[2, 2], want[2, 1] = 1 / s, a / s
+        want[1, 1], want[1, 2] = 1 / s + a * b - a * a / s, b - a / s
+        got = exchange((V,), (V,), lam).matrix
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
 
 class TestFusionBasics:
     def test_single_leg_is_identity(self):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -687,11 +688,40 @@ class TestGuardOracle:
         V1, V2 = (build_irrep(A2, Q, w) for w in A2.fundamental_weights)
         assert not self._agree(V1, V2, qalgebra._crossing(V1, V2))
 
-    def test_hexagon_pair(self):
-        # a multi-slot first slot: the guard reads the dense product R
+    @pytest.mark.parametrize("word", [(0, 1), (0, 1, 0)])
+    def test_hexagon_guards_each_crossing(self, word, monkeypatch):
+        # a k-slot first slot makes k guard calls, one per crossing, each
+        # on a single-slot first module and the factors (kappa, N)
+        V = [build_irrep(A2, Q, w) for w in A2.fundamental_weights]
+        T, W = tensor_many([V[j] for j in word]), V[0]
+        calls, check = [], qalgebra._check_intertwines
+
+        def counted(X, Y, R):
+            calls.append((X, Y, R))
+            check(X, Y, R)
+
+        monkeypatch.setattr(qalgebra, "_check_intertwines", counted)
+        r_matrix(T, W)
+        assert [X for X, _, _ in calls] == list(T.slots)
+        for X, Y, (kap, N) in calls:
+            assert len(X.slots) == 1 and Y is W
+            assert kap.shape == (X.dim * W.dim,) and sp.issparse(N)
+
+    def test_spoiled_crossing_fails_the_hexagon(self, monkeypatch):
+        # N of the second crossing spoiled in one entry: the multi-slot R
+        # raises, and the guard and its oracle agree on both crossings
         V1, V2 = (build_irrep(A2, Q, w) for w in A2.fundamental_weights)
-        T = tensor_module(V1, V2)
-        assert not self._agree(T, V1, r_matrix(T, V1))
+        T, crossing = tensor_module(V1, V2), qalgebra._crossing
+        for X in T.slots:
+            assert not self._agree(X, V1, crossing(X, V1))
+        kap, N = crossing(V2, V1)
+        bad = N.copy()
+        bad.data[0] *= 1.0 + 1e-4
+        assert self._agree(V2, V1, (kap, bad))
+        monkeypatch.setattr(qalgebra, "_crossing",
+                            lambda X, Y: (kap, bad) if X is V2 else crossing(X, Y))
+        with pytest.raises(ValueError, match="fails to intertwine"):
+            r_matrix(T, V1)
 
     def test_verma_first_pair_of_omega_tilde(self):
         om = A1.fundamental_weights[0]
@@ -717,7 +747,7 @@ class TestGuardOracle:
         D = dual_module(build_irrep(A2, Q, A2.fundamental_weights[0]))
         M = build_verma(A2, Q, A2.from_fundamental(LAM_A2), 8)
         N, P = qalgebra._plan(D, M)
-        arrays = [P.mask, P.rows, P.cols, P.xv, P.xw, P.ri, P.gi, P.starts, P.slots]
+        arrays = [P.mask, P.rows, P.xv, P.xw, P.ri, P.gi, P.starts, P.slots]
         arrays += [a for p in P.pV + P.pW for a in p]
         for a in arrays + [N.data, N.indices, N.indptr]:
             assert a.size

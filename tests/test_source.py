@@ -103,8 +103,8 @@ def test_r_matrix_solves_only_in_its_route():
     # The route's one guard, _check_intertwines, reads them too, through its
     # plan (_plan): _guard_plan keeps 2 * (largest degree) + 1 away from a
     # Verma's truncation, and beside a Verma _plan solves and stores N with
-    # the guard's index plan.  The guard runs on both the factors of a
-    # single-slot crossing and the hexagon's product.
+    # the guard's index plan.  The guard runs on the factors (kappa, N) of
+    # each single-slot crossing, and r_matrix multiplies guarded crossings.
     # The one other pivoted QR, in _span, picks the basis of a Verma
     # skeleton or an irrep among candidate vectors and solves for no part
     # of R.
@@ -124,6 +124,29 @@ def test_r_matrix_solves_only_in_its_route():
     missing = (route | {skeleton}) - seen
     assert not missing, f"missing from qalgebra: {missing}"
     assert not found, f"R solver calls outside the r_matrix route: {found}"
+
+
+def test_only_r_factors_crosses_and_guards():
+    # _r_factors is the one caller of _crossing (besides the omega flip's
+    # recursion) and of the guard, so no library route returns an unguarded
+    # R: r_matrix multiplies guarded crossings, and the dual vertex operators
+    # and omega_tilde read the guarded factors
+    allowed = {"_crossing": {"_r_factors", "_crossing"},
+               "_check_intertwines": {"_r_factors"}}
+    found, callers = [], {callee: set() for callee in allowed}
+    for name, tree in _trees():
+        for node in tree.body:
+            where = getattr(node, "name", "module level")
+            for sub in ast.walk(node):
+                if not isinstance(sub, ast.Call):
+                    continue
+                callee = getattr(sub.func, "id", None) or getattr(sub.func, "attr", None)
+                if callee in allowed:
+                    callers[callee].add(where)
+                    if where not in allowed[callee]:
+                        found.append(f"{name}:{sub.lineno} calls {callee}")
+    assert all("_r_factors" in c for c in callers.values()), f"callers: {callers}"
+    assert not found, f"R crossed or guarded outside _r_factors: {found}"
 
 
 def test_r_guard_builds_no_sparse_matrix_per_call():
